@@ -42,6 +42,7 @@ from .numerics import (
     build_hamiltonian,
     evolve,
     pair_concurrence,
+    pair_concurrences,
     partial_trace_pair,
     total_excitation,
     wootters_concurrence,
@@ -91,6 +92,7 @@ __all__ = [
     "evolve",
     "initial_state_vector",
     "pair_concurrence",
+    "pair_concurrences",
     "partial_trace_pair",
     "phi_amplitudes",
     "phi_concurrence",

@@ -181,15 +181,18 @@ def _resolve_init(ns: argparse.Namespace, context: str) -> InitialState:
     if family == "custom":
         raise CLIError(f"{context} requires a named family")
     alpha = math.pi / 4 if ns.alpha is None else ns.alpha
-    return InitialState(StateFamily(family), alpha)
+    try:
+        return InitialState(StateFamily(family), alpha)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
 
 
 def _resolve_grid(ns: argparse.Namespace, params: ModelParams) -> tuple[float, int]:
     big_g = 2.0 * params.g
     tmax = 4.0 * math.pi / big_g if ns.tmax is None else ns.tmax
     steps = 2001 if ns.steps is None else ns.steps
-    if tmax <= 0:
-        raise CLIError("tmax must be positive")
+    if not (math.isfinite(tmax) and tmax > 0):
+        raise CLIError("tmax must be positive and finite")
     if steps < 2:
         raise CLIError("steps must be at least 2")
     return tmax, steps

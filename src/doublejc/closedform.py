@@ -16,7 +16,6 @@ two-qubit ordering |ee>, |eg>, |ge>, |gg>.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,23 +42,42 @@ __all__ = [
 ]
 
 
-def _pair_factors(constants: JCConstants, t: float) -> tuple[complex, complex]:
-    """Stay/transfer amplitudes (f, h) of one atom-cavity pair at time t."""
-    ep = cmath.exp(-1j * constants.lambda_plus * t)
-    em = cmath.exp(-1j * constants.lambda_minus * t)
+def _pair_factors(constants: JCConstants, t):
+    """Stay/transfer amplitudes (f, h) of one atom-cavity pair, broadcast over t."""
+    times = np.asarray(t, dtype=float)
+    ep = np.exp(-1j * constants.lambda_plus * times)
+    em = np.exp(-1j * constants.lambda_minus * times)
     f = constants.l_coef * ep + constants.m_coef * em
     h = constants.n_coef * (ep - em)
     return f, h
 
 
-def _check_time(t: float) -> None:
-    if t < 0:
+def _check_time(t) -> None:
+    if np.any(np.asarray(t) < 0):
         raise ValueError("time must be nonnegative")
 
 
+class _Amplitudes:
+    """Embedding shared by the amplitude records; ``t`` may be a time grid."""
+
+    #: (field, basis element) of every nonzero amplitude
+    _ELEMENTS: tuple = ()
+
+    def columns(self, cutoff: int = 1) -> np.ndarray:
+        """Amplitudes over the flattened basis, one column per time point (a vector for scalar t)."""
+        amps = np.zeros((basis_dimension(cutoff),) + np.shape(self.t), dtype=complex)
+        for name, element in self._ELEMENTS:
+            amps[BasisIndex(*element).flatten(cutoff)] = getattr(self, name)
+        return amps
+
+    def to_state(self, cutoff: int = 1) -> PureState:
+        """Embed the amplitudes at a scalar time into the truncated product space."""
+        return PureState(self.columns(cutoff), cutoff)
+
+
 @dataclass(frozen=True)
-class PsiAmplitudes:
-    """Amplitudes of the one-excitation family at time t.
+class PsiAmplitudes(_Amplitudes):
+    """Amplitudes of the one-excitation family at time t (a scalar or a grid).
 
     The state is x1|eg00> + x2|ge00> + x3|gg10> + x4|gg01>; x1, x3 carry
     cos(alpha) and x2, x4 carry sin(alpha) of a common pair factor, so
@@ -72,19 +90,31 @@ class PsiAmplitudes:
     x4: complex
     t: float
 
-    def to_state(self, cutoff: int = 1) -> PureState:
-        """Embed the four amplitudes into the truncated product space."""
-        amps = np.zeros(basis_dimension(cutoff), dtype=complex)
-        amps[BasisIndex(1, 0, 0, 0).flatten(cutoff)] = self.x1
-        amps[BasisIndex(0, 1, 0, 0).flatten(cutoff)] = self.x2
-        amps[BasisIndex(0, 0, 1, 0).flatten(cutoff)] = self.x3
-        amps[BasisIndex(0, 0, 0, 1).flatten(cutoff)] = self.x4
-        return PureState(amps, cutoff)
+    _ELEMENTS = (("x1", (1, 0, 0, 0)), ("x2", (0, 1, 0, 0)), ("x3", (0, 0, 1, 0)), ("x4", (0, 0, 0, 1)))
+
+    def atom_density(self) -> np.ndarray:
+        """Atom-atom density matrix, stacked over a time grid.
+
+        Tracing the modes out of the evolved state leaves a single-excitation
+        block plus |gg><gg| population:
+
+            [[0, 0,      0,      0],
+             [0, |x1|^2, x1 x2*, 0],
+             [0, x1* x2, |x2|^2, 0],
+             [0, 0,      0,      |x3|^2 + |x4|^2]]
+        """
+        rho = np.zeros(np.shape(self.t) + (4, 4), dtype=complex)
+        rho[..., 1, 1] = abs(self.x1) ** 2
+        rho[..., 2, 2] = abs(self.x2) ** 2
+        rho[..., 1, 2] = self.x1 * np.conj(self.x2)
+        rho[..., 2, 1] = np.conj(rho[..., 1, 2])
+        rho[..., 3, 3] = abs(self.x3) ** 2 + abs(self.x4) ** 2
+        return rho
 
 
 @dataclass(frozen=True)
-class PhiAmplitudes:
-    """Amplitudes of the zero/two-excitation family at time t.
+class PhiAmplitudes(_Amplitudes):
+    """Amplitudes of the zero/two-excitation family at time t (a scalar or a grid).
 
     The state is x1|ee00> + x2|gg11> + x3|eg01> + x4|ge10> + x5|gg00>.
     By symmetry of the two pairs x3 == x4 exactly, and x5 = sin(alpha) is
@@ -98,27 +128,40 @@ class PhiAmplitudes:
     x5: complex
     t: float
 
-    def to_state(self, cutoff: int = 1) -> PureState:
-        """Embed the five amplitudes into the truncated product space."""
-        amps = np.zeros(basis_dimension(cutoff), dtype=complex)
-        amps[BasisIndex(1, 1, 0, 0).flatten(cutoff)] = self.x1
-        amps[BasisIndex(0, 0, 1, 1).flatten(cutoff)] = self.x2
-        amps[BasisIndex(1, 0, 0, 1).flatten(cutoff)] = self.x3
-        amps[BasisIndex(0, 1, 1, 0).flatten(cutoff)] = self.x4
-        amps[BasisIndex(0, 0, 0, 0).flatten(cutoff)] = self.x5
-        return PureState(amps, cutoff)
+    _ELEMENTS = (("x1", (1, 1, 0, 0)), ("x2", (0, 0, 1, 1)), ("x3", (1, 0, 0, 1)), ("x4", (0, 1, 1, 0)),
+                 ("x5", (0, 0, 0, 0)))
+
+    def atom_density(self) -> np.ndarray:
+        """Atom-atom density matrix, stacked over a time grid.
+
+            [[|x1|^2, 0,      0,      x1 x5*],
+             [0,      |x3|^2, 0,      0],
+             [0,      0,      |x4|^2, 0],
+             [x1* x5, 0,      0,      |x2|^2 + |x5|^2]]
+
+        Only the |ee>/|gg> coherence survives the partial trace: the one-photon
+        sectors |eg01> and |ge10> are orthogonal in the mode factor.
+        """
+        rho = np.zeros(np.shape(self.t) + (4, 4), dtype=complex)
+        rho[..., 0, 0] = abs(self.x1) ** 2
+        rho[..., 1, 1] = abs(self.x3) ** 2
+        rho[..., 2, 2] = abs(self.x4) ** 2
+        rho[..., 3, 3] = abs(self.x2) ** 2 + abs(self.x5) ** 2
+        rho[..., 0, 3] = self.x1 * np.conj(self.x5)
+        rho[..., 3, 0] = np.conj(rho[..., 0, 3])
+        return rho
 
 
-def psi_amplitudes(alpha: float, constants: JCConstants, t: float) -> PsiAmplitudes:
-    """Evolved amplitudes for cos(a)|eg00> + sin(a)|ge00>."""
+def psi_amplitudes(alpha: float, constants: JCConstants, t) -> PsiAmplitudes:
+    """Evolved amplitudes for cos(a)|eg00> + sin(a)|ge00>, at scalar or array times."""
     _check_time(t)
     f, h = _pair_factors(constants, t)
     ca, sa = math.cos(alpha), math.sin(alpha)
     return PsiAmplitudes(x1=f * ca, x2=f * sa, x3=h * ca, x4=h * sa, t=t)
 
 
-def phi_amplitudes(alpha: float, constants: JCConstants, t: float) -> PhiAmplitudes:
-    """Evolved amplitudes for cos(a)|ee00> + sin(a)|gg00>."""
+def phi_amplitudes(alpha: float, constants: JCConstants, t) -> PhiAmplitudes:
+    """Evolved amplitudes for cos(a)|ee00> + sin(a)|gg00>, at scalar or array times."""
     _check_time(t)
     f, h = _pair_factors(constants, t)
     ca, sa = math.cos(alpha), math.sin(alpha)
@@ -133,46 +176,13 @@ def phi_amplitudes(alpha: float, constants: JCConstants, t: float) -> PhiAmplitu
 
 
 def psi_reduced_density(alpha: float, constants: JCConstants, t: float) -> DensityMatrix:
-    """Atom-atom density matrix of the one-excitation family.
-
-    Tracing the modes out of the evolved state leaves a single-excitation
-    block plus |gg><gg| population:
-
-        [[0, 0,      0,      0],
-         [0, |x1|^2, x1 x2*, 0],
-         [0, x1* x2, |x2|^2, 0],
-         [0, 0,      0,      |x3|^2 + |x4|^2]]
-    """
-    a = psi_amplitudes(alpha, constants, t)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[1, 1] = abs(a.x1) ** 2
-    rho[2, 2] = abs(a.x2) ** 2
-    rho[1, 2] = a.x1 * a.x2.conjugate()
-    rho[2, 1] = rho[1, 2].conjugate()
-    rho[3, 3] = abs(a.x3) ** 2 + abs(a.x4) ** 2
-    return DensityMatrix(rho)
+    """Atom-atom density matrix of the one-excitation family (see :meth:`PsiAmplitudes.atom_density`)."""
+    return DensityMatrix(psi_amplitudes(alpha, constants, t).atom_density())
 
 
 def phi_reduced_density(alpha: float, constants: JCConstants, t: float) -> DensityMatrix:
-    """Atom-atom density matrix of the zero/two-excitation family.
-
-        [[|x1|^2, 0,      0,      x1 x5*],
-         [0,      |x3|^2, 0,      0],
-         [0,      0,      |x4|^2, 0],
-         [x1* x5, 0,      0,      |x2|^2 + |x5|^2]]
-
-    Only the |ee>/|gg> coherence survives the partial trace: the one-photon
-    sectors |eg01> and |ge10> are orthogonal in the mode factor.
-    """
-    a = phi_amplitudes(alpha, constants, t)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = abs(a.x1) ** 2
-    rho[1, 1] = abs(a.x3) ** 2
-    rho[2, 2] = abs(a.x4) ** 2
-    rho[3, 3] = abs(a.x2) ** 2 + abs(a.x5) ** 2
-    rho[0, 3] = a.x1 * a.x5.conjugate()
-    rho[3, 0] = rho[0, 3].conjugate()
-    return DensityMatrix(rho)
+    """Atom-atom density matrix of the zero/two-excitation family (see :meth:`PhiAmplitudes.atom_density`)."""
+    return DensityMatrix(phi_amplitudes(alpha, constants, t).atom_density())
 
 
 def _transfer_weight(constants: JCConstants, t):

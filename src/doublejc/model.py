@@ -72,6 +72,8 @@ class ModelParams:
     g: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.omega, self.nu, self.g)):
+            raise ValueError("frequencies must be finite")
         if not self.g > 0:
             raise ValueError("coupling must be positive")
         if not self.omega > 0:
@@ -204,11 +206,13 @@ class InitialState:
     custom_amplitudes: np.ndarray | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if self.family is StateFamily.CUSTOM:
             if self.custom_amplitudes is None:
                 raise ValueError("custom family requires an amplitude vector")
             amps = np.asarray(self.custom_amplitudes, dtype=complex)
-            if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+            if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
                 raise ValueError("custom amplitudes must have unit norm")
             amps.flags.writeable = False
             object.__setattr__(self, "custom_amplitudes", amps)
@@ -239,7 +243,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (basis_dimension(self.cutoff),):
             raise ValueError("amplitude vector length does not match cutoff")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise ValueError("state vector must have unit norm")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

@@ -18,9 +18,10 @@ from .model import (
     DensityMatrix,
     HERMITICITY_TOL,
     ModelParams,
-    PSD_TOL,
+    NORM_TOL,
     PureState,
     TRACE_TOL,
+    basis_dimension,
 )
 
 __all__ = [
@@ -36,14 +37,12 @@ __all__ = [
     "partial_trace_pair",
     "wootters_concurrence",
     "pair_concurrence",
+    "pair_concurrences",
 ]
 
 #: population allowed above Fock level 1 in a retained mode before the
 #: two-level (qubit) description of that mode breaks down
 QUBIT_EQUIV_TOL = 1e-10
-
-#: density-matrix eigenvalues below this are numerical-rank noise
-RANK_TOL = 1e-14
 
 
 class QubitEquivalenceError(RuntimeError):
@@ -205,35 +204,49 @@ def evolve(h: HermitianOperator, state0: PureState, t: float) -> PureState:
     return Propagator(h).evolve(state0, t)
 
 
+def _pair_blocks(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.ndarray:
+    """Stacked (T x 4 x k) factors B of the pair's reduced states, rho = B B^dagger.
+
+    ``columns`` holds one unit-norm amplitude vector per time point.  Rows of
+    B are the pair's |ee>,|eg>,|ge>,|gg> levels (a mode's ``e`` is one photon),
+    columns the levels of the two traced subsystems.  Retained modes must
+    behave as qubits: population above Fock level 1 beyond
+    ``QUBIT_EQUIV_TOL`` at any time point raises :class:`QubitEquivalenceError`.
+    """
+    d = cutoff + 1
+    dim, steps = columns.shape
+    if dim != basis_dimension(cutoff):
+        raise ValueError("amplitude vector length does not match cutoff")
+    if not np.all(np.abs(np.sqrt((np.abs(columns) ** 2).sum(axis=0)) - 1.0) <= NORM_TOL):
+        raise ValueError("state vector must have unit norm")
+    # (T, first, second, traced, traced)
+    tensor = np.moveaxis(columns.reshape(2, 2, d, d, steps), (4, pair.first.axis, pair.second.axis), (0, 1, 2))
+
+    for k, sub in enumerate((pair.first, pair.second), start=1):
+        if sub.is_mode and d > 2:
+            weight = (np.abs(np.moveaxis(tensor, k, 1)[:, 2:]) ** 2).reshape(steps, -1).sum(axis=1)
+            over = weight > QUBIT_EQUIV_TOL
+            if over.any():
+                raise QubitEquivalenceError(
+                    f"mode {sub.value} holds population {weight[np.argmax(over)]:.3e} above one photon"
+                )
+
+    # excited-first ordering for both atoms (g,e) and modes (0,1)
+    blocks = tensor[:, 1::-1, 1::-1].reshape(steps, 4, -1)
+    trace = (np.abs(blocks) ** 2).sum(axis=(1, 2))
+    # mass discarded with the >1-photon tail (still below QUBIT_EQUIV_TOL)
+    drifted = np.abs(trace - 1.0) > TRACE_TOL
+    return blocks / np.sqrt(np.where(drifted, trace, 1.0))[:, None, None]
+
+
 def partial_trace_pair(state: PureState, pair: SubsystemPair) -> DensityMatrix:
     """Reduced density matrix of a subsystem pair, in the |ee>,|eg>,|ge>,|gg> basis.
 
     Retained cavity modes must behave as qubits: any population above Fock
     level 1 beyond ``QUBIT_EQUIV_TOL`` raises :class:`QubitEquivalenceError`.
     """
-    d = state.cutoff + 1
-    tensor = state.amplitudes.reshape(2, 2, d, d)
-    retained = (pair.first.axis, pair.second.axis)
-
-    for sub in (pair.first, pair.second):
-        if sub.is_mode and d > 2:
-            overflow = np.moveaxis(tensor, sub.axis, 0)[2:]
-            weight = float(np.sum(np.abs(overflow) ** 2))
-            if weight > QUBIT_EQUIV_TOL:
-                raise QubitEquivalenceError(
-                    f"mode {sub.value} holds population {weight:.3e} above one photon"
-                )
-
-    block = np.moveaxis(tensor, retained, (0, 1))[:2, :2]
-    # excited-first ordering for both atoms (g,e) and modes (0,1)
-    block = block[::-1, ::-1]
-    flat = block.reshape(4, -1)
-    rho = flat @ flat.conj().T
-    trace = rho.trace().real
-    if abs(trace - 1.0) > TRACE_TOL:
-        # mass discarded with the >1-photon tail (still below QUBIT_EQUIV_TOL)
-        rho = rho / trace
-    return DensityMatrix(rho)
+    block = _pair_blocks(state.amplitudes[:, None], state.cutoff, pair)[0]
+    return DensityMatrix(block @ block.conj().T)
 
 
 # sigma_y (x) sigma_y in the |ee>,|eg>,|ge>,|gg> ordering, with
@@ -249,34 +262,43 @@ _SPIN_FLIP = np.array(
 )
 
 
+def _block_concurrences(blocks: np.ndarray) -> np.ndarray:
+    """Concurrence of each rho = B B^dagger in a (T x 4 x k) stack.
+
+    For any decomposition rho = B B^dagger the Wootters lambda_i are the
+    singular values of tau = B^T (sy x sy) B (Wootters, PRL 80, 2245, 1998),
+    so C = max{0, lambda_1 - lambda_2 - lambda_3 - lambda_4} needs neither
+    sqrt(rho) nor an eigendecomposition.  tau has rank at most 4.
+    """
+    tau = np.swapaxes(blocks, 1, 2) @ _SPIN_FLIP @ blocks
+    lam = np.linalg.svd(tau, compute_uv=False)
+    return np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
+
+
+def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.ndarray:
+    """Concurrence of a subsystem pair at every time point, from one batched SVD.
+
+    ``columns`` is the dim x T amplitude array that :meth:`Propagator.evolve_grid` returns.
+    """
+    return _block_concurrences(_pair_blocks(columns, cutoff, pair))
+
+
 def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
     """Concurrence of an arbitrary two-qubit density matrix.
 
-    C = max{0, sqrt(mu1) - sqrt(mu2) - sqrt(mu3) - sqrt(mu4)} with mu_i the
-    descending eigenvalues of rho (sy x sy) rho* (sy x sy).  The sqrt(mu_i)
-    are computed as the singular values of sqrt(rho) (sy x sy) conj(sqrt(rho)),
-    which is the same spectrum but stays accurate when eigenvalues collide
-    near a zero crossing.  Eigenvalues of rho below RANK_TOL are taken as
-    exact zeros: diagonalization noise on a rank-deficient state otherwise
-    leaks through the square root at the 1e-8 level.
+    C = max{0, lambda1 - lambda2 - lambda3 - lambda4} with lambda_i the
+    descending square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
+    They are taken as the singular values of tau = B^T (sy x sy) B for
+    B = V sqrt(w) from the eigendecomposition rho = V w V^dagger, which stays
+    accurate when the lambda_i collide near a zero crossing.  Small positive
+    eigenvalues are kept: a weight of 1e-14 still moves C by about 1e-7.
     """
-    entries = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if entries.shape != (4, 4):
-        raise ValueError("density matrix must be 4x4")
-    if np.abs(entries - entries.conj().T).max() > HERMITICITY_TOL:
-        raise ValueError("density matrix must be Hermitian")
-    if abs(entries.trace() - 1.0) > TRACE_TOL:
-        raise ValueError("density matrix must have unit trace")
-
-    evals, evecs = np.linalg.eigh(entries)
-    if evals.min() < PSD_TOL:
-        raise ValueError("density matrix must be positive semidefinite")
-    evals = np.where(evals < RANK_TOL, 0.0, evals)
-    sqrt_rho = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    lam = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ sqrt_rho.conj(), compute_uv=False)
-    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho)
+    evals, evecs = np.linalg.eigh(rho.entries)
+    return float(_block_concurrences((evecs * np.sqrt(np.maximum(evals, 0.0)))[None])[0])
 
 
 def pair_concurrence(state: PureState, pair: SubsystemPair) -> float:
     """Concurrence between two subsystems of a pure total state."""
-    return wootters_concurrence(partial_trace_pair(state, pair))
+    return float(pair_concurrences(state.amplitudes[:, None], state.cutoff, pair)[0])

@@ -6,18 +6,27 @@ import pytest
 from doublejc import (
     ALL_PAIRS,
     ATOM_PAIR,
+    BasisIndex,
     ConcurrenceSeries,
     InitialState,
     ModelParams,
+    Propagator,
+    PureState,
+    QubitEquivalenceError,
     Source,
     StateFamily,
     SubsystemPair,
+    analysis,
+    build_hamiltonian,
     death_threshold_alpha,
     detect_death,
+    initial_state_vector,
+    partial_trace_pair,
     scan,
     scan_pairs,
     sweep_alpha,
     validate,
+    wootters_concurrence,
 )
 
 RESONANT = ModelParams.from_detuning(0.0, 1.0)
@@ -253,3 +262,83 @@ def test_validate_report_pass_flag_tracks_tolerance():
     report = validate(InitialState.psi(0.5), RESONANT, 5.0, 100, tolerance=1e-20)
     assert not report.passed
     assert report.max_abs_error > 1e-20
+
+
+# ------------------------------------------------------ batched oracle kernel
+
+OWN_CAVITY = SubsystemPair.from_name("Aa")
+
+
+def qubit_regime_state(rng, cutoff):
+    """Seeded random total state; above cutoff 1, at most one excitation per atom-cavity pair.
+
+    Each pair conserves its own excitation number, so such a state never
+    puts a mode above one photon.
+    """
+    d = cutoff + 1
+    amps = rng.normal(size=(2, 2, d, d)) + 1j * rng.normal(size=(2, 2, d, d))
+    if cutoff > 1:
+        for atom_a, atom_b, photons_a, photons_b in np.ndindex(2, 2, d, d):
+            if atom_a + photons_a > 1 or atom_b + photons_b > 1:
+                amps[atom_a, atom_b, photons_a, photons_b] = 0.0
+    amps = amps.ravel()
+    return InitialState.custom(amps / np.linalg.norm(amps))
+
+
+def overflow_state():
+    """|e g 1 0> at cutoff 2: atom A excited with one photon in its own cavity, which fills |g 2>."""
+    amps = np.zeros(36, dtype=complex)
+    amps[BasisIndex(1, 0, 1, 0).flatten(2)] = 1.0
+    return InitialState.custom(amps)
+
+
+@pytest.mark.parametrize("cutoff, seed", [(1, 83), (2, 89)])
+def test_scan_pairs_matches_per_point_path(cutoff, seed):
+    init = qubit_regime_state(np.random.default_rng(seed), cutoff)
+    params = ModelParams.from_detuning(0.4, 1.0)
+    series = scan_pairs(init, params, ALL_PAIRS, 12.0, 61, cutoff)
+    times = series["AB"].times
+    columns = Propagator(build_hamiltonian(params, cutoff)).evolve_grid(initial_state_vector(init, cutoff), times)
+    for pair in ALL_PAIRS:
+        expected = [wootters_concurrence(partial_trace_pair(PureState(col, cutoff), pair)) for col in columns.T]
+        # the seeds keep every grid point clear of the zero crossing, where the eigh route loses digits
+        assert all(value == 0.0 or value > 1e-4 for value in expected)
+        np.testing.assert_allclose(series[pair.name].values, expected, rtol=0, atol=1e-9)
+
+
+def test_scan_pairs_rejects_mode_overflow():
+    with pytest.raises(QubitEquivalenceError, match="mode a holds population .* above one photon"):
+        scan_pairs(overflow_state(), RESONANT, [OWN_CAVITY], 5.0, 11, cutoff=2)
+    # tracing mode a out is still fine
+    scan_pairs(overflow_state(), RESONANT, [SubsystemPair.from_name("Ab")], 5.0, 11, cutoff=2)
+
+
+def test_scan_pairs_rejects_mode_overflow_in_a_later_chunk(monkeypatch):
+    monkeypatch.setattr(analysis, "GRID_CHUNK", 7)
+    # |g 2> holds sin^2(t / sqrt 2) ~ t^2 / 2, which first passes QUBIT_EQUIV_TOL = 1e-10
+    # between grid points 6 and 7, in the second chunk of a 24-point grid
+    step = 2.2e-6
+    scan_pairs(overflow_state(), RESONANT, [OWN_CAVITY], 6 * step, 7, cutoff=2)
+    with pytest.raises(QubitEquivalenceError, match="mode a"):
+        scan_pairs(overflow_state(), RESONANT, [OWN_CAVITY], 23 * step, 24, cutoff=2)
+
+
+def test_chunked_oracle_matches_unchunked(monkeypatch):
+    init, params = InitialState.phi(0.3), ModelParams.from_detuning(0.5, 1.0)
+    whole = scan_pairs(init, params, ALL_PAIRS, 10.0, 101)
+    report = validate(init, params, 10.0, 101)
+    monkeypatch.setattr(analysis, "GRID_CHUNK", 7)
+    chunked = scan_pairs(init, params, ALL_PAIRS, 10.0, 101)
+    for pair in ALL_PAIRS:
+        np.testing.assert_allclose(chunked[pair.name].values, whole[pair.name].values, rtol=0, atol=1e-15)
+    again = validate(init, params, 10.0, 101)
+    assert again.max_abs_error == pytest.approx(report.max_abs_error, abs=1e-15)
+    assert again.samples == report.samples and again.passed == report.passed
+
+
+def test_oracle_scan_rejects_non_finite_input():
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        scan(InitialState.phi(math.nan), RESONANT, ATOM_PAIR, 1.0, 11, Source.ORACLE)
+    for source in Source:
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            scan(InitialState.phi(0.3), RESONANT, ATOM_PAIR, math.inf, 11, source)

@@ -323,3 +323,26 @@ def test_out_writes_file(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert json.loads(target.read_text())["dead_intervals"]
+
+
+# --------------------------------------------------------- non-finite input
+
+def test_death_rejects_nan_alpha(capsys):
+    rc, out, err = run_cli(capsys, "death", "--family", "phi", "--alpha", "nan", "--delta", "0", "--G", "1")
+    assert rc == 2
+    assert out == ""
+    assert "alpha must be finite" in err
+
+
+def test_scan_rejects_infinite_tmax(capsys):
+    rc, out, err = run_cli(capsys, "scan", "--family", "phi", "--alpha", "0.3", "--tmax", "inf", "--steps", "3")
+    assert rc == 2
+    assert out == ""
+    assert "tmax must be positive and finite" in err
+
+
+def test_constants_rejects_infinite_coupling(capsys):
+    rc, out, err = run_cli(capsys, "constants", "--G", "inf")
+    assert rc == 2
+    assert out == ""
+    assert "finite" in err

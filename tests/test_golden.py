@@ -1,0 +1,101 @@
+"""Golden CLI outputs: a fixed set of invocations must keep printing the same files.
+
+Closed-form outputs must stay byte-identical.  Oracle outputs are compared
+numerically, every number within ``ORACLE_TOL``, since a change of linear
+algebra route legitimately moves their last digits.
+
+Regenerate the files (only when a change deliberately alters an output, and
+say so in CHANGES.md) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from doublejc.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ORACLE_TOL = 1e-9
+
+#: file name -> argv; a name containing "oracle" is compared numerically
+CASES = {
+    "constants_detuned.txt": ["constants", "--delta", "0.5", "--G", "1"],
+    "constants_physical.json": ["constants", "--omega", "2", "--nu", "1", "--g", "0.5", "--format", "json"],
+    "scan_phi_closed.csv": ["scan", "--family", "phi", "--alpha", "0.3", "--delta", "0", "--G", "1",
+                            "--steps", "201"],
+    "scan_psi_closed.json": ["scan", "--family", "psi", "--alpha", "0.7", "--delta", "1", "--G", "1",
+                             "--tmax", "10", "--steps", "101", "--format", "json"],
+    "death_phi_closed.json": ["death", "--family", "phi", "--alpha", "0.3", "--delta", "0.5", "--G", "1",
+                              "--steps", "1001"],
+    "death_psi_closed.json": ["death", "--family", "psi", "--alpha", "0.4", "--delta", "0", "--G", "1",
+                              "--steps", "401"],
+    "sweep_phi_closed.csv": ["sweep", "--family", "phi", "--delta", "0", "--G", "1", "--alpha-count", "6",
+                             "--steps", "501", "--format", "csv"],
+    "sweep_phi_closed.json": ["sweep", "--family", "phi", "--delta", "1", "--G", "1",
+                              "--alphas", "0.1,0.3,0.5", "--steps", "501"],
+    "scan_all_oracle.csv": ["scan", "--family", "phi", "--alpha", "0.5333333333333333", "--delta", "1",
+                            "--G", "1", "--pair", "all", "--source", "oracle", "--steps", "101"],
+    "scan_psi_oracle.json": ["scan", "--family", "psi", "--alpha", "0.6", "--delta", "0.5", "--G", "1",
+                             "--pair", "Ab", "--source", "oracle", "--cutoff", "2", "--steps", "81",
+                             "--format", "json"],
+    "death_phi_oracle.json": ["death", "--family", "phi", "--alpha", "0.3", "--delta", "0", "--G", "1",
+                              "--source", "oracle", "--steps", "201"],
+    "sweep_phi_oracle.json": ["sweep", "--family", "phi", "--delta", "0.5", "--G", "1", "--source", "oracle",
+                              "--alphas", "0.2,0.4,0.9", "--steps", "201"],
+}
+
+
+def _run(name: str, path: Path) -> None:
+    assert main(CASES[name] + ["--out", str(path)]) == 0
+
+
+def _assert_close(got, want, where: str) -> None:
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, (int, float)), where
+        assert (math.isnan(got) and math.isnan(want)) or abs(got - want) <= ORACLE_TOL, \
+            f"{where}: {got!r} vs {want!r}"
+    else:
+        assert got == want, where
+
+
+def _parse_csv(text: str) -> tuple:
+    """(echo and column header lines, numeric rows)."""
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    return lines[:k], [[float(x) for x in line.split(",")] for line in lines[k:]]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    path = tmp_path / name
+    _run(name, path)
+    got, want = path.read_text(encoding="utf-8"), (GOLDEN / name).read_text(encoding="utf-8")
+    if "oracle" not in name:
+        assert path.read_bytes() == (GOLDEN / name).read_bytes()
+    elif name.endswith(".json"):
+        _assert_close(json.loads(got), json.loads(want), name)
+    else:
+        got_header, got_rows = _parse_csv(got)
+        want_header, want_rows = _parse_csv(want)
+        assert got_header == want_header
+        _assert_close(got_rows, want_rows, name)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES if len(sys.argv) < 2 else sys.argv[1:]):
+        _run(case, GOLDEN / case)
+        print(f"wrote {GOLDEN / case}")

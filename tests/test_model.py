@@ -151,3 +151,17 @@ def test_custom_state_validation():
         InitialState(StateFamily.CUSTOM)
     with pytest.raises(ValueError):
         InitialState(StateFamily.PSI_ALPHA, 0.1, custom_amplitudes=good)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(bad, 1.0, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(1.0, 1.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams.from_detuning(bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        InitialState.phi(bad)
+    with pytest.raises(ValueError, match="unit norm"):
+        InitialState.custom(np.full(16, bad, dtype=complex))

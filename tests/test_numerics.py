@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -303,3 +304,45 @@ def test_pair_concurrence_follows_resonant_cosine():
         state = propagator.evolve(state0, float(t))
         expected = math.cos(t / 2) ** 2
         assert pair_concurrence(state, ATOM_PAIR) == pytest.approx(expected, abs=1e-10)
+
+
+def mp_phi_pair_concurrence(alpha, delta, big_g, nu, t, pair_name):
+    """Pair concurrence of the evolved phi(alpha) state in 50-digit arithmetic.
+
+    The amplitudes come from the pair factors f, h and the lambda_i from
+    the singular values of B^T (sy x sy) B on the amplitude block B.
+    """
+    with mpmath.workdps(50):
+        a, d, g, n, tt = (mpmath.mpf(x) for x in (alpha, delta, big_g, nu, t))
+        rabi = mpmath.sqrt(d**2 + g**2)
+        ep = mpmath.expj(-(n + d / 2 + rabi / 2) * tt)
+        em = mpmath.expj(-(n + d / 2 - rabi / 2) * tt)
+        f = ((1 + d / rabi) * ep + (1 - d / rabi) * em) / 2
+        h = g / (2 * rabi) * (ep - em)
+        ca = mpmath.cos(a)
+        # (atom A, atom B, mode a, mode b) -> amplitude, 1 = excited or one photon
+        amps = {(1, 1, 0, 0): ca * f * f, (1, 0, 0, 1): ca * f * h, (0, 1, 1, 0): ca * h * f,
+                (0, 0, 1, 1): ca * h * h, (0, 0, 0, 0): mpmath.sin(a)}
+        keep = ["ABab".index(s) for s in pair_name]
+        rest = [k for k in range(4) if k not in keep]
+        block = mpmath.zeros(4, 4)
+        for idx, value in amps.items():
+            block[2 * idx[keep[0]] + idx[keep[1]], 2 * idx[rest[0]] + idx[rest[1]]] += value
+        flip = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        lam = sorted(mpmath.svd_c(block.T * flip * block, compute_uv=False), reverse=True)
+        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+@pytest.mark.parametrize("pair_name", ["Ab", "Ba"])
+def test_small_crossed_pair_concurrence_matches_mpmath(pair_name):
+    # C is about 2.9e-4 here; the former sqrt(rho) route, which zeroed the
+    # 9.4e-15 eigenvalue of rho, was off by 1.7e-7
+    alpha, t = 0.5333333333333333, 4.442212012175967
+    params = ModelParams.from_detuning(1.0, 1.0)
+    state = Propagator(build_hamiltonian(params, 1)).evolve(initial_state_vector(InitialState.phi(alpha), 1), t)
+    pair = SubsystemPair.from_name(pair_name)
+    truth = mp_phi_pair_concurrence(alpha, 1.0, 1.0, params.nu, t, pair_name)
+    assert truth == pytest.approx(2.9356e-4, rel=1e-4)
+    assert pair_concurrence(state, pair) == pytest.approx(truth, abs=1e-10)
+    # the eigendecomposition route for arbitrary rho loses digits to eigh on that small eigenvalue
+    assert wootters_concurrence(partial_trace_pair(state, pair)) == pytest.approx(truth, abs=1e-9)
