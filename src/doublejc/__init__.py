@@ -34,13 +34,11 @@ from .closedform import (
 from .numerics import (
     ALL_PAIRS,
     ATOM_PAIR,
-    HermitianOperator,
     Propagator,
     QubitEquivalenceError,
     Subsystem,
     SubsystemPair,
     build_hamiltonian,
-    evolve,
     pair_concurrence,
     pair_concurrences,
     partial_trace_pair,
@@ -69,7 +67,6 @@ __all__ = [
     "ConcurrenceSeries",
     "DeathReport",
     "DensityMatrix",
-    "HermitianOperator",
     "InitialState",
     "JCConstants",
     "ModelParams",
@@ -89,7 +86,6 @@ __all__ = [
     "death_threshold_alpha",
     "derive_constants",
     "detect_death",
-    "evolve",
     "initial_state_vector",
     "pair_concurrence",
     "pair_concurrences",

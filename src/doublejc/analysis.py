@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .closedform import (
     phi_amplitudes,
@@ -96,7 +95,8 @@ class ConcurrenceSeries:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if times.size and np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if values.size and (values.min() < -1e-9 or values.max() > 1 + 1e-9):
+        # written so that a NaN fails it
+        if values.size and not (values.min() >= -1e-9 and values.max() <= 1 + 1e-9):
             raise ValueError("concurrence values must lie in [0, 1]")
         values = np.clip(values, 0.0, 1.0)
         times.flags.writeable = False
@@ -254,14 +254,42 @@ def _edge_estimate(t_far, v_far, t_near, v_near, lo, hi) -> float:
     return float(min(max(t_star, lo), hi))
 
 
+def bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f in [lo, hi], step for step as scipy.optimize.bisect.
+
+    The step halves from hi - lo and is added to the lower end, which moves
+    to the midpoint while f there shares the sign of the original f(lo).
+    Stops once the step is below xtol + 4 eps |mid|, and returns the midpoint.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo * f_hi > 0:
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    if f_lo == 0:
+        return lo
+    if f_hi == 0:
+        return hi
+    rtol = 4 * np.finfo(float).eps
+    dm = hi - lo
+    for _ in range(100):
+        dm *= 0.5
+        mid = lo + dm
+        f_mid = f(mid)
+        if f_mid * f_lo >= 0:
+            lo = mid
+        if f_mid == 0 or abs(dm) < xtol + rtol * abs(mid):
+            return mid
+    raise RuntimeError("bisection did not converge in 100 steps")
+
+
 def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> DeathReport:
     """Classify the zeros of a concurrence series.
 
     A zero run spanning at least two grid intervals counts as a dead
     interval; shorter runs are isolated touch points.  For closed-form
     series of the zero/two-excitation family the interval endpoints are
-    refined by bisection on the signed generator; otherwise they are
-    refined by linear interpolation of the sampled values.
+    refined by bisection on the signed generator; otherwise each endpoint
+    extrapolates the approach slope of the last two live samples into the
+    zero run (see ``_edge_estimate``).
     """
     if series.times.size == 0:
         raise ValueError("empty series")

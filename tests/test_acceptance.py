@@ -191,7 +191,7 @@ def test_criterion_6_conservation_suite():
         init = family(alpha)
         propagators = {c: Propagator(build_hamiltonian(params, c)) for c in (1, 3)}
         states0 = {c: initial_state_vector(init, c) for c in (1, 3)}
-        n_ops = {c: total_excitation(c).entries for c in (1, 3)}
+        n_ops = {c: total_excitation(c) for c in (1, 3)}
         expected_exc = {
             c: np.vdot(states0[c].amplitudes, n_ops[c] @ states0[c].amplitudes).real
             for c in (1, 3)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,55 @@ def test_detect_death_rejects_empty_series():
     )
     with pytest.raises(ValueError, match="empty"):
         detect_death(empty)
+
+
+def test_series_rejects_nan_values():
+    # a NaN inside an oracle zero run would split one dead interval into touch points
+    with pytest.raises(ValueError, match="concurrence values"):
+        ConcurrenceSeries(
+            np.array([0.0, 1.0]), np.array([math.nan, 0.5]), ATOM_PAIR, Source.ORACLE,
+            InitialState.phi(0.3), RESONANT,
+        )
+
+
+# ------------------------------------------------------------- bisection
+
+def test_bisect_bracket_ends_and_signs():
+    assert analysis.bisect(lambda x: x, 0.0, 1.0, xtol=1e-10) == 0.0
+    assert analysis.bisect(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-10) == 1.0
+    with pytest.raises(ValueError, match="different signs"):
+        analysis.bisect(lambda x: x - 2.0, 0.0, 1.0, xtol=1e-10)
+
+
+def test_bisect_matches_scipy_on_phi_death_edges(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    own = analysis.bisect
+    calls = []
+
+    def recording(f, lo, hi, xtol):
+        root = own(f, lo, hi, xtol=xtol)
+        calls.append((f, lo, hi, xtol, root))
+        return root
+
+    monkeypatch.setattr(analysis, "bisect", recording)
+    rng = np.random.default_rng(89)
+    for _ in range(40):
+        delta, big_g = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 3.0)
+        params = ModelParams.from_detuning(delta, big_g)
+        alpha = rng.uniform(0.02, 0.98) * math.atan(big_g**2 / (delta**2 + big_g**2))
+        rabi = math.hypot(delta, big_g)
+        detect_death(phi_series(alpha, params, t_max=3 * 2 * math.pi / rabi, steps=301))
+    assert len(calls) >= 200
+    for f, lo, hi, xtol, root in calls:
+        assert root == optimize.bisect(f, lo, hi, xtol=xtol)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, doublejc; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # -------------------------------------------------------------- threshold

@@ -17,7 +17,6 @@ from doublejc import (
     SubsystemPair,
     build_hamiltonian,
     derive_constants,
-    evolve,
     initial_state_vector,
     pair_concurrence,
     partial_trace_pair,
@@ -50,7 +49,7 @@ def random_sample(rng):
 # ------------------------------------------------------------ Hamiltonian
 
 def test_single_excitation_block_resonant():
-    h = build_hamiltonian(ModelParams(1.0, 1.0, 0.5), cutoff=1).entries
+    h = build_hamiltonian(ModelParams(1.0, 1.0, 0.5), cutoff=1)
     up_dn_00 = BasisIndex(1, 0, 0, 0).flatten(1)
     dn_dn_10 = BasisIndex(0, 0, 1, 0).flatten(1)
     block = h[np.ix_([up_dn_00, dn_dn_10], [up_dn_00, dn_dn_10])]
@@ -60,12 +59,19 @@ def test_single_excitation_block_resonant():
 
 def test_single_excitation_eigenvalues_detuned():
     params = ModelParams(2.0, 1.0, 0.5)
-    h = build_hamiltonian(params, cutoff=1).entries
+    h = build_hamiltonian(params, cutoff=1)
     i = BasisIndex(1, 0, 0, 0).flatten(1)
     j = BasisIndex(0, 0, 1, 0).flatten(1)
     block = h[np.ix_([i, j], [i, j])]
     expected = [1.5 - math.sqrt(2) / 2, 1.5 + math.sqrt(2) / 2]
     assert np.linalg.eigvalsh(block) == pytest.approx(expected, rel=1e-14)
+    # the next Fock coupling, g sqrt(2) between |e,1> and |g,2> of pair A
+    h2 = build_hamiltonian(params, cutoff=2)
+    i = BasisIndex(1, 0, 1, 0).flatten(2)
+    j = BasisIndex(0, 0, 2, 0).flatten(2)
+    g_root2 = params.g * math.sqrt(2)
+    expected_block = [[params.omega + params.nu, g_root2], [g_root2, 2 * params.nu]]
+    assert np.abs(h2[np.ix_([i, j], [i, j])] - expected_block).max() <= 1e-14
 
 
 def test_hamiltonian_rejects_bad_cutoff():
@@ -76,10 +82,10 @@ def test_hamiltonian_rejects_bad_cutoff():
 @pytest.mark.parametrize("cutoff", [1, 2, 3])
 def test_hamiltonian_conserves_excitation(cutoff):
     rng = np.random.default_rng(53)
-    n_exc = total_excitation(cutoff).entries
+    n_exc = total_excitation(cutoff)
     for _ in range(5):
         params = ModelParams(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.1, 1))
-        h = build_hamiltonian(params, cutoff).entries
+        h = build_hamiltonian(params, cutoff)
         assert np.abs(h @ n_exc - n_exc @ h).max() <= 1e-12
         assert np.abs(h - h.conj().T).max() <= 1e-12
 
@@ -88,11 +94,23 @@ def test_decoupled_limit_static_populations():
     # couplings must stay positive, so probe the g -> 0 limit instead of g = 0
     params = ModelParams(1.3, 0.9, 1e-9)
     h = build_hamiltonian(params, cutoff=1)
-    off_diag = h.entries - np.diag(np.diag(h.entries))
+    off_diag = h - np.diag(np.diag(h))
     assert np.abs(off_diag).max() <= 1e-9
     state0 = initial_state_vector(InitialState.psi(0.6), cutoff=1)
-    state1 = evolve(h, state0, 5.0)
+    state1 = Propagator(h).evolve(state0, 5.0)
     assert np.abs(np.abs(state1.amplitudes) ** 2 - np.abs(state0.amplitudes) ** 2).max() <= 1e-12
+
+
+def test_propagator_rejects_non_square_operator():
+    with pytest.raises(ValueError, match="operator must be a square matrix"):
+        Propagator(np.zeros((16, 15)))
+
+
+def test_propagator_rejects_non_hermitian_operator():
+    h = build_hamiltonian(ModelParams(1.0, 1.0, 0.5), cutoff=1)
+    h[0, 5] += 1e-3
+    with pytest.raises(ValueError, match="operator must be Hermitian"):
+        Propagator(h)
 
 
 # ------------------------------------------------------------- evolution
@@ -100,14 +118,14 @@ def test_decoupled_limit_static_populations():
 def test_evolve_identity_at_t0():
     params = ModelParams(1.7, 1.1, 0.4)
     state0 = initial_state_vector(InitialState.phi(0.8), cutoff=1)
-    state1 = evolve(build_hamiltonian(params, 1), state0, 0.0)
+    state1 = Propagator(build_hamiltonian(params, 1)).evolve(state0, 0.0)
     assert np.allclose(state1.amplitudes, state0.amplitudes, atol=1e-15)
 
 
 def test_evolve_full_transfer():
     params = ModelParams(1.0, 1.0, 0.5)
     state0 = initial_state_vector(InitialState.psi(math.pi / 4), cutoff=1)
-    state1 = evolve(build_hamiltonian(params, 1), state0, math.pi)
+    state1 = Propagator(build_hamiltonian(params, 1)).evolve(state0, math.pi)
     populations = np.abs(state1.amplitudes) ** 2
     i = BasisIndex(0, 0, 1, 0).flatten(1)
     j = BasisIndex(0, 0, 0, 1).flatten(1)
@@ -119,9 +137,9 @@ def test_evolve_full_transfer():
 def test_evolve_eigenstate_is_stationary():
     params = ModelParams(1.4, 1.0, 0.3)
     h = build_hamiltonian(params, cutoff=2)
-    energies, modes = np.linalg.eigh(h.entries)
+    energies, modes = np.linalg.eigh(h)
     state0 = PureState(modes[:, 4].astype(complex), cutoff=2)
-    state1 = evolve(h, state0, 2.7)
+    state1 = Propagator(h).evolve(state0, 2.7)
     phase = np.exp(-1j * energies[4] * 2.7)
     assert np.abs(state1.amplitudes - phase * state0.amplitudes).max() <= 1e-12
     assert np.abs(np.abs(state1.amplitudes) ** 2 - np.abs(state0.amplitudes) ** 2).max() <= 1e-12
@@ -133,8 +151,8 @@ def test_evolve_preserves_norm_and_excitation():
         alpha, params, t = random_sample(rng)
         family = InitialState.psi if rng.random() < 0.5 else InitialState.phi
         state0 = initial_state_vector(family(alpha), cutoff=1)
-        n_exc = total_excitation(1).entries
-        state1 = evolve(build_hamiltonian(params, 1), state0, t)
+        n_exc = total_excitation(1)
+        state1 = Propagator(build_hamiltonian(params, 1)).evolve(state0, t)
         assert abs(np.linalg.norm(state1.amplitudes) - 1.0) <= 1e-12
         before = np.vdot(state0.amplitudes, n_exc @ state0.amplitudes).real
         after = np.vdot(state1.amplitudes, n_exc @ state1.amplitudes).real
@@ -161,7 +179,7 @@ def test_oracle_reproduces_phi_amplitudes():
     worst = 0.0
     for _ in range(200):
         alpha, params, t = random_sample(rng)
-        state = evolve(build_hamiltonian(params, 1), initial_state_vector(InitialState.phi(alpha), 1), t)
+        state = Propagator(build_hamiltonian(params, 1)).evolve(initial_state_vector(InitialState.phi(alpha), 1), t)
         closed = phi_amplitudes(alpha, derive_constants(params), t).to_state(1)
         worst = max(worst, np.abs(state.amplitudes - closed.amplitudes).max())
     assert worst <= 1e-9
@@ -176,7 +194,7 @@ def test_cutoff_exactness(family):
         states = {}
         for cutoff in (1, 3):
             state0 = initial_state_vector(family(alpha), cutoff)
-            states[cutoff] = evolve(build_hamiltonian(params, cutoff), state0, t)
+            states[cutoff] = Propagator(build_hamiltonian(params, cutoff)).evolve(state0, t)
         small, large = states[1], states[3]
         for index in range(small.dim):
             element = BasisIndex.unflatten(index, 1)
@@ -206,7 +224,7 @@ def test_partial_trace_atom_with_own_vacuum_mode():
 def test_partial_trace_matches_closed_form_matrix():
     params = ModelParams.from_detuning(0.5, 1.0)
     alpha, t = math.pi / 6, 1.7
-    state = evolve(build_hamiltonian(params, 1), initial_state_vector(InitialState.psi(alpha), 1), t)
+    state = Propagator(build_hamiltonian(params, 1)).evolve(initial_state_vector(InitialState.psi(alpha), 1), t)
     oracle_rho = partial_trace_pair(state, ATOM_PAIR).entries
     closed_rho = psi_reduced_density(alpha, derive_constants(params), t).entries
     assert np.abs(oracle_rho - closed_rho).max() <= 1e-10
@@ -292,7 +310,7 @@ def test_pair_concurrence_initial_bell():
 
 def test_pair_concurrence_modes_after_transfer():
     params = ModelParams(1.0, 1.0, 0.5)
-    state = evolve(build_hamiltonian(params, 1), initial_state_vector(InitialState.psi(math.pi / 4), 1), math.pi)
+    state = Propagator(build_hamiltonian(params, 1)).evolve(initial_state_vector(InitialState.psi(math.pi / 4), 1), math.pi)
     assert pair_concurrence(state, MODES) == pytest.approx(1.0, abs=1e-12)
 
 
