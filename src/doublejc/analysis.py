@@ -3,8 +3,9 @@
 A scan produces a :class:`ConcurrenceSeries` either from the closed-form
 atom-atom expressions or from the numerical oracle (any subsystem pair).
 :func:`detect_death` classifies the zeros of a series into isolated touch
-points and finite dead intervals, refining interval endpoints by bisection
-on the signed generator where one exists.  :func:`validate` cross-checks the
+points and finite dead intervals; closed-form dead intervals are the
+analytic windows of the signed generator, with edges from one asin, and
+oracle ones are read off the grid.  :func:`validate` cross-checks the
 closed forms against the oracle at amplitude, density-matrix and concurrence
 level on a common time grid.
 """
@@ -20,12 +21,12 @@ import numpy as np
 from .closedform import (
     phi_amplitudes,
     phi_concurrence,
-    phi_f,
     psi_amplitudes,
     psi_concurrence,
 )
 from .model import (
     InitialState,
+    JCConstants,
     ModelParams,
     StateFamily,
     derive_constants,
@@ -54,12 +55,10 @@ __all__ = [
     "sweep_alpha",
 ]
 
-#: zero thresholds separating true sudden death from numerical dust
+#: zero thresholds separating zeros from numerical dust on the grid: closed-form touch
+#: points, and every zero of an oracle series
 ZERO_TOL_CLOSED = 1e-12
 ZERO_TOL_ORACLE = 1e-9
-
-#: time resolution of dead-interval endpoint refinement
-REFINE_XTOL = 1e-10
 
 #: time points the oracle propagates and reduces at once; bounds its dim x T working set
 GRID_CHUNK = 1024
@@ -226,29 +225,25 @@ def scan(
 
 def _zero_runs(mask: np.ndarray):
     """Maximal runs of True as (first, last) index pairs."""
-    runs = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    return runs
+    flips = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return list(zip(flips[0::2].tolist(), (flips[1::2] - 1).tolist()))
 
 
-def _edge_estimate(t_far, v_far, t_near, v_near, lo, hi) -> float:
-    """Zero crossing extrapolated from the last two live samples.
+def _grid_edge(times: np.ndarray, values: np.ndarray, zero: int, step: int) -> float:
+    """Edge of a zero run at its sample ``zero``, on the side ``step`` (-1 before, +1 after).
 
     The concurrence is clamped at zero inside a dead window, so the crossing
-    is located by continuing the approach slope rather than interpolating
-    into the flat region; the estimate is clamped into the grid cell [lo, hi]
-    known to bracket the true edge.
+    is located by continuing the approach slope of the two live samples
+    beside the run rather than interpolating into the flat region; the
+    estimate is clamped into the grid cell known to bracket the true edge,
+    and is that cell's midpoint when only one live sample is left.
     """
-    if v_far > v_near > 0:
-        t_star = t_near + v_near * (t_near - t_far) / (v_far - v_near)
+    near, far = zero + step, zero + 2 * step
+    if not 0 <= near < len(times):
+        return float(times[zero])
+    lo, hi = sorted((times[zero], times[near]))
+    if 0 <= far < len(times) and values[far] > values[near] > 0:
+        t_star = times[near] + values[near] * (times[near] - times[far]) / (values[far] - values[near])
     else:
         t_star = 0.5 * (lo + hi)
     return float(min(max(t_star, lo), hi))
@@ -260,6 +255,8 @@ def bisect(f, lo: float, hi: float, xtol: float) -> float:
     The step halves from hi - lo and is added to the lower end, which moves
     to the midpoint while f there shares the sign of the original f(lo).
     Stops once the step is below xtol + 4 eps |mid|, and returns the midpoint.
+    Nothing in the package calls it; it stays public because perfbench/spans.py
+    traces ``analysis.bisect`` by name.
     """
     f_lo, f_hi = f(lo), f(hi)
     if f_lo * f_hi > 0:
@@ -281,15 +278,49 @@ def bisect(f, lo: float, hi: float, xtol: float) -> float:
     raise RuntimeError("bisection did not converge in 100 steps")
 
 
+def _peak_weight(constants: JCConstants) -> float:
+    """Largest transfer weight 4 N^2 = G^2 / (delta^2 + G^2); phi dies iff |tan alpha| is below it."""
+    return 4.0 * constants.n_coef**2
+
+
+def _phi_dead_windows(alpha: float, constants: JCConstants, t0: float, t1: float) -> list:
+    """Closed-form dead windows of the zero/two-excitation family that meet [t0, t1], clipped to it.
+
+    The signed generator is negative exactly where the transfer weight
+    4 N^2 sin^2(rabi t / 2) exceeds |tan alpha|, i.e. on
+    ((2/rabi)(k pi + theta), (2/rabi)((k + 1) pi - theta)) with
+    theta = asin(sqrt(s)) and s = |tan alpha| / (4 N^2).  tan alpha and N^2
+    carry a few ulps of rounding each, so s within 4 eps of 1 is the
+    threshold, where the generator only touches zero.  At s = 0 (alpha = 0)
+    neighbouring windows meet and merge into one.
+    """
+    s = abs(math.tan(alpha)) / _peak_weight(constants)
+    if s >= 1.0 - 4 * np.finfo(float).eps:
+        return []
+    theta = math.asin(math.sqrt(s))
+    scale = 2.0 / constants.rabi
+    windows = []
+    k = math.floor(t0 / (scale * math.pi))
+    while (start := scale * (k * math.pi + theta)) < t1:
+        end = scale * ((k + 1) * math.pi - theta)
+        if windows and start <= windows[-1][1]:
+            windows[-1][1] = end
+        elif end > t0:
+            windows.append([start, end])
+        k += 1
+    return [(max(start, t0), min(end, t1)) for start, end in windows]
+
+
 def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> DeathReport:
     """Classify the zeros of a concurrence series.
 
-    A zero run spanning at least two grid intervals counts as a dead
-    interval; shorter runs are isolated touch points.  For closed-form
-    series of the zero/two-excitation family the interval endpoints are
-    refined by bisection on the signed generator; otherwise each endpoint
-    extrapolates the approach slope of the last two live samples into the
-    zero run (see ``_edge_estimate``).
+    Closed-form dead intervals are analytic: the windows of the
+    zero/two-excitation family (:func:`_phi_dead_windows`), and none for the
+    one-excitation family unless it starts as a product state.  A grid zero
+    run (values <= zero_tol) whose bracketing grid cells meet no such window
+    is an isolated touch point.  For oracle series a zero run spanning at
+    least two grid intervals is a dead interval with edges extrapolated from
+    the approach slopes (see ``_grid_edge``); shorter runs are touch points.
     """
     if series.times.size == 0:
         raise ValueError("empty series")
@@ -297,82 +328,42 @@ def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> De
         zero_tol = ZERO_TOL_CLOSED if series.source is Source.CLOSED_FORM else ZERO_TOL_ORACLE
 
     times, values = series.times, series.values
-    use_generator = (
-        series.source is Source.CLOSED_FORM
-        and series.init.family is StateFamily.PHI_ALPHA
-    )
-    if use_generator:
-        constants = derive_constants(series.params)
-        generator = lambda t: phi_f(series.init.alpha, constants, float(t))
+    constants = derive_constants(series.params)
+    runs = _zero_runs(values <= zero_tol)
+    if series.source is Source.CLOSED_FORM:
+        t0, t1, init = float(times[0]), float(times[-1]), series.init
+        dead = []
+        if init.family is StateFamily.PHI_ALPHA:
+            dead = _phi_dead_windows(init.alpha, constants, t0, t1)
+        elif init.family is StateFamily.PSI_ALPHA and math.sin(2.0 * init.alpha) == 0.0:
+            dead = [(t0, t1)]  # a product state: |sin 2 alpha| (1 - w) vanishes throughout
+        last = len(times) - 1
+        runs = [(i0, i1) for i0, i1 in runs
+                if not any(a < times[min(i1 + 1, last)] and b > times[max(i0 - 1, 0)] for a, b in dead)]
+    else:
+        dead = [(_grid_edge(times, values, i0, -1), _grid_edge(times, values, i1, 1))
+                for i0, i1 in runs if i1 - i0 >= 2]
+        runs = [(i0, i1) for i0, i1 in runs if i1 - i0 < 2]
+    touches = [float(times[i0 + int(np.argmin(values[i0 : i1 + 1]))]) for i0, i1 in runs]
 
-    dead = []
-    touches = []
-    for i0, i1 in _zero_runs(values <= zero_tol):
-        if i1 - i0 < 2:
-            k = i0 + int(np.argmin(values[i0 : i1 + 1]))
-            touches.append(float(times[k]))
-            continue
-
-        if use_generator:
-            f_run = np.array([generator(t) for t in times[i0 : i1 + 1]])
-            negative = np.nonzero(f_run < 0)[0]
-            if negative.size == 0:
-                # run hugs zero without a sign change: a broad touch
-                k = i0 + int(np.argmin(values[i0 : i1 + 1]))
-                touches.append(float(times[k]))
-                continue
-            j = i0 + int(negative[0])
-            k = i0 + int(negative[-1])
-            start = (
-                float(times[0])
-                if j == 0
-                else float(bisect(generator, times[j - 1], times[j], xtol=REFINE_XTOL))
-            )
-            end = (
-                float(times[-1])
-                if k == len(times) - 1
-                else float(bisect(generator, times[k], times[k + 1], xtol=REFINE_XTOL))
-            )
-        else:
-            last = len(times) - 1
-            if i0 == 0:
-                start = float(times[0])
-            elif i0 == 1:
-                start = 0.5 * float(times[0] + times[1])
-            else:
-                start = _edge_estimate(
-                    times[i0 - 2], values[i0 - 2], times[i0 - 1], values[i0 - 1],
-                    times[i0 - 1], times[i0],
-                )
-            if i1 == last:
-                end = float(times[-1])
-            elif i1 == last - 1:
-                end = 0.5 * float(times[last - 1] + times[last])
-            else:
-                end = _edge_estimate(
-                    times[i1 + 2], values[i1 + 2], times[i1 + 1], values[i1 + 1],
-                    times[i1], times[i1 + 1],
-                )
-        dead.append((start, end))
-
-    rabi = derive_constants(series.params).rabi
     return DeathReport(
         dead_intervals=tuple(dead),
         touch_points=tuple(touches),
-        period=2.0 * math.pi / rabi,
+        period=2.0 * math.pi / constants.rabi,
         initial_concurrence=float(values[0]),
     )
 
 
-def death_threshold_alpha() -> float:
-    """Critical angle for sudden death of the zero/two-excitation family at zero detuning.
+def death_threshold_alpha(params: ModelParams | None = None) -> float:
+    """Critical angle alpha_c = arctan(G^2 / (delta^2 + G^2)) of the zero/two-excitation family.
 
-    The signed generator turns negative iff the transfer weight sin^2(Gt/2)
-    can exceed tan(alpha), so finite dead intervals occur exactly for
-    tan(alpha) < 1, i.e. alpha < pi/4.  At the threshold the generator only
-    touches zero at Gt = pi, where the leading factor vanishes as well.
+    The signed generator turns negative iff the transfer weight, at most
+    4 N^2 = G^2 / (delta^2 + G^2), can exceed |tan alpha|, so finite dead
+    intervals occur exactly for alpha < alpha_c.  At the threshold the
+    generator only touches zero.  The default is zero detuning, where
+    alpha_c = pi/4.
     """
-    return math.atan(1.0)
+    return math.atan(1.0 if params is None else _peak_weight(derive_constants(params)))
 
 
 def validate(

@@ -114,12 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "scan":
             p.add_argument("--plot-script", help="write a gnuplot script next to the CSV")
-        if name == "death":
-            p.add_argument("--zero-tol", type=float, help="zero threshold override")
+        if name in ("death", "sweep"):
+            p.add_argument("--zero-tol", type=float,
+                           help="zero threshold for touch points and oracle dead intervals")
         if name == "validate":
             p.add_argument("--tolerance", type=float, help="pass threshold (default 1e-9)")
         if name == "sweep":
-            p.add_argument("--zero-tol", type=float, help="zero threshold override")
             p.add_argument("--alphas", help="comma-separated alpha values (rad)")
             p.add_argument("--alpha-min", type=float)
             p.add_argument("--alpha-max", type=float)

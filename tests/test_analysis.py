@@ -22,10 +22,13 @@ from doublejc import (
     SubsystemPair,
     analysis,
     build_hamiltonian,
+    closedform,
     death_threshold_alpha,
+    derive_constants,
     detect_death,
     initial_state_vector,
     partial_trace_pair,
+    phi_f,
     scan,
     scan_pairs,
     sweep_alpha,
@@ -169,6 +172,98 @@ def test_detect_death_rejects_empty_series():
         detect_death(empty)
 
 
+def loop_zero_runs(mask):
+    """The per-element loop _zero_runs replaced."""
+    runs, start = [], None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(mask) - 1))
+    return runs
+
+
+def test_zero_runs_matches_loop():
+    rng = np.random.default_rng(97)
+    masks = [np.ones(7, bool), np.zeros(7, bool), np.array([True]), np.array([False])]
+    masks += [rng.random(rng.integers(1, 60)) < p for p in rng.uniform(0.1, 0.9, 200)]
+    for mask in masks:
+        assert analysis._zero_runs(mask) == loop_zero_runs(mask)
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_detect_death_reports_windows_narrower_than_the_grid(delta):
+    params = ModelParams.from_detuning(delta, 1.0)
+    alpha = death_threshold_alpha(params) - 1e-5
+    series = phi_series(alpha, params)
+    rabi = math.hypot(delta, 1.0)
+    theta = math.asin(math.sqrt(math.tan(alpha) * rabi**2))
+    windows = [((2 / rabi) * (k * math.pi + theta), (2 / rabi) * ((k + 1) * math.pi - theta)) for k in range(8)]
+    expected = [(start, end) for start, end in windows if end < series.times[-1]]
+    report = detect_death(series)
+    assert len(report.dead_intervals) == len(expected) >= 2
+    for got, want in zip(report.dead_intervals, expected):
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got[1] - got[0] < 3 * (series.times[1] - series.times[0])
+    assert not [t for t in report.touch_points for start, end in expected if start <= t <= end]
+
+
+def test_detect_death_window_beginning_in_the_last_cell():
+    alpha = math.pi / 12
+    start = dead_window(alpha)[0]
+    series = phi_series(alpha, t_max=start + 0.5e-3, steps=201)
+    assert series.times[-2] < start < series.times[-1]
+    report = detect_death(series)
+    assert report.dead_intervals == ((pytest.approx(start, abs=1e-12), series.times[-1]),)
+
+
+def test_detect_death_zero_next_to_a_window_belongs_to_it():
+    # a live sample within 1e-13 of the edge of a window between grid points reads as
+    # zero; the grid cell around it brackets the window, so it is no touch point
+    params = ModelParams.from_detuning(1.0, 1.0)
+    alpha = death_threshold_alpha(params) - 1e-5
+    grid = np.linspace(0.0, 4.0, 41)
+    (start, end), *_ = analysis._phi_dead_windows(alpha, derive_constants(params), 0.0, 4.0)
+    assert not np.any((grid >= start) & (grid <= end))
+    times = np.sort(np.append(grid, start - 1e-13))
+    values = closedform.phi_concurrence(alpha, derive_constants(params), times)
+    assert values[np.searchsorted(times, start) - 1] <= analysis.ZERO_TOL_CLOSED
+    series = ConcurrenceSeries(times, values, ATOM_PAIR, Source.CLOSED_FORM, InitialState.phi(alpha), params)
+    report = detect_death(series)
+    assert report.dead_intervals == ((start, end),)
+    assert report.touch_points == ()
+
+
+def test_detect_death_closed_cost_does_not_grow_with_the_grid(monkeypatch):
+    calls = []
+    for name in closedform.__all__:
+        original = getattr(closedform, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original)
+            return _original(*args, **kwargs)
+
+        for module in (closedform, analysis):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for steps in (201, 2001):
+        series = phi_series(math.pi / 12, steps=steps)
+        calls.clear()
+        report = detect_death(series)
+        assert len(report.dead_intervals) == 2
+        assert len(calls) <= 2
+
+
+def test_detect_death_alpha_zero_is_one_dead_interval():
+    for series in (phi_series(0.0), psi_series(0.0)):
+        report = detect_death(series)
+        assert report.dead_intervals == ((0.0, series.times[-1]),)
+        assert report.touch_points == ()
+
+
 def test_series_rejects_nan_values():
     # a NaN inside an oracle zero run would split one dead interval into touch points
     with pytest.raises(ValueError, match="concurrence values"):
@@ -187,27 +282,79 @@ def test_bisect_bracket_ends_and_signs():
         analysis.bisect(lambda x: x - 2.0, 0.0, 1.0, xtol=1e-10)
 
 
-def test_bisect_matches_scipy_on_phi_death_edges(monkeypatch):
-    optimize = pytest.importorskip("scipy.optimize")
-    own = analysis.bisect
-    calls = []
-
-    def recording(f, lo, hi, xtol):
-        root = own(f, lo, hi, xtol=xtol)
-        calls.append((f, lo, hi, xtol, root))
-        return root
-
-    monkeypatch.setattr(analysis, "bisect", recording)
+def seeded_phi_deaths():
+    """40 seeded dying phi scans over three periods: (alpha, params, series, report)."""
     rng = np.random.default_rng(89)
     for _ in range(40):
         delta, big_g = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 3.0)
         params = ModelParams.from_detuning(delta, big_g)
         alpha = rng.uniform(0.02, 0.98) * math.atan(big_g**2 / (delta**2 + big_g**2))
         rabi = math.hypot(delta, big_g)
-        detect_death(phi_series(alpha, params, t_max=3 * 2 * math.pi / rabi, steps=301))
-    assert len(calls) >= 200
-    for f, lo, hi, xtol, root in calls:
-        assert root == optimize.bisect(f, lo, hi, xtol=xtol)
+        series = phi_series(alpha, params, t_max=3 * 2 * math.pi / rabi, steps=301)
+        yield alpha, params, series, detect_death(series)
+
+
+def interior_edges(series, report):
+    """Reported dead-interval edges strictly inside the grid, with the grid cell bracketing each."""
+    times = series.times
+    for edge in (t for interval in report.dead_intervals for t in interval):
+        if times[0] < edge < times[-1]:
+            j = int(np.searchsorted(times, edge))
+            yield edge, float(times[j - 1]), float(times[j])
+
+
+def test_bisect_matches_scipy_on_phi_death_edges():
+    optimize = pytest.importorskip("scipy.optimize")
+    count = 0
+    for alpha, params, series, report in seeded_phi_deaths():
+        constants = derive_constants(params)
+
+        def f(t):
+            return phi_f(alpha, constants, t)
+
+        for _, lo, hi in interior_edges(series, report):
+            assert analysis.bisect(f, lo, hi, xtol=1e-10) == optimize.bisect(f, lo, hi, xtol=1e-10)
+            count += 1
+    assert count >= 200
+
+
+def mp_phi_root(alpha, constants, guess):
+    """Root of the signed generator near ``guess`` in 50-digit arithmetic."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, big_g = mp.mpf(alpha), mp.mpf(constants.big_g)
+        rabi = mp.sqrt(mp.mpf(constants.delta) ** 2 + big_g**2)
+        peak = (big_g / rabi) ** 2
+
+        def f(t):
+            w = peak * mp.sin(rabi * t / 2) ** 2
+            return (1 - w) * (abs(mp.sin(2 * a)) - 2 * w * mp.cos(a) ** 2)
+
+        return float(mp.findroot(f, mp.mpf(guess)))
+
+
+def test_phi_death_edges_are_roots():
+    try:
+        from scipy.optimize import brentq
+    except ImportError:
+        brentq = None
+    count = 0
+    for alpha, params, series, report in seeded_phi_deaths():
+        constants = derive_constants(params)
+
+        def f(t):
+            return phi_f(alpha, constants, t)
+
+        for edge, lo, hi in interior_edges(series, report):
+            if brentq is not None:
+                root = brentq(f, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            else:
+                root = mp_phi_root(alpha, constants, edge)
+            assert abs(edge - root) <= 1e-12
+            assert f(edge - 1e-9) * f(edge + 1e-9) < 0
+            count += 1
+    assert count >= 200
 
 
 def test_import_loads_no_scipy():
@@ -239,6 +386,15 @@ def test_death_threshold_separates_behaviors():
 def test_death_threshold_alpha_0p3_dies():
     report = detect_death(phi_series(0.3))
     assert report.has_death
+
+
+def test_death_threshold_detuned():
+    params = ModelParams.from_detuning(1.0, 1.0)
+    threshold = death_threshold_alpha(params)
+    assert threshold == pytest.approx(math.atan(0.5), rel=1e-15)
+    assert death_threshold_alpha(RESONANT) == death_threshold_alpha()
+    assert detect_death(phi_series(threshold - 0.01, params)).has_death
+    assert not detect_death(phi_series(threshold + 0.01, params)).has_death
 
 
 # ------------------------------------------------------------------ sweep
