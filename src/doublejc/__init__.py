@@ -15,7 +15,6 @@ from .model import (
     ModelParams,
     PureState,
     StateFamily,
-    TWO_QUBIT_LABELS,
     basis_dimension,
     derive_constants,
     initial_state_vector,
@@ -79,7 +78,6 @@ __all__ = [
     "StateFamily",
     "Subsystem",
     "SubsystemPair",
-    "TWO_QUBIT_LABELS",
     "ValidationReport",
     "basis_dimension",
     "build_hamiltonian",

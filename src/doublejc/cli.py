@@ -14,13 +14,15 @@ regime).
 
 Model parameters come either as physical frequencies (--omega --nu --g) or
 as detuning plus interaction strength (--delta --G, with --nu optional and
-defaulting to 10*G; the atom-atom concurrence does not depend on nu).  Flags
-override an optional ``key = value`` config file passed with --config.
+defaulting to 10*G; the atom-atom concurrence does not depend on nu).  An
+optional ``key = value`` config file passed with --config is parsed like the
+same flags; flags given on the command line override it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,7 +31,7 @@ import numpy as np
 
 from .analysis import Source, detect_death, scan, scan_pairs, sweep_alpha, validate
 from .model import InitialState, ModelParams, StateFamily, derive_constants
-from .numerics import ALL_PAIRS, ATOM_PAIR, QubitEquivalenceError, SubsystemPair
+from .numerics import ALL_PAIRS, QubitEquivalenceError, SubsystemPair
 
 __all__ = ["main"]
 
@@ -41,10 +43,6 @@ EXIT_ASSUMPTION_VIOLATED = 3
 PAIR_NAMES = tuple(p.name for p in ALL_PAIRS)
 
 
-class CLIError(Exception):
-    """Configuration problem; maps to exit code 2."""
-
-
 def _fmt(x: float) -> str:
     """17 significant digits: round-trip exact for doubles."""
     return format(float(x), ".17g")
@@ -52,157 +50,114 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------- arguments
 
-# config-file key -> (argparse dest, converter)
-_CONFIG_KEYS = {
-    "family": ("family", str),
-    "alpha": ("alpha", float),
-    "omega": ("omega", float),
-    "nu": ("nu", float),
-    "g": ("g", float),
-    "delta": ("delta", float),
-    "G": ("big_g", float),
-    "tmax": ("tmax", float),
-    "steps": ("steps", int),
-    "pair": ("pair", str),
-    "source": ("source", str),
-    "cutoff": ("cutoff", int),
-    "format": ("format", str),
-    "out": ("out", str),
-    "plot-script": ("plot_script", str),
-    "tolerance": ("tolerance", float),
-    "zero-tol": ("zero_tol", float),
-    "alphas": ("alphas", str),
-    "alpha-min": ("alpha_min", float),
-    "alpha-max": ("alpha_max", float),
-    "alpha-count": ("alpha_count", int),
-}
+def _alpha_list(text: str) -> list:
+    try:
+        grid = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        grid = []
+    if not grid:
+        raise argparse.ArgumentTypeError("must be a comma-separated list of numbers")
+    return grid
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value config file; flags override it")
-    parser.add_argument("--family", choices=["psi", "phi", "custom"])
-    parser.add_argument("--alpha", type=float, help="superposition angle (rad)")
-    parser.add_argument("--omega", type=float, help="atomic transition frequency")
-    parser.add_argument("--nu", type=float, help="cavity mode frequency")
-    parser.add_argument("--g", type=float, help="atom-cavity coupling")
-    parser.add_argument("--delta", type=float, help="detuning omega - nu")
-    parser.add_argument("--G", dest="big_g", type=float, help="interaction strength 2g")
-    parser.add_argument("--tmax", type=float, help="scan end time (default 4*pi/G)")
-    parser.add_argument("--steps", type=int, help="grid points (default 2001)")
-    parser.add_argument("--pair", choices=list(PAIR_NAMES) + ["all"])
-    parser.add_argument("--source", choices=["closed", "oracle"])
-    parser.add_argument("--cutoff", type=int, help="Fock cutoff (default 1)")
-    parser.add_argument("--format", choices=["csv", "json"])
-    parser.add_argument("--out", help="output file (default stdout)")
+_ALL = ("constants", "scan", "death", "validate", "sweep")
+
+#: (flag, argparse keywords, subcommands): the one definition of every option.
+#: A config file's keys are these flags without their dashes.
+_OPTIONS = (
+    ("--family", dict(choices=["psi", "phi", "custom"], default="psi"), _ALL),
+    ("--alpha", dict(type=float, default=math.pi / 4, help="superposition angle (rad)"), _ALL),
+    ("--omega", dict(type=float, help="atomic transition frequency"), _ALL),
+    ("--nu", dict(type=float, help="cavity mode frequency"), _ALL),
+    ("--g", dict(type=float, help="atom-cavity coupling"), _ALL),
+    ("--delta", dict(type=float, help="detuning omega - nu"), _ALL),
+    ("--G", dict(dest="big_g", type=float, help="interaction strength 2g"), _ALL),
+    ("--tmax", dict(type=float, help="scan end time (default 4*pi/G)"), _ALL),
+    ("--steps", dict(type=int, default=2001, help="grid points (default 2001)"), _ALL),
+    ("--pair", dict(choices=[*PAIR_NAMES, "all"], default="AB"), _ALL),
+    ("--source", dict(choices=["closed", "oracle"], default="closed"), _ALL),
+    ("--cutoff", dict(type=int, default=1, help="Fock cutoff (default 1)"), _ALL),
+    ("--format", dict(choices=["csv", "json"]), _ALL),
+    ("--out", dict(help="output file (default stdout)"), _ALL),
+    ("--plot-script", dict(help="write a gnuplot script next to the CSV"), ("scan",)),
+    ("--zero-tol", dict(type=float, help="zero threshold for touch points and oracle dead intervals"),
+     ("death", "sweep")),
+    ("--tolerance", dict(type=float, default=1e-9, help="pass threshold (default 1e-9)"), ("validate",)),
+    ("--alphas", dict(type=_alpha_list, help="comma-separated alpha values (rad)"), ("sweep",)),
+    ("--alpha-min", dict(type=float, default=0.05), ("sweep",)),
+    ("--alpha-max", dict(type=float, default=math.pi / 2 - 0.05), ("sweep",)),
+    ("--alpha-count", dict(type=int, default=25), ("sweep",)),
+)
+
+#: config key -> the subcommands that take it
+_KEY_COMMANDS = {flag[2:]: commands for flag, _, commands in _OPTIONS}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doublejc",
         description="Entanglement dynamics of two independent Jaynes-Cummings pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, doc in (
-        ("constants", "print derived dressed-state constants"),
-        ("scan", "concurrence versus time"),
-        ("death", "sudden-death report"),
-        ("validate", "closed-form versus oracle cross-check"),
-        ("sweep", "death reports across an alpha grid"),
-    ):
+    for name, (doc, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
-        if name == "scan":
-            p.add_argument("--plot-script", help="write a gnuplot script next to the CSV")
-        if name in ("death", "sweep"):
-            p.add_argument("--zero-tol", type=float,
-                           help="zero threshold for touch points and oracle dead intervals")
-        if name == "validate":
-            p.add_argument("--tolerance", type=float, help="pass threshold (default 1e-9)")
-        if name == "sweep":
-            p.add_argument("--alphas", help="comma-separated alpha values (rad)")
-            p.add_argument("--alpha-min", type=float)
-            p.add_argument("--alpha-max", type=float)
-            p.add_argument("--alpha-count", type=int)
+        p.add_argument("--config", help="key = value config file; flags override it")
+        for flag, kwargs, commands in _OPTIONS:
+            if name in commands:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
-def _apply_config(ns: argparse.Namespace) -> None:
-    if not ns.config:
-        return
+def _config_args(path: str, command: str) -> list:
+    """The config file's lines as ``--key=value`` arguments of ``command``."""
     try:
-        with open(ns.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise CLIError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
+    args = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise CLIError(f"{ns.config}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise CLIError(f"{ns.config}:{lineno}: unknown key {key!r}")
-        dest, convert = _CONFIG_KEYS[key]
-        if not hasattr(ns, dest) or getattr(ns, dest) is not None:
-            continue  # flags win, and keys for other subcommands are ignored
-        try:
-            setattr(ns, dest, convert(value))
-        except ValueError:
-            raise CLIError(f"{ns.config}:{lineno}: bad value for {key!r}") from None
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        if key not in _KEY_COMMANDS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if command in _KEY_COMMANDS[key]:  # keys of other subcommands are ignored
+            args.append(f"--{key}={value}")
+    return args
 
 
 # ------------------------------------------------------------- resolution
 
 def _resolve_params(ns: argparse.Namespace) -> ModelParams:
     physical = ns.omega is not None or ns.g is not None
-    derived = ns.delta is not None or ns.big_g is not None
-    if physical and derived:
-        raise CLIError("give either --omega/--nu/--g or --delta/--G, not both")
+    if physical and (ns.delta is not None or ns.big_g is not None):
+        raise ValueError("give either --omega/--nu/--g or --delta/--G, not both")
+    if not physical:
+        return ModelParams.from_detuning(ns.delta or 0.0, 1.0 if ns.big_g is None else ns.big_g, ns.nu)
     if ns.g is not None and not ns.g > 0:
-        raise CLIError("coupling must be positive")
-    if ns.big_g is not None and not ns.big_g > 0:
-        raise CLIError("coupling must be positive")
-    try:
-        if physical:
-            if ns.omega is None or ns.nu is None or ns.g is None:
-                raise CLIError("physical parameterization needs --omega, --nu and --g")
-            return ModelParams(omega=ns.omega, nu=ns.nu, g=ns.g)
-        delta = 0.0 if ns.delta is None else ns.delta
-        big_g = 1.0 if ns.big_g is None else ns.big_g
-        return ModelParams.from_detuning(delta, big_g, ns.nu)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+        raise ValueError("coupling must be positive")
+    if ns.omega is None or ns.nu is None or ns.g is None:
+        raise ValueError("physical parameterization needs --omega, --nu and --g")
+    return ModelParams(omega=ns.omega, nu=ns.nu, g=ns.g)
 
 
-def _resolve_init(ns: argparse.Namespace, context: str) -> InitialState:
-    family = ns.family or "psi"
-    if family == "custom":
-        raise CLIError(f"{context} requires a named family")
-    alpha = math.pi / 4 if ns.alpha is None else ns.alpha
-    try:
-        return InitialState(StateFamily(family), alpha)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-
-
-def _resolve_grid(ns: argparse.Namespace, params: ModelParams) -> tuple[float, int]:
-    big_g = 2.0 * params.g
-    tmax = 4.0 * math.pi / big_g if ns.tmax is None else ns.tmax
-    steps = 2001 if ns.steps is None else ns.steps
+def _resolve_run(ns: argparse.Namespace, context: str) -> tuple[ModelParams, InitialState, float]:
+    """Parameters, initial state and scan end time of the subcommands that scan."""
+    params = _resolve_params(ns)
+    if ns.family == "custom":
+        raise ValueError(f"{context} requires a named family")
+    init = InitialState(StateFamily(ns.family), ns.alpha)
+    tmax = 4.0 * math.pi / (2.0 * params.g) if ns.tmax is None else ns.tmax
     if not (math.isfinite(tmax) and tmax > 0):
-        raise CLIError("tmax must be positive and finite")
-    if steps < 2:
-        raise CLIError("steps must be at least 2")
-    return tmax, steps
-
-
-def _resolve_cutoff(ns: argparse.Namespace) -> int:
-    cutoff = 1 if ns.cutoff is None else ns.cutoff
-    if cutoff < 1:
-        raise CLIError("cutoff must be at least 1")
-    return cutoff
+        raise ValueError("tmax must be positive and finite")
+    if ns.cutoff < 1:  # the library checks it only on the oracle path
+        raise ValueError("cutoff must be at least 1")
+    return params, init, tmax
 
 
 def _write_output(ns: argparse.Namespace, text: str) -> None:
@@ -247,7 +202,7 @@ def _cmd_constants(ns: argparse.Namespace) -> int:
         ("M", c.m_coef),
         ("N", c.n_coef),
     ]
-    if (ns.format or "csv") == "json":
+    if ns.format == "json":
         text = json.dumps(dict(items), indent=2) + "\n"
     else:
         text = "".join(f"{key} = {_fmt(value)}\n" for key, value in items)
@@ -272,28 +227,19 @@ def _gnuplot_script(csv_path: str, pairs) -> str:
 
 
 def _cmd_scan(ns: argparse.Namespace) -> int:
-    params = _resolve_params(ns)
-    init = _resolve_init(ns, "a scan")
-    tmax, steps = _resolve_grid(ns, params)
-    cutoff = _resolve_cutoff(ns)
-    source = ns.source or "closed"
-    pair_name = ns.pair or "AB"
-    fmt = ns.format or "csv"
+    params, init, tmax = _resolve_run(ns, "a scan")
+    if ns.plot_script and (ns.format == "json" or not ns.out):
+        raise ValueError("--plot-script needs --format csv and --out")
 
-    if ns.plot_script and (fmt != "csv" or not ns.out):
-        raise CLIError("--plot-script needs --format csv and --out")
-
-    pairs = ALL_PAIRS if pair_name == "all" else (SubsystemPair.from_name(pair_name),)
-    if source == "closed":
-        if pair_name != "AB":
-            raise CLIError("closed-form scans cover only the atom-atom pair")
-        series = {"AB": scan(init, params, ATOM_PAIR, tmax, steps, Source.CLOSED_FORM, cutoff)}
-    else:
-        series = scan_pairs(init, params, pairs, tmax, steps, cutoff)
+    pairs = ALL_PAIRS if ns.pair == "all" else (SubsystemPair.from_name(ns.pair),)
+    if ns.source == "oracle":
+        series = scan_pairs(init, params, pairs, tmax, ns.steps, ns.cutoff)
+    else:  # scan rejects every pair but AB
+        series = {p.name: scan(init, params, p, tmax, ns.steps, Source.CLOSED_FORM, ns.cutoff) for p in pairs}
 
     names = [p.name for p in pairs]
     times = series[names[0]].times
-    if fmt == "json":
+    if ns.format == "json":
         payload = {
             "family": init.family.value,
             "alpha": init.alpha,
@@ -301,15 +247,15 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
             "nu": params.nu,
             "g": params.g,
             "tmax": tmax,
-            "steps": steps,
-            "source": source,
-            "cutoff": cutoff,
+            "steps": ns.steps,
+            "source": ns.source,
+            "cutoff": ns.cutoff,
             "times": times.tolist(),
             "concurrence": {name: series[name].values.tolist() for name in names},
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [_echo_line(params, init, tmax, steps, names, source, cutoff)]
+        lines = [_echo_line(params, init, tmax, ns.steps, names, ns.source, ns.cutoff)]
         lines.append("t," + ",".join(names) + "\n")
         columns = [series[name].values for name in names]
         for j, t in enumerate(times):
@@ -325,26 +271,19 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
 
 
 def _cmd_death(ns: argparse.Namespace) -> int:
-    params = _resolve_params(ns)
-    init = _resolve_init(ns, "death detection")
-    tmax, steps = _resolve_grid(ns, params)
-    cutoff = _resolve_cutoff(ns)
-    source = Source(ns.source or "closed")
-    pair_name = ns.pair or "AB"
-    if pair_name == "all":
-        raise CLIError("death detection works on a single pair")
-    try:
-        series = scan(init, params, SubsystemPair.from_name(pair_name), tmax, steps, source, cutoff)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    params, init, tmax = _resolve_run(ns, "death detection")
+    if ns.pair == "all":
+        raise ValueError("death detection works on a single pair")
+    source = Source(ns.source)
+    series = scan(init, params, SubsystemPair.from_name(ns.pair), tmax, ns.steps, source, ns.cutoff)
     report = detect_death(series, ns.zero_tol)
     payload = {
         "family": init.family.value,
         "alpha": init.alpha,
-        "pair": pair_name,
+        "pair": ns.pair,
         "source": source.value,
         "tmax": tmax,
-        "steps": steps,
+        "steps": ns.steps,
         **report.to_dict(),
     }
     _write_output(ns, json.dumps(payload, indent=2) + "\n")
@@ -352,47 +291,22 @@ def _cmd_death(ns: argparse.Namespace) -> int:
 
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
-    params = _resolve_params(ns)
-    init = _resolve_init(ns, "validation")
-    tmax, steps = _resolve_grid(ns, params)
-    cutoff = _resolve_cutoff(ns)
-    tolerance = 1e-9 if ns.tolerance is None else ns.tolerance
-    report = validate(init, params, tmax, steps, tolerance, cutoff)
+    params, init, tmax = _resolve_run(ns, "validation")
+    report = validate(init, params, tmax, ns.steps, ns.tolerance, ns.cutoff)
     payload = {"family": init.family.value, "alpha": init.alpha, **report.to_dict()}
     _write_output(ns, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 
 
-def _sweep_grid(ns: argparse.Namespace) -> list:
-    if ns.alphas is not None:
-        try:
-            grid = [float(part) for part in ns.alphas.split(",") if part.strip()]
-        except ValueError:
-            raise CLIError("--alphas must be a comma-separated list of numbers") from None
-        if not grid:
-            raise CLIError("--alphas must be a comma-separated list of numbers")
-        return grid
-    lo = 0.05 if ns.alpha_min is None else ns.alpha_min
-    hi = math.pi / 2 - 0.05 if ns.alpha_max is None else ns.alpha_max
-    count = 25 if ns.alpha_count is None else ns.alpha_count
-    if count < 1 or hi < lo:
-        raise CLIError("bad alpha grid")
-    return np.linspace(lo, hi, count).tolist()
-
-
 def _cmd_sweep(ns: argparse.Namespace) -> int:
-    params = _resolve_params(ns)
-    init = _resolve_init(ns, "a sweep")
-    tmax, steps = _resolve_grid(ns, params)
-    cutoff = _resolve_cutoff(ns)
-    source = Source(ns.source or "closed")
-    grid = _sweep_grid(ns)
-    try:
-        results = sweep_alpha(init.family, params, grid, tmax, steps, source, cutoff, ns.zero_tol)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    params, init, tmax = _resolve_run(ns, "a sweep")
+    source = Source(ns.source)
+    if ns.alphas is None and (ns.alpha_count < 1 or ns.alpha_max < ns.alpha_min):
+        raise ValueError("bad alpha grid")
+    grid = ns.alphas or np.linspace(ns.alpha_min, ns.alpha_max, ns.alpha_count).tolist()
+    results = sweep_alpha(init.family, params, grid, tmax, ns.steps, source, ns.cutoff, ns.zero_tol)
 
-    if (ns.format or "json") == "csv":
+    if ns.format == "csv":
         lines = ["alpha,dead_intervals,first_death_start,first_death_end,total_dead_length,initial_concurrence\n"]
         for alpha, report in results:
             first = report.dead_intervals[0] if report.dead_intervals else (math.nan, math.nan)
@@ -415,7 +329,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
             "family": init.family.value,
             "source": source.value,
             "tmax": tmax,
-            "steps": steps,
+            "steps": ns.steps,
             "reports": [{"alpha": alpha, **report.to_dict()} for alpha, report in results],
         }
         text = json.dumps(payload, indent=2) + "\n"
@@ -423,25 +337,29 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: subcommand -> (help, handler)
 _COMMANDS = {
-    "constants": _cmd_constants,
-    "scan": _cmd_scan,
-    "death": _cmd_death,
-    "validate": _cmd_validate,
-    "sweep": _cmd_sweep,
+    "constants": ("print derived dressed-state constants", _cmd_constants),
+    "scan": ("concurrence versus time", _cmd_scan),
+    "death": ("sudden-death report", _cmd_death),
+    "validate": ("closed-form versus oracle cross-check", _cmd_validate),
+    "sweep": ("death reports across an alpha grid", _cmd_sweep),
 }
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        if ns.config:
+            # the subcommand comes first (the top level takes no options); config
+            # lines go ahead of the flags, so the flags win
+            ns = parser.parse_args([ns.command, *_config_args(ns.config, ns.command), *argv[1:]])
+        return _COMMANDS[ns.command][1](ns)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        _apply_config(ns)
-        return _COMMANDS[ns.command](ns)
-    except CLIError as exc:
+    except ValueError as exc:
         print(f"doublejc: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except QubitEquivalenceError as exc:

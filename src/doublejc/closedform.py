@@ -187,10 +187,8 @@ def phi_reduced_density(alpha: float, constants: JCConstants, t: float) -> Densi
 
 def _transfer_weight(constants: JCConstants, t):
     """|h(t)|^2 = 4 N^2 sin^2(rabi t / 2), broadcast over t."""
-    times = np.asarray(t, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("time must be nonnegative")
-    return 4.0 * constants.n_coef**2 * np.sin(0.5 * constants.rabi * times) ** 2
+    _check_time(t)
+    return 4.0 * constants.n_coef**2 * np.sin(0.5 * constants.rabi * np.asarray(t, dtype=float)) ** 2
 
 
 def psi_concurrence(alpha: float, constants: JCConstants, t):

@@ -37,14 +37,10 @@ __all__ = [
     "InitialState",
     "PureState",
     "DensityMatrix",
-    "TWO_QUBIT_LABELS",
     "basis_dimension",
     "derive_constants",
     "initial_state_vector",
 ]
-
-#: basis labels of every reduced two-qubit density matrix, excited level first
-TWO_QUBIT_LABELS = ("ee", "eg", "ge", "gg")
 
 # numerical tolerances for container invariants
 NORM_TOL = 1e-12
@@ -172,17 +168,6 @@ class BasisIndex:
         d = cutoff + 1
         return ((self.atom_a * 2 + self.atom_b) * d + self.photons_a) * d + self.photons_b
 
-    @classmethod
-    def unflatten(cls, index: int, cutoff: int) -> "BasisIndex":
-        """Inverse of :meth:`flatten`."""
-        d = cutoff + 1
-        if not 0 <= index < basis_dimension(cutoff):
-            raise ValueError("index out of range for this cutoff")
-        index, photons_b = divmod(index, d)
-        index, photons_a = divmod(index, d)
-        atom_a, atom_b = divmod(index, 2)
-        return cls(atom_a, atom_b, photons_a, photons_b)
-
 
 class StateFamily(Enum):
     """Named initial-state families (cavities in vacuum)."""
@@ -252,17 +237,12 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def amplitude(self, element: BasisIndex) -> complex:
-        """Amplitude on one basis element."""
-        return complex(self.amplitudes[element.flatten(self.cutoff)])
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Two-qubit density matrix: Hermitian, unit trace, positive semidefinite."""
 
     entries: np.ndarray
-    basis_labels: tuple = TWO_QUBIT_LABELS
 
     def __post_init__(self):
         rho = np.asarray(self.entries, dtype=complex)
@@ -276,7 +256,6 @@ class DensityMatrix:
             raise ValueError("density matrix must be positive semidefinite")
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
-        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
 
 
 def initial_state_vector(init: InitialState, cutoff: int) -> PureState:

@@ -150,11 +150,7 @@ class Propagator:
 
     def evolve(self, state0: PureState, t: float) -> PureState:
         """State at time t from ``state0`` at time 0."""
-        if state0.dim != self.energies.size:
-            raise ValueError("state dimension does not match operator")
-        coeffs = self.modes.conj().T @ state0.amplitudes
-        amps = self.modes @ (np.exp(-1j * self.energies * t) * coeffs)
-        return PureState(amps, state0.cutoff)
+        return PureState(self.evolve_grid(state0, [t])[:, 0], state0.cutoff)
 
     def evolve_grid(self, state0: PureState, times: np.ndarray) -> np.ndarray:
         """Amplitudes at many times, one column per time point."""

@@ -206,8 +206,8 @@ def test_criterion_6_conservation_suite():
             small = evolved[1].amplitudes
             large = evolved[3]
             for index in range(small.size):
-                element = BasisIndex.unflatten(index, 1)
-                worst_cut = max(worst_cut, abs(small[index] - large.amplitude(element)))
+                element = BasisIndex(*np.unravel_index(index, (2, 2, 2, 2)))
+                worst_cut = max(worst_cut, abs(small[index] - large.amplitudes[element.flatten(3)]))
             # density-matrix invariants checked on construction for all six pairs
             for pair in ALL_PAIRS:
                 partial_trace_pair(evolved[1], pair)

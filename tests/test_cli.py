@@ -283,11 +283,12 @@ def test_sweep_bad_alphas(capsys):
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sample config\nfamily = phi\nalpha = 0.2618\nG = 1\ndelta = 0\nsteps = 101\n")
-    rc, out, _ = run_cli(capsys, "scan", "--config", str(cfg), "--steps", "51")
-    assert rc == 0
-    _, data = parse_csv(out)
-    assert data.shape[0] == 51  # flag wins over config
-    assert "family=phi" in out.splitlines()[0]
+    for argv in (["--config", str(cfg), "--steps", "51"], ["--steps", "51", "--config", str(cfg)]):
+        rc, out, _ = run_cli(capsys, "scan", *argv)
+        assert rc == 0
+        _, data = parse_csv(out)
+        assert data.shape[0] == 51  # flag wins over config, wherever --config sits
+        assert "family=phi" in out.splitlines()[0]
 
 
 def test_config_unknown_key(tmp_path, capsys):
@@ -303,6 +304,34 @@ def test_config_missing_file(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("scan", "pair", "xx"),
+        ("scan", "source", "foo"),
+        ("death", "source", "foo"),
+        ("scan", "format", "xml"),
+        ("scan", "family", "foo"),
+    ],
+)
+def test_config_bad_value_exits_2(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg), "--steps", "11")
+    assert rc == 2
+    assert out == ""
+    assert f"--{key}" in err and repr(value) in err
+
+
+def test_config_negative_value_and_keys_of_other_subcommands(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = -0.5\nG = 1\ntolerance = 1e-3\n")  # tolerance belongs to validate
+    rc, out, _ = run_cli(capsys, "scan", "--config", str(cfg), "--steps", "11")
+    assert rc == 0
+    assert "delta=-0.5 " in out.splitlines()[0]
+    assert parse_csv(out)[1].shape == (11, 2)
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_qubit_equivalence_maps_to_exit_3(monkeypatch, capsys):
@@ -315,6 +344,28 @@ def test_qubit_equivalence_maps_to_exit_3(monkeypatch, capsys):
     rc, _, err = run_cli(capsys, "death")
     assert rc == 3
     assert "physical assumption" in err
+
+
+@pytest.mark.parametrize("command", ["scan", "death"])
+def test_closed_form_rejects_cutoff_zero(capsys, command):
+    rc, out, err = run_cli(capsys, command, "--family", "phi", "--alpha", "0.3", "--cutoff", "0", "--steps", "11")
+    assert rc == 2
+    assert out == ""
+    assert "cutoff must be at least 1" in err
+
+
+def test_repeated_calls_keep_no_state(tmp_path, capsys):
+    # the parser is built once per process: neither flags nor config may stick to it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 11\nsource = oracle\n")
+    rc, out, _ = run_cli(capsys, "scan", "--config", str(cfg), "--steps", "12", "--format", "json")
+    assert rc == 0 and len(json.loads(out)["times"]) == 12
+    rc, out, _ = run_cli(capsys, "scan")
+    assert rc == 0
+    header, data = parse_csv(out)
+    assert header == ["t", "AB"]
+    assert data.shape == (2001, 2)
+    assert "source=closed" in out.splitlines()[0]
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -78,10 +78,7 @@ def _parse_csv(text: str) -> tuple:
     return lines[:k], [[float(x) for x in line.split(",")] for line in lines[k:]]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, tmp_path):
-    path = tmp_path / name
-    _run(name, path)
+def _assert_golden(name: str, path: Path) -> None:
     got, want = path.read_text(encoding="utf-8"), (GOLDEN / name).read_text(encoding="utf-8")
     if "oracle" not in name:
         assert path.read_bytes() == (GOLDEN / name).read_bytes()
@@ -92,6 +89,24 @@ def test_golden_output(name, tmp_path):
         want_header, want_rows = _parse_csv(want)
         assert got_header == want_header
         _assert_close(got_rows, want_rows, name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    path = tmp_path / name
+    _run(name, path)
+    _assert_golden(name, path)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_from_config(name, tmp_path):
+    """The same case with every flag moved into a ``key = value`` config file."""
+    command, *flags = CASES[name]
+    config = tmp_path / "case.cfg"
+    config.write_text("".join(f"{key[2:]} = {value}\n" for key, value in zip(flags[::2], flags[1::2])))
+    path = tmp_path / name
+    assert main([command, "--config", str(config), "--out", str(path)]) == 0
+    _assert_golden(name, path)
 
 
 if __name__ == "__main__":

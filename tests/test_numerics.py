@@ -197,8 +197,8 @@ def test_cutoff_exactness(family):
             states[cutoff] = Propagator(build_hamiltonian(params, cutoff)).evolve(state0, t)
         small, large = states[1], states[3]
         for index in range(small.dim):
-            element = BasisIndex.unflatten(index, 1)
-            diff = abs(small.amplitudes[index] - large.amplitude(element))
+            element = BasisIndex(*np.unravel_index(index, (2, 2, 2, 2)))
+            diff = abs(small.amplitudes[index] - large.amplitudes[element.flatten(3)])
             assert diff <= 1e-12
         rho1 = partial_trace_pair(small, ATOM_PAIR).entries
         rho3 = partial_trace_pair(large, ATOM_PAIR).entries
