@@ -326,6 +326,8 @@ def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> De
         raise ValueError("empty series")
     if zero_tol is None:
         zero_tol = ZERO_TOL_CLOSED if series.source is Source.CLOSED_FORM else ZERO_TOL_ORACLE
+    elif not (math.isfinite(zero_tol) and zero_tol >= 0):
+        raise ValueError("zero_tol must be finite and non-negative")
 
     times, values = series.times, series.values
     constants = derive_constants(series.params)
@@ -381,6 +383,8 @@ def validate(
     """
     if init.family is StateFamily.CUSTOM:
         raise ValueError("validation requires a named family")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError("tolerance must be finite and non-negative")
     times = _grid(t_max, steps, "validation")
     constants = derive_constants(params)
     amplitudes = psi_amplitudes if init.family is StateFamily.PSI_ALPHA else phi_amplitudes

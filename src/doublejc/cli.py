@@ -60,37 +60,35 @@ def _alpha_list(text: str) -> list:
     return grid
 
 
-_ALL = ("constants", "scan", "death", "validate", "sweep")
-
-#: (flag, argparse keywords, subcommands): the one definition of every option.
-#: A config file's keys are these flags without their dashes.
+#: (flag, argparse keywords, the subcommands that read it): the one definition
+#: of every option.  A config file's keys are these flags without their dashes.
 _OPTIONS = (
-    ("--family", dict(choices=["psi", "phi", "custom"], default="psi"), _ALL),
-    ("--alpha", dict(type=float, default=math.pi / 4, help="superposition angle (rad)"), _ALL),
-    ("--omega", dict(type=float, help="atomic transition frequency"), _ALL),
-    ("--nu", dict(type=float, help="cavity mode frequency"), _ALL),
-    ("--g", dict(type=float, help="atom-cavity coupling"), _ALL),
-    ("--delta", dict(type=float, help="detuning omega - nu"), _ALL),
-    ("--G", dict(dest="big_g", type=float, help="interaction strength 2g"), _ALL),
-    ("--tmax", dict(type=float, help="scan end time (default 4*pi/G)"), _ALL),
-    ("--steps", dict(type=int, default=2001, help="grid points (default 2001)"), _ALL),
-    ("--pair", dict(choices=[*PAIR_NAMES, "all"], default="AB"), _ALL),
-    ("--source", dict(choices=["closed", "oracle"], default="closed"), _ALL),
-    ("--cutoff", dict(type=int, default=1, help="Fock cutoff (default 1)"), _ALL),
-    ("--format", dict(choices=["csv", "json"]), _ALL),
-    ("--out", dict(help="output file (default stdout)"), _ALL),
-    ("--plot-script", dict(help="write a gnuplot script next to the CSV"), ("scan",)),
+    ("--family", dict(choices=["psi", "phi"], default="psi"), "scan death validate sweep"),
+    ("--alpha", dict(type=float, default=math.pi / 4, help="superposition angle (rad)"), "scan death validate"),
+    ("--omega", dict(type=float, help="atomic transition frequency"), "constants scan death validate sweep"),
+    ("--nu", dict(type=float, help="cavity mode frequency"), "constants scan death validate sweep"),
+    ("--g", dict(type=float, help="atom-cavity coupling"), "constants scan death validate sweep"),
+    ("--delta", dict(type=float, help="detuning omega - nu"), "constants scan death validate sweep"),
+    ("--G", dict(dest="big_g", type=float, help="interaction strength 2g"), "constants scan death validate sweep"),
+    ("--tmax", dict(type=float, help="scan end time (default 4*pi/G)"), "scan death validate sweep"),
+    ("--steps", dict(type=int, default=2001, help="grid points (default 2001)"), "scan death validate sweep"),
+    ("--pair", dict(choices=[*PAIR_NAMES, "all"], default="AB"), "scan death"),
+    ("--source", dict(choices=["closed", "oracle"], default="closed"), "scan death sweep"),
+    ("--cutoff", dict(type=int, default=1, help="Fock cutoff (default 1)"), "scan death validate sweep"),
+    ("--format", dict(choices=["csv", "json"]), "constants scan sweep"),
+    ("--out", dict(help="output file (default stdout)"), "constants scan death validate sweep"),
+    ("--plot-script", dict(help="write a gnuplot script next to the CSV"), "scan"),
     ("--zero-tol", dict(type=float, help="zero threshold for touch points and oracle dead intervals"),
-     ("death", "sweep")),
-    ("--tolerance", dict(type=float, default=1e-9, help="pass threshold (default 1e-9)"), ("validate",)),
-    ("--alphas", dict(type=_alpha_list, help="comma-separated alpha values (rad)"), ("sweep",)),
-    ("--alpha-min", dict(type=float, default=0.05), ("sweep",)),
-    ("--alpha-max", dict(type=float, default=math.pi / 2 - 0.05), ("sweep",)),
-    ("--alpha-count", dict(type=int, default=25), ("sweep",)),
+     "death sweep"),
+    ("--tolerance", dict(type=float, default=1e-9, help="pass threshold (default 1e-9)"), "validate"),
+    ("--alphas", dict(type=_alpha_list, help="comma-separated alpha values (rad)"), "sweep"),
+    ("--alpha-min", dict(type=float, default=0.05), "sweep"),
+    ("--alpha-max", dict(type=float, default=math.pi / 2 - 0.05), "sweep"),
+    ("--alpha-count", dict(type=int, default=25), "sweep"),
 )
 
 #: config key -> the subcommands that take it
-_KEY_COMMANDS = {flag[2:]: commands for flag, _, commands in _OPTIONS}
+_KEY_COMMANDS = {flag[2:]: commands.split() for flag, _, commands in _OPTIONS}
 
 
 @functools.cache
@@ -101,10 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (doc, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=doc)
+        p = sub.add_parser(name, help=doc, allow_abbrev=False)  # a flag it lacks may not match another by prefix
         p.add_argument("--config", help="key = value config file; flags override it")
         for flag, kwargs, commands in _OPTIONS:
-            if name in commands:
+            if name in commands.split():
                 p.add_argument(flag, **kwargs)
     return parser
 
@@ -146,24 +144,28 @@ def _resolve_params(ns: argparse.Namespace) -> ModelParams:
     return ModelParams(omega=ns.omega, nu=ns.nu, g=ns.g)
 
 
-def _resolve_run(ns: argparse.Namespace, context: str) -> tuple[ModelParams, InitialState, float]:
-    """Parameters, initial state and scan end time of the subcommands that scan."""
+def _resolve_run(ns: argparse.Namespace) -> tuple[ModelParams, float]:
+    """Parameters and scan end time of the subcommands that scan."""
     params = _resolve_params(ns)
-    if ns.family == "custom":
-        raise ValueError(f"{context} requires a named family")
-    init = InitialState(StateFamily(ns.family), ns.alpha)
     tmax = 4.0 * math.pi / (2.0 * params.g) if ns.tmax is None else ns.tmax
     if not (math.isfinite(tmax) and tmax > 0):
         raise ValueError("tmax must be positive and finite")
     if ns.cutoff < 1:  # the library checks it only on the oracle path
         raise ValueError("cutoff must be at least 1")
-    return params, init, tmax
+    return params, tmax
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from None
 
 
 def _write_output(ns: argparse.Namespace, text: str) -> None:
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_file(ns.out, text)
     else:
         sys.stdout.write(text)
 
@@ -227,7 +229,8 @@ def _gnuplot_script(csv_path: str, pairs) -> str:
 
 
 def _cmd_scan(ns: argparse.Namespace) -> int:
-    params, init, tmax = _resolve_run(ns, "a scan")
+    params, tmax = _resolve_run(ns)
+    init = InitialState(StateFamily(ns.family), ns.alpha)
     if ns.plot_script and (ns.format == "json" or not ns.out):
         raise ValueError("--plot-script needs --format csv and --out")
 
@@ -265,13 +268,13 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     _write_output(ns, text)
 
     if ns.plot_script:
-        with open(ns.plot_script, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_gnuplot_script(ns.out, names))
+        _write_file(ns.plot_script, _gnuplot_script(ns.out, names))
     return EXIT_OK
 
 
 def _cmd_death(ns: argparse.Namespace) -> int:
-    params, init, tmax = _resolve_run(ns, "death detection")
+    params, tmax = _resolve_run(ns)
+    init = InitialState(StateFamily(ns.family), ns.alpha)
     if ns.pair == "all":
         raise ValueError("death detection works on a single pair")
     source = Source(ns.source)
@@ -291,7 +294,8 @@ def _cmd_death(ns: argparse.Namespace) -> int:
 
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
-    params, init, tmax = _resolve_run(ns, "validation")
+    params, tmax = _resolve_run(ns)
+    init = InitialState(StateFamily(ns.family), ns.alpha)
     report = validate(init, params, tmax, ns.steps, ns.tolerance, ns.cutoff)
     payload = {"family": init.family.value, "alpha": init.alpha, **report.to_dict()}
     _write_output(ns, json.dumps(payload, indent=2) + "\n")
@@ -299,12 +303,12 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
-    params, init, tmax = _resolve_run(ns, "a sweep")
+    params, tmax = _resolve_run(ns)
     source = Source(ns.source)
     if ns.alphas is None and (ns.alpha_count < 1 or ns.alpha_max < ns.alpha_min):
         raise ValueError("bad alpha grid")
     grid = ns.alphas or np.linspace(ns.alpha_min, ns.alpha_max, ns.alpha_count).tolist()
-    results = sweep_alpha(init.family, params, grid, tmax, ns.steps, source, ns.cutoff, ns.zero_tol)
+    results = sweep_alpha(StateFamily(ns.family), params, grid, tmax, ns.steps, source, ns.cutoff, ns.zero_tol)
 
     if ns.format == "csv":
         lines = ["alpha,dead_intervals,first_death_start,first_death_end,total_dead_length,initial_concurrence\n"]
@@ -326,7 +330,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         text = "".join(lines)
     else:
         payload = {
-            "family": init.family.value,
+            "family": ns.family,
             "source": source.value,
             "tmax": tmax,
             "steps": ns.steps,

@@ -172,6 +172,16 @@ def test_detect_death_rejects_empty_series():
         detect_death(empty)
 
 
+
+@pytest.mark.parametrize("zero_tol", [math.nan, -1.0, math.inf])
+def test_detect_death_rejects_bad_zero_tol(zero_tol):
+    # a NaN or negative threshold would silently drop every oracle interval and touch point
+    for series in (phi_series(0.3, steps=101), phi_series(0.3, source=Source.ORACLE, steps=101),
+                   psi_series(0.4, steps=101)):
+        with pytest.raises(ValueError, match="zero_tol must be finite and non-negative"):
+            detect_death(series, zero_tol)
+    assert detect_death(phi_series(0.3, steps=101), 0.0).dead_intervals
+
 def loop_zero_runs(mask):
     """The per-element loop _zero_runs replaced."""
     runs, start = [], None
@@ -472,6 +482,12 @@ def test_validate_report_pass_flag_tracks_tolerance():
     assert not report.passed
     assert report.max_abs_error > 1e-20
 
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])
+def test_validate_rejects_bad_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        validate(InitialState.psi(0.5), RESONANT, 5.0, 10, tolerance=tolerance)
 
 # ------------------------------------------------------ batched oracle kernel
 

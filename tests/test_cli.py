@@ -1,11 +1,15 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from doublejc import QubitEquivalenceError
-from doublejc.cli import main
+from doublejc.cli import _build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PI_4 = repr(math.pi / 4)
 
@@ -126,7 +130,7 @@ def test_scan_closed_form_rejects_other_pairs(capsys):
 def test_scan_rejects_custom_family(capsys):
     rc, _, err = run_cli(capsys, "scan", "--family", "custom")
     assert rc == 2
-    assert "named family" in err
+    assert "invalid choice: 'custom'" in err
 
 
 def test_scan_csv_deterministic(tmp_path, capsys):
@@ -210,6 +214,18 @@ def test_death_exit_code_zero_even_with_death(capsys):
     assert json.loads(out)["dead_intervals"]
 
 
+
+@pytest.mark.parametrize("zero_tol", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["death", "sweep"])
+def test_bad_zero_tol_exits_2(capsys, command, zero_tol):
+    # with a NaN or negative threshold every dead interval and touch point used to vanish
+    argv = [command, "--family", "phi", "--source", "oracle", "--steps", "201", "--zero-tol", zero_tol]
+    rc, out, err = run_cli(capsys, *argv, *(["--alpha", "0.3"] if command == "death" else ["--alphas", "0.3"]))
+    assert rc == 2
+    assert out == ""
+    assert "zero_tol must be finite and non-negative" in err
+
+
 # --------------------------------------------------------------- validate
 
 def test_validate_default_passes(capsys):
@@ -234,7 +250,16 @@ def test_validate_cutoff_insensitive(capsys):
 def test_validate_custom_family_rejected(capsys):
     rc, _, err = run_cli(capsys, "validate", "--family", "custom")
     assert rc == 2
-    assert "validation requires a named family" in err
+    assert "invalid choice: 'custom'" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_validate_rejects_bad_tolerance(capsys, value):
+    # NaN or infinity would print a "tolerance" that is not valid JSON
+    rc, out, err = run_cli(capsys, "validate", "--tolerance", value, "--steps", "11")
+    assert rc == 2
+    assert out == ""
+    assert "tolerance must be finite and non-negative" in err
 
 
 def test_validate_failure_exit_code(capsys):
@@ -276,6 +301,76 @@ def test_sweep_bad_alphas(capsys):
     rc, _, err = run_cli(capsys, "sweep", "--alphas", "a,b")
     assert rc == 2
     assert "comma-separated" in err
+
+
+
+# ------------------------------------------------------------------- flags
+
+#: subcommand -> every flag it takes besides --config
+FLAGS = {
+    "constants": "--omega --nu --g --delta --G --format --out",
+    "scan": "--family --alpha --omega --nu --g --delta --G --tmax --steps --pair --source --cutoff --format --out "
+            "--plot-script",
+    "death": "--family --alpha --omega --nu --g --delta --G --tmax --steps --pair --source --cutoff --out --zero-tol",
+    "validate": "--family --alpha --omega --nu --g --delta --G --tmax --steps --cutoff --out --tolerance",
+    "sweep": "--family --omega --nu --g --delta --G --tmax --steps --source --cutoff --format --out --zero-tol "
+             "--alphas --alpha-min --alpha-max --alpha-count",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_subcommand_takes_only_the_flags_it_reads(command):
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    taken = {flag for action in subparsers.choices[command]._actions for flag in action.option_strings}
+    assert taken == {"-h", "--help", "--config", *FLAGS[command].split()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--pair", "ab"],
+        ["sweep", "--alpha", "0.3"],
+        ["death", "--format", "csv"],
+        ["validate", "--source", "oracle"],
+        ["validate", "--pair", "ab"],
+        ["constants", "--family", "psi"],
+        ["constants", "--steps", "11"],
+    ],
+)
+def test_flag_a_subcommand_does_not_read_exits_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    lines = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 5 and all(line[0] == "doublejc" for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(line[1:]) == 0, line
+    capsys.readouterr()
+
+
+# ----------------------------------------------------------------- writers
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    rc, out, err = run_cli(capsys, "validate", "--steps", "11", "--out", str(tmp_path / "missing" / "x.json"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("doublejc: error: cannot write output:") and err.count("\n") == 1
+
+
+def test_unwritable_plot_script_exits_2(tmp_path, capsys):
+    csv = tmp_path / "curve.csv"
+    rc, out, err = run_cli(capsys, "scan", "--steps", "11", "--format", "csv", "--out", str(csv),
+                           "--plot-script", str(tmp_path / "missing" / "curve.gp"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("doublejc: error: cannot write output:") and err.count("\n") == 1
 
 
 # ----------------------------------------------------------------- config
@@ -330,6 +425,17 @@ def test_config_negative_value_and_keys_of_other_subcommands(tmp_path, capsys):
     assert rc == 0
     assert "delta=-0.5 " in out.splitlines()[0]
     assert parse_csv(out)[1].shape == (11, 2)
+
+
+
+def test_config_keys_sweep_does_not_read_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family = phi\nalpha = 0.3\npair = ab\nalphas = 0.2,0.4\nsteps = 101\nformat = csv\n")
+    rc, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert rc == 0
+    header, data = parse_csv(out)
+    assert header[0] == "alpha"
+    assert data[:, 0].tolist() == [0.2, 0.4]
 
 
 # ------------------------------------------------------------- exit codes
