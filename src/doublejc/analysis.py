@@ -4,8 +4,8 @@ A scan produces a :class:`ConcurrenceSeries` either from the closed-form
 atom-atom expressions or from the numerical oracle (any subsystem pair).
 :func:`detect_death` classifies the zeros of a series into isolated touch
 points and finite dead intervals; closed-form dead intervals are the
-analytic windows of the signed generator, with edges from one asin, and
-oracle ones are read off the grid.  :func:`validate` cross-checks the
+analytic windows from :mod:`closedform`, and oracle ones are read off the
+grid.  :func:`validate` cross-checks the
 closed forms against the oracle at amplitude, density-matrix and concurrence
 level on a common time grid.
 """
@@ -18,15 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .closedform import (
-    phi_amplitudes,
-    phi_concurrence,
-    psi_amplitudes,
-    psi_concurrence,
-)
+from . import closedform
 from .model import (
     InitialState,
-    JCConstants,
     ModelParams,
     StateFamily,
     derive_constants,
@@ -154,13 +148,6 @@ class ValidationReport:
         }
 
 
-def _closed_values(init: InitialState, params: ModelParams, times: np.ndarray) -> np.ndarray:
-    constants = derive_constants(params)
-    if init.family is StateFamily.PSI_ALPHA:
-        return psi_concurrence(init.alpha, constants, times)
-    return phi_concurrence(init.alpha, constants, times)
-
-
 def _grid(t_max: float, steps: int, what: str = "a scan") -> np.ndarray:
     if steps < 2:
         raise ValueError(f"{what} needs at least two grid points")
@@ -214,13 +201,11 @@ def scan(
     """
     if source is Source.ORACLE:
         return scan_pairs(init, params, [pair], t_max, steps, cutoff)[pair.name]
-    if init.family is StateFamily.CUSTOM:
-        raise ValueError("closed-form scans require a named family")
+    form = closedform.for_state(init, derive_constants(params))
     if pair != ATOM_PAIR:
         raise ValueError("closed-form scans cover only the atom-atom pair")
     times = _grid(t_max, steps)
-    values = _closed_values(init, params, times)
-    return ConcurrenceSeries(times, values, pair, Source.CLOSED_FORM, init, params)
+    return ConcurrenceSeries(times, form.concurrence(times), pair, Source.CLOSED_FORM, init, params)
 
 
 def _zero_runs(mask: np.ndarray):
@@ -278,47 +263,13 @@ def bisect(f, lo: float, hi: float, xtol: float) -> float:
     raise RuntimeError("bisection did not converge in 100 steps")
 
 
-def _peak_weight(constants: JCConstants) -> float:
-    """Largest transfer weight 4 N^2 = G^2 / (delta^2 + G^2); phi dies iff |tan alpha| is below it."""
-    return 4.0 * constants.n_coef**2
-
-
-def _phi_dead_windows(alpha: float, constants: JCConstants, t0: float, t1: float) -> list:
-    """Closed-form dead windows of the zero/two-excitation family that meet [t0, t1], clipped to it.
-
-    The signed generator is negative exactly where the transfer weight
-    4 N^2 sin^2(rabi t / 2) exceeds |tan alpha|, i.e. on
-    ((2/rabi)(k pi + theta), (2/rabi)((k + 1) pi - theta)) with
-    theta = asin(sqrt(s)) and s = |tan alpha| / (4 N^2).  tan alpha and N^2
-    carry a few ulps of rounding each, so s within 4 eps of 1 is the
-    threshold, where the generator only touches zero.  At s = 0 (alpha = 0)
-    neighbouring windows meet and merge into one.
-    """
-    s = abs(math.tan(alpha)) / _peak_weight(constants)
-    if s >= 1.0 - 4 * np.finfo(float).eps:
-        return []
-    theta = math.asin(math.sqrt(s))
-    scale = 2.0 / constants.rabi
-    windows = []
-    k = math.floor(t0 / (scale * math.pi))
-    while (start := scale * (k * math.pi + theta)) < t1:
-        end = scale * ((k + 1) * math.pi - theta)
-        if windows and start <= windows[-1][1]:
-            windows[-1][1] = end
-        elif end > t0:
-            windows.append([start, end])
-        k += 1
-    return [(max(start, t0), min(end, t1)) for start, end in windows]
-
-
 def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> DeathReport:
     """Classify the zeros of a concurrence series.
 
-    Closed-form dead intervals are analytic: the windows of the
-    zero/two-excitation family (:func:`_phi_dead_windows`), and none for the
-    one-excitation family unless it starts as a product state.  A grid zero
-    run (values <= zero_tol) whose bracketing grid cells meet no such window
-    is an isolated touch point.  For oracle series a zero run spanning at
+    Closed-form dead intervals are analytic (the family's
+    ``closedform.for_state(...).dead_windows``).  A grid zero run
+    (values <= zero_tol) whose bracketing grid cells meet no such window is
+    an isolated touch point.  For oracle series a zero run spanning at
     least two grid intervals is a dead interval with edges extrapolated from
     the approach slopes (see ``_grid_edge``); shorter runs are touch points.
     """
@@ -333,12 +284,7 @@ def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> De
     constants = derive_constants(series.params)
     runs = _zero_runs(values <= zero_tol)
     if series.source is Source.CLOSED_FORM:
-        t0, t1, init = float(times[0]), float(times[-1]), series.init
-        dead = []
-        if init.family is StateFamily.PHI_ALPHA:
-            dead = _phi_dead_windows(init.alpha, constants, t0, t1)
-        elif init.family is StateFamily.PSI_ALPHA and math.sin(2.0 * init.alpha) == 0.0:
-            dead = [(t0, t1)]  # a product state: |sin 2 alpha| (1 - w) vanishes throughout
+        dead = closedform.for_state(series.init, constants).dead_windows(float(times[0]), float(times[-1]))
         last = len(times) - 1
         runs = [(i0, i1) for i0, i1 in runs
                 if not any(a < times[min(i1 + 1, last)] and b > times[max(i0 - 1, 0)] for a, b in dead)]
@@ -365,7 +311,7 @@ def death_threshold_alpha(params: ModelParams | None = None) -> float:
     generator only touches zero.  The default is zero detuning, where
     alpha_c = pi/4.
     """
-    return math.atan(1.0 if params is None else _peak_weight(derive_constants(params)))
+    return math.atan(1.0 if params is None else closedform._peak_weight(derive_constants(params)))
 
 
 def validate(
@@ -381,23 +327,20 @@ def validate(
     Amplitudes are compared as complex numbers, phases included, which pins
     the energy convention and not just the populations.
     """
-    if init.family is StateFamily.CUSTOM:
-        raise ValueError("validation requires a named family")
+    form = closedform.for_state(init, derive_constants(params))
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError("tolerance must be finite and non-negative")
     times = _grid(t_max, steps, "validation")
-    constants = derive_constants(params)
-    amplitudes = psi_amplitudes if init.family is StateFamily.PSI_ALPHA else phi_amplitudes
 
     errors = np.empty(steps)
     for part, columns in _oracle_chunks(init, params, times, cutoff):
-        closed = amplitudes(init.alpha, constants, times[part])
+        closed = form.amplitudes(times[part])
         blocks = _pair_blocks(columns, cutoff, ATOM_PAIR)
         rho = np.einsum("tik,tjk->tij", blocks, blocks.conj())
         errors[part] = np.maximum.reduce([
             np.abs(closed.columns(cutoff) - columns).max(axis=0),
             np.abs(closed.atom_density() - rho).max(axis=(1, 2)),
-            np.abs(_closed_values(init, params, times[part]) - _block_concurrences(blocks)),
+            np.abs(form.concurrence(times[part]) - _block_concurrences(blocks)),
         ])
 
     worst = int(np.argmax(errors))  # the first of equal maxima

@@ -11,7 +11,8 @@ Everything below is assembled from these two factors; the zero-excitation
 pair state |g,0> is stationary with zero energy.
 
 All reduced density matrices are written in the standard excited-first
-two-qubit ordering |ee>, |eg>, |ge>, |gg>.
+two-qubit ordering |ee>, |eg>, |ge>, |gg>.  :func:`for_state` gives the
+amplitudes, concurrence and dead windows of one named initial state.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import numpy as np
 from .model import (
     BasisIndex,
     DensityMatrix,
+    InitialState,
     JCConstants,
     PureState,
+    StateFamily,
     basis_dimension,
 )
 
@@ -191,6 +194,18 @@ def _transfer_weight(constants: JCConstants, t):
     return 4.0 * constants.n_coef**2 * np.sin(0.5 * constants.rabi * np.asarray(t, dtype=float)) ** 2
 
 
+def _peak_weight(constants: JCConstants) -> float:
+    """Largest transfer weight 4 N^2 = G^2 / (delta^2 + G^2); phi dies iff |tan alpha| is below it."""
+    return 4.0 * constants.n_coef**2
+
+
+def _generator(alpha: float, b: float, constants: JCConstants, t):
+    """Signed generator (1 - w)(|sin 2a| - b w), w the transfer weight: b = 0 for psi, 2 cos^2 a for phi."""
+    w = _transfer_weight(constants, t)
+    value = (1.0 - w) * (abs(math.sin(2.0 * alpha)) - b * w)
+    return value if np.ndim(t) else float(value)
+
+
 def psi_concurrence(alpha: float, constants: JCConstants, t):
     """Atom-atom concurrence of the one-excitation family.
 
@@ -198,8 +213,7 @@ def psi_concurrence(alpha: float, constants: JCConstants, t):
     array times.  At zero detuning this is |sin 2a| cos^2(G t / 2); for
     nonzero detuning it never reaches zero (floor |sin 2a| delta^2/rabi^2).
     """
-    value = abs(math.sin(2.0 * alpha)) * (1.0 - _transfer_weight(constants, t))
-    value = np.clip(value, 0.0, 1.0)
+    value = np.clip(_generator(alpha, 0.0, constants, t), 0.0, 1.0)
     return value if np.ndim(t) else float(value)
 
 
@@ -215,12 +229,65 @@ def phi_f(alpha: float, constants: JCConstants, t):
     finite window each period whenever tan(a) < 1.  Accepts scalar or array
     times.
     """
-    w = _transfer_weight(constants, t)
-    value = (1.0 - w) * (abs(math.sin(2.0 * alpha)) - 2.0 * w * math.cos(alpha) ** 2)
-    return value if np.ndim(t) else float(value)
+    return _generator(alpha, 2.0 * math.cos(alpha) ** 2, constants, t)
 
 
 def phi_concurrence(alpha: float, constants: JCConstants, t):
     """Atom-atom concurrence of the zero/two-excitation family, max{0, f(t)}."""
     value = np.clip(phi_f(alpha, constants, t), 0.0, 1.0)
     return value if np.ndim(t) else float(value)
+
+
+@dataclass
+class _StateForm:
+    """The closed forms of one named initial state under fixed constants.
+
+    The family functions are module globals looked up at each call, so
+    rebinding them on this module (as a tracer or a test does) reaches every call.
+    """
+
+    alpha: float
+    constants: JCConstants
+    phi: bool
+
+    def amplitudes(self, t):
+        return (phi_amplitudes if self.phi else psi_amplitudes)(self.alpha, self.constants, t)
+
+    def concurrence(self, t):
+        return (phi_concurrence if self.phi else psi_concurrence)(self.alpha, self.constants, t)
+
+    def dead_windows(self, t0: float, t1: float) -> list:
+        """Windows of identically zero concurrence that meet [t0, t1], clipped to it.
+
+        A product state (|sin 2a| within a few ulps of zero, as at a = 0 or
+        pi/2) is dead throughout.  Otherwise the generator is negative where
+        b w > |sin 2a|: never for psi, and for phi where w exceeds |tan a|, on
+        ((2/rabi)(k pi + theta), (2/rabi)((k + 1) pi - theta)) with
+        theta = asin(sqrt(s)), s = |tan a| / (4 N^2).  tan a and N^2 carry a
+        few ulps of rounding each, so s within 4 eps of 1 is the threshold,
+        where the generator only touches zero.  Past the product-state guard
+        theta > 2e-8, so neighbouring windows never meet.
+        """
+        few_ulps = 4 * math.ulp(1.0)
+        if abs(math.sin(2.0 * self.alpha)) <= few_ulps:
+            return [(t0, t1)]
+        s = abs(math.tan(self.alpha)) / _peak_weight(self.constants) if self.phi else math.inf
+        if s >= 1.0 - few_ulps:
+            return []
+        theta = math.asin(math.sqrt(s))
+        scale = 2.0 / self.constants.rabi
+        windows = []
+        k = math.floor(t0 / (scale * math.pi))
+        while (start := scale * (k * math.pi + theta)) < t1:
+            end = scale * ((k + 1) * math.pi - theta)
+            if end > t0:
+                windows.append((max(start, t0), min(end, t1)))
+            k += 1
+        return windows
+
+
+def for_state(init: InitialState, constants: JCConstants) -> _StateForm:
+    """Amplitudes, concurrence and dead windows of a named initial state; a custom one raises ValueError."""
+    if init.family is StateFamily.CUSTOM:
+        raise ValueError("closed forms require a named family")
+    return _StateForm(init.alpha, constants, init.family is StateFamily.PHI_ALPHA)

@@ -84,8 +84,6 @@ class ModelParams:
         The atom-atom concurrence depends only on (alpha, delta, big_g, t), so
         ``nu`` merely sets amplitude phases; it defaults to ``10 * big_g``.
         """
-        if not big_g > 0:
-            raise ValueError("coupling must be positive")
         if nu is None:
             nu = 10.0 * big_g
         return cls(omega=nu + delta, nu=nu, g=big_g / 2.0)

@@ -28,6 +28,7 @@ __all__ = [
     "Subsystem",
     "SubsystemPair",
     "ALL_PAIRS",
+    "ATOM_PAIR",
     "QubitEquivalenceError",
     "build_hamiltonian",
     "total_excitation",

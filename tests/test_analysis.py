@@ -236,7 +236,7 @@ def test_detect_death_zero_next_to_a_window_belongs_to_it():
     params = ModelParams.from_detuning(1.0, 1.0)
     alpha = death_threshold_alpha(params) - 1e-5
     grid = np.linspace(0.0, 4.0, 41)
-    (start, end), *_ = analysis._phi_dead_windows(alpha, derive_constants(params), 0.0, 4.0)
+    (start, end), *_ = closedform.for_state(InitialState.phi(alpha), derive_constants(params)).dead_windows(0.0, 4.0)
     assert not np.any((grid >= start) & (grid <= end))
     times = np.sort(np.append(grid, start - 1e-13))
     values = closedform.phi_concurrence(alpha, derive_constants(params), times)
@@ -272,6 +272,17 @@ def test_detect_death_alpha_zero_is_one_dead_interval():
         report = detect_death(series)
         assert report.dead_intervals == ((0.0, series.times[-1]),)
         assert report.touch_points == ()
+
+
+@pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
+@pytest.mark.parametrize("alpha", [0.0, math.pi / 2])
+def test_product_states_are_one_dead_interval_on_both_sources(family, alpha):
+    # at alpha = pi/2, sin 2 alpha rounds to 1.2e-16 rather than zero
+    init, t_max = InitialState(family, alpha), 4 * math.pi
+    closed, oracle = (detect_death(scan(init, RESONANT, ATOM_PAIR, t_max, 201, source))
+                      for source in (Source.CLOSED_FORM, Source.ORACLE))
+    assert closed.dead_intervals == oracle.dead_intervals == ((0.0, t_max),)
+    assert closed.touch_points == oracle.touch_points == ()
 
 
 def test_series_rejects_nan_values():

@@ -51,6 +51,10 @@ def test_constants_rejects_zero_coupling(capsys):
     rc, _, err = run_cli(capsys, "constants", "--g", "0")
     assert rc == 2
     assert "coupling must be positive" in err
+    for big_g in ("0", "-1"):
+        rc, _, err = run_cli(capsys, "constants", "--delta", "0", "--G", big_g)
+        assert rc == 2
+        assert "coupling must be positive" in err
 
 
 def test_constants_rejects_mixed_parameterizations(capsys):
@@ -499,7 +503,8 @@ def test_scan_rejects_infinite_tmax(capsys):
 
 
 def test_constants_rejects_infinite_coupling(capsys):
-    rc, out, err = run_cli(capsys, "constants", "--G", "inf")
-    assert rc == 2
-    assert out == ""
-    assert "finite" in err
+    for big_g in ("inf", "nan"):
+        rc, out, err = run_cli(capsys, "constants", "--delta", "0", "--G", big_g)
+        assert rc == 2
+        assert out == ""
+        assert "frequencies must be finite" in err

@@ -72,8 +72,9 @@ def test_from_detuning():
     assert p.nu == 10.0 and p.omega == 11.0 and p.g == 0.5
     p = ModelParams.from_detuning(-0.5, 2.0, nu=3.0)
     assert p.omega == 2.5 and p.g == 1.0
-    with pytest.raises(ValueError, match="coupling"):
-        ModelParams.from_detuning(0.0, 0.0)
+    for big_g in (0.0, -1.0):
+        with pytest.raises(ValueError, match="coupling must be positive"):
+            ModelParams.from_detuning(0.0, big_g)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
@@ -162,6 +163,8 @@ def test_non_finite_inputs_rejected(bad):
         ModelParams(1.0, 1.0, bad)
     with pytest.raises(ValueError, match="finite"):
         ModelParams.from_detuning(bad, 1.0)
+    with pytest.raises(ValueError, match="frequencies must be finite"):
+        ModelParams.from_detuning(0.0, bad)
     with pytest.raises(ValueError, match="finite"):
         InitialState.phi(bad)
     with pytest.raises(ValueError, match="unit norm"):
