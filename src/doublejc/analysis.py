@@ -272,6 +272,8 @@ def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> De
     an isolated touch point.  For oracle series a zero run spanning at
     least two grid intervals is a dead interval with edges extrapolated from
     the approach slopes (see ``_grid_edge``); shorter runs are touch points.
+    The oracle reads values <= ``ZERO_TOL_ORACLE`` (1e-9) as zero, so at small
+    |sin 2a| it reports dead intervals the dynamics does not have.
     """
     if series.times.size == 0:
         raise ValueError("empty series")

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    BasisIndex,
     DensityMatrix,
     InitialState,
     JCConstants,
     PureState,
     StateFamily,
-    basis_dimension,
+    basis_shape,
 )
 
 __all__ = [
@@ -68,10 +67,10 @@ class _Amplitudes:
 
     def columns(self, cutoff: int = 1) -> np.ndarray:
         """Amplitudes over the flattened basis, one column per time point (a vector for scalar t)."""
-        amps = np.zeros((basis_dimension(cutoff),) + np.shape(self.t), dtype=complex)
+        amps = np.zeros(basis_shape(cutoff) + np.shape(self.t), dtype=complex)
         for name, element in self._ELEMENTS:
-            amps[BasisIndex(*element).flatten(cutoff)] = getattr(self, name)
-        return amps
+            amps[element] = getattr(self, name)
+        return amps.reshape((-1,) + np.shape(self.t))
 
     def to_state(self, cutoff: int = 1) -> PureState:
         """Embed the amplitudes at a scalar time into the truncated product space."""

@@ -9,11 +9,11 @@ measured in units of 1/G with G = 2g.
 Basis conventions
 -----------------
 The full Hilbert space is atomA (x) atomB (x) modeA (x) modeB with each mode
-truncated at a Fock ``cutoff``.  Atom levels are indexed 0 = ground, 1 =
-excited; mode levels by photon number.  A basis element flattens to
-
-    index = ((atom_a * 2 + atom_b) * (cutoff + 1) + photons_a) * (cutoff + 1)
-            + photons_b
+truncated at a Fock ``cutoff``: the tensor of shape :func:`basis_shape`.
+Atom levels are indexed 0 = ground, 1 = excited; mode levels by photon
+number.  Amplitude vectors flatten that tensor in C order, so a basis
+element (atom_a, atom_b, photons_a, photons_b) sits at
+``np.ravel_multi_index(element, basis_shape(cutoff))``.
 
 Reduced two-qubit density matrices instead use the excited-first ordering
 |ee>, |eg>, |ge>, |gg| (``e`` = excited atom or singly occupied mode,
@@ -32,12 +32,12 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "JCConstants",
-    "BasisIndex",
     "StateFamily",
     "InitialState",
     "PureState",
     "DensityMatrix",
     "basis_dimension",
+    "basis_shape",
     "derive_constants",
     "initial_state_vector",
 ]
@@ -83,9 +83,13 @@ class ModelParams:
 
         The atom-atom concurrence depends only on (alpha, delta, big_g, t), so
         ``nu`` merely sets amplitude phases; it defaults to ``10 * big_g``.
+        ``delta`` must exceed ``-nu`` for the atomic frequency nu + delta to be positive.
         """
         if nu is None:
             nu = 10.0 * big_g
+        # ModelParams reports non-finite inputs, g <= 0 and nu <= 0 itself
+        if math.isfinite(delta) and big_g > 0 and 0 < nu < math.inf and not delta > -nu:
+            raise ValueError(f"detuning must be above -nu = {-nu:g} (nu defaults to 10 G)")
         return cls(omega=nu + delta, nu=nu, g=big_g / 2.0)
 
 
@@ -136,35 +140,16 @@ def derive_constants(params: ModelParams) -> JCConstants:
     )
 
 
+def basis_shape(cutoff: int) -> tuple:
+    """Tensor shape (atom A, atom B, mode a, mode b) of the truncated product space."""
+    if cutoff < 1:
+        raise ValueError("Fock cutoff must be at least 1")
+    return (2, 2, cutoff + 1, cutoff + 1)
+
+
 def basis_dimension(cutoff: int) -> int:
     """Dimension of the truncated product space, 4 * (cutoff + 1)**2."""
-    return 4 * (cutoff + 1) ** 2
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """One basis element of the truncated product space.
-
-    Atom levels use 0 = ground, 1 = excited; photon numbers run 0..cutoff.
-    """
-
-    atom_a: int
-    atom_b: int
-    photons_a: int
-    photons_b: int
-
-    def __post_init__(self):
-        if self.atom_a not in (0, 1) or self.atom_b not in (0, 1):
-            raise ValueError("atom levels must be 0 (ground) or 1 (excited)")
-        if self.photons_a < 0 or self.photons_b < 0:
-            raise ValueError("photon numbers must be nonnegative")
-
-    def flatten(self, cutoff: int) -> int:
-        """Flattened index of this element for the given Fock cutoff."""
-        if self.photons_a > cutoff or self.photons_b > cutoff:
-            raise ValueError("photon number exceeds Fock cutoff")
-        d = cutoff + 1
-        return ((self.atom_a * 2 + self.atom_b) * d + self.photons_a) * d + self.photons_b
+    return math.prod(basis_shape(cutoff))
 
 
 class StateFamily(Enum):
@@ -262,19 +247,17 @@ def initial_state_vector(init: InitialState, cutoff: int) -> PureState:
     The named families place ``cos(alpha)`` / ``sin(alpha)`` on their two
     basis elements with both cavities in vacuum.
     """
-    if cutoff < 1:
-        raise ValueError("Fock cutoff must be at least 1")
-    dim = basis_dimension(cutoff)
+    shape = basis_shape(cutoff)
     if init.family is StateFamily.CUSTOM:
-        if init.custom_amplitudes.shape != (dim,):
+        if init.custom_amplitudes.shape != (math.prod(shape),):
             raise ValueError("custom amplitude vector length does not match cutoff")
         return PureState(init.custom_amplitudes.copy(), cutoff)
 
-    amps = np.zeros(dim, dtype=complex)
+    amps = np.zeros(shape, dtype=complex)
     if init.family is StateFamily.PSI_ALPHA:
-        amps[BasisIndex(1, 0, 0, 0).flatten(cutoff)] = math.cos(init.alpha)
-        amps[BasisIndex(0, 1, 0, 0).flatten(cutoff)] = math.sin(init.alpha)
+        amps[1, 0, 0, 0] = math.cos(init.alpha)
+        amps[0, 1, 0, 0] = math.sin(init.alpha)
     else:
-        amps[BasisIndex(1, 1, 0, 0).flatten(cutoff)] = math.cos(init.alpha)
-        amps[BasisIndex(0, 0, 0, 0).flatten(cutoff)] = math.sin(init.alpha)
-    return PureState(amps, cutoff)
+        amps[1, 1, 0, 0] = math.cos(init.alpha)
+        amps[0, 0, 0, 0] = math.sin(init.alpha)
+    return PureState(amps.ravel(), cutoff)

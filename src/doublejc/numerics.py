@@ -9,8 +9,8 @@ this module serves as an independent check on the analytic formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,11 +21,10 @@ from .model import (
     NORM_TOL,
     PureState,
     TRACE_TOL,
-    basis_dimension,
+    basis_shape,
 )
 
 __all__ = [
-    "Subsystem",
     "SubsystemPair",
     "ALL_PAIRS",
     "ATOM_PAIR",
@@ -48,62 +47,36 @@ class QubitEquivalenceError(RuntimeError):
     """A retained cavity mode is populated beyond one photon."""
 
 
-class Subsystem(Enum):
-    """The four elementary subsystems; values are the conventional short names."""
-
-    ATOM_A = "A"
-    ATOM_B = "B"
-    MODE_A = "a"
-    MODE_B = "b"
-
-    @property
-    def axis(self) -> int:
-        """Tensor axis of this subsystem in the (atomA, atomB, modeA, modeB) layout."""
-        return ("A", "B", "a", "b").index(self.value)
-
-    @property
-    def is_mode(self) -> bool:
-        return self.value.islower()
+#: the subsystems in tensor-axis order of :func:`basis_shape`: atoms A, B and
+#: their cavity modes a, b (a lower-case letter is a mode)
+_AXES = "ABab"
 
 
 @dataclass(frozen=True)
 class SubsystemPair:
-    """An ordered pair of distinct subsystems; six unordered pairs exist."""
+    """An ordered pair of distinct subsystems named by two letters of ``ABab``; six unordered pairs exist."""
 
-    first: Subsystem
-    second: Subsystem
+    name: str
 
     def __post_init__(self):
-        if self.first is self.second:
-            raise ValueError("pair members must be distinct")
-
-    @property
-    def name(self) -> str:
-        return self.first.value + self.second.value
+        if len(self.name) != 2 or self.name[0] == self.name[1] or not all(s in _AXES for s in self.name):
+            raise ValueError(f"unknown subsystem pair {self.name!r}")
 
     @classmethod
     def from_name(cls, name: str) -> "SubsystemPair":
         """Parse a two-letter pair name such as ``AB`` or ``Ba``."""
-        if len(name) != 2:
-            raise ValueError(f"unknown subsystem pair {name!r}")
-        try:
-            return cls(Subsystem(name[0]), Subsystem(name[1]))
-        except ValueError:
-            raise ValueError(f"unknown subsystem pair {name!r}") from None
+        return cls(name)
 
 
 #: the six pairs in conventional order: atoms, modes, own cavities, crossed
-ALL_PAIRS = tuple(
-    SubsystemPair.from_name(n) for n in ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
-)
+ALL_PAIRS = tuple(SubsystemPair(n) for n in ("AB", "ab", "Aa", "Bb", "Ab", "Ba"))
 
 ATOM_PAIR = ALL_PAIRS[0]
 
 
 def _basis_labels(cutoff: int) -> np.ndarray:
     """(atom_a, atom_b, n_a, n_b) of every flattened basis index; an excited atom is 1."""
-    d = cutoff + 1
-    return np.indices((2, 2, d, d)).reshape(4, -1)
+    return np.indices(basis_shape(cutoff)).reshape(4, -1)
 
 
 def build_hamiltonian(params: ModelParams, cutoff: int) -> np.ndarray:
@@ -115,15 +88,15 @@ def build_hamiltonian(params: ModelParams, cutoff: int) -> np.ndarray:
     with the atomic ground state at zero energy.  The rotating-wave coupling
     conserves the total excitation number, also on the truncated space.
     """
-    if cutoff < 1:
-        raise ValueError("Fock cutoff must be at least 1")
-    d = cutoff + 1
+    shape = basis_shape(cutoff)
+    # flattened-index step of one level along each axis
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     atom_a, atom_b, n_a, n_b = _basis_labels(cutoff)
     h = np.diag(params.omega * (atom_a + atom_b) + params.nu * (n_a + n_b)).astype(complex)
     index = np.arange(h.shape[0])
     # g sqrt(n+1) couples |e,n> to |g,n+1> within each pair: the flattened
     # index drops by the atom's stride and rises by its mode's
-    for atom, n, shift in ((atom_a, n_a, 2 * d * d - d), (atom_b, n_b, d * d - 1)):
+    for atom, n, shift in ((atom_a, n_a, strides[0] - strides[2]), (atom_b, n_b, strides[1] - strides[3])):
         e_n = index[(atom == 1) & (n < cutoff)]
         h[e_n, e_n - shift] = h[e_n - shift, e_n] = params.g * np.sqrt(n[e_n] + 1)
     return h
@@ -171,22 +144,23 @@ def _pair_blocks(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.nd
     behave as qubits: population above Fock level 1 beyond
     ``QUBIT_EQUIV_TOL`` at any time point raises :class:`QubitEquivalenceError`.
     """
-    d = cutoff + 1
+    shape = basis_shape(cutoff)
     dim, steps = columns.shape
-    if dim != basis_dimension(cutoff):
+    if dim != math.prod(shape):
         raise ValueError("amplitude vector length does not match cutoff")
     if not np.all(np.abs(np.sqrt((np.abs(columns) ** 2).sum(axis=0)) - 1.0) <= NORM_TOL):
         raise ValueError("state vector must have unit norm")
     # (T, first, second, traced, traced)
-    tensor = np.moveaxis(columns.reshape(2, 2, d, d, steps), (4, pair.first.axis, pair.second.axis), (0, 1, 2))
+    axes = [len(shape)] + [_AXES.index(sub) for sub in pair.name]
+    tensor = np.moveaxis(columns.reshape(shape + (steps,)), axes, (0, 1, 2))
 
-    for k, sub in enumerate((pair.first, pair.second), start=1):
-        if sub.is_mode and d > 2:
+    for k, sub in enumerate(pair.name, start=1):
+        if sub.islower() and cutoff > 1:
             weight = (np.abs(np.moveaxis(tensor, k, 1)[:, 2:]) ** 2).reshape(steps, -1).sum(axis=1)
             over = weight > QUBIT_EQUIV_TOL
             if over.any():
                 raise QubitEquivalenceError(
-                    f"mode {sub.value} holds population {weight[np.argmax(over)]:.3e} above one photon"
+                    f"mode {sub} holds population {weight[np.argmax(over)]:.3e} above one photon"
                 )
 
     # excited-first ordering for both atoms (g,e) and modes (0,1)

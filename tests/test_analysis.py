@@ -10,7 +10,6 @@ import pytest
 from doublejc import (
     ALL_PAIRS,
     ATOM_PAIR,
-    BasisIndex,
     ConcurrenceSeries,
     InitialState,
     ModelParams,
@@ -21,6 +20,7 @@ from doublejc import (
     StateFamily,
     SubsystemPair,
     analysis,
+    basis_shape,
     build_hamiltonian,
     closedform,
     death_threshold_alpha,
@@ -524,7 +524,7 @@ def qubit_regime_state(rng, cutoff):
 def overflow_state():
     """|e g 1 0> at cutoff 2: atom A excited with one photon in its own cavity, which fills |g 2>."""
     amps = np.zeros(36, dtype=complex)
-    amps[BasisIndex(1, 0, 1, 0).flatten(2)] = 1.0
+    amps[np.ravel_multi_index((1, 0, 1, 0), basis_shape(2))] = 1.0
     return InitialState.custom(amps)
 
 

@@ -57,6 +57,14 @@ def test_constants_rejects_zero_coupling(capsys):
         assert "coupling must be positive" in err
 
 
+def test_constants_rejects_detuning_below_minus_nu(capsys):
+    # no omega given: the default nu = 10 G puts omega = nu + delta at -10
+    rc, out, err = run_cli(capsys, "constants", "--delta", "-20", "--G", "1")
+    assert rc == 2
+    assert out == ""
+    assert "detuning must be above -nu = -10 (nu defaults to 10 G)" in err
+
+
 def test_constants_rejects_mixed_parameterizations(capsys):
     rc, _, err = run_cli(capsys, "constants", "--omega", "2", "--nu", "1", "--g", "0.5", "--delta", "1")
     assert rc == 2
@@ -357,6 +365,19 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert main(line[1:]) == 0, line
     capsys.readouterr()
+
+
+def test_readme_library_quickstart_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    # what the block's comments promise, in order
+    assert out.startswith("((1.08817")
+    position = 0
+    for expected in ("5.19500", "(7.37136", "11.47819", "6.283185", "True"):
+        assert expected in out[position:], (expected, out)
+        position = out.index(expected, position) + len(expected)
 
 
 # ----------------------------------------------------------------- writers

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from doublejc import (
-    BasisIndex,
     InitialState,
     ModelParams,
     StateFamily,
     basis_dimension,
+    basis_shape,
     derive_constants,
     initial_state_vector,
 )
@@ -75,47 +75,57 @@ def test_from_detuning():
     for big_g in (0.0, -1.0):
         with pytest.raises(ValueError, match="coupling must be positive"):
             ModelParams.from_detuning(0.0, big_g)
+    # omega = nu + delta <= 0 is reported as the detuning the caller gave, not as omega
+    with pytest.raises(ValueError, match=r"detuning must be above -nu = -10 \(nu defaults to 10 G\)"):
+        ModelParams.from_detuning(-20.0, 1.0)
+    with pytest.raises(ValueError, match="detuning must be above -nu = -3"):
+        ModelParams.from_detuning(-3.0, 2.0, nu=3.0)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
 def test_basis_roundtrip(cutoff):
     dim = basis_dimension(cutoff)
     assert dim == 4 * (cutoff + 1) ** 2
-    shape = (2, 2, cutoff + 1, cutoff + 1)
+    shape = basis_shape(cutoff)
+    assert shape == (2, 2, cutoff + 1, cutoff + 1)
+    d = cutoff + 1
     for index in range(dim):
-        element = BasisIndex(*np.unravel_index(index, shape))
-        assert element.flatten(cutoff) == index
+        element = atom_a, atom_b, n_a, n_b = np.unravel_index(index, shape)
+        assert ((atom_a * 2 + atom_b) * d + n_a) * d + n_b == index  # the formula in README
+        assert np.ravel_multi_index(element, shape) == index
 
 
 def test_basis_flatten_formula():
     # |eg10> at cutoff 2: ((1*2+0)*3 + 1)*3 + 0
-    assert BasisIndex(1, 0, 1, 0).flatten(2) == 21
-    assert BasisIndex(0, 0, 0, 0).flatten(3) == 0
+    assert np.ravel_multi_index((1, 0, 1, 0), basis_shape(2)) == 21
+    assert np.ravel_multi_index((0, 0, 0, 0), basis_shape(3)) == 0
     with pytest.raises(ValueError):
-        BasisIndex(1, 0, 3, 0).flatten(2)
+        np.ravel_multi_index((1, 0, 3, 0), basis_shape(2))  # photon number above the cutoff
     with pytest.raises(ValueError):
-        BasisIndex(2, 0, 0, 0)
+        np.ravel_multi_index((2, 0, 0, 0), basis_shape(2))  # atom level 2
     with pytest.raises(ValueError):
-        BasisIndex(*np.unravel_index(basis_dimension(1), (2, 2, 2, 2)))
+        np.unravel_index(basis_dimension(1), basis_shape(1))  # index = dim
+    with pytest.raises(ValueError, match="Fock cutoff must be at least 1"):
+        basis_shape(0)
 
 
 def test_initial_state_psi_quarter():
     state = initial_state_vector(InitialState.psi(math.pi / 4), cutoff=1)
     root_half = 1 / math.sqrt(2)
-    assert state.amplitudes[BasisIndex(1, 0, 0, 0).flatten(1)] == pytest.approx(root_half, rel=1e-15)
-    assert state.amplitudes[BasisIndex(0, 1, 0, 0).flatten(1)] == pytest.approx(root_half, rel=1e-15)
+    assert state.amplitudes[np.ravel_multi_index((1, 0, 0, 0), basis_shape(1))] == pytest.approx(root_half, rel=1e-15)
+    assert state.amplitudes[np.ravel_multi_index((0, 1, 0, 0), basis_shape(1))] == pytest.approx(root_half, rel=1e-15)
     assert np.count_nonzero(state.amplitudes) == 2
 
 
 def test_initial_state_phi_alpha_zero():
     state = initial_state_vector(InitialState.phi(0.0), cutoff=1)
-    assert state.amplitudes[BasisIndex(1, 1, 0, 0).flatten(1)] == 1.0
+    assert state.amplitudes[np.ravel_multi_index((1, 1, 0, 0), basis_shape(1))] == 1.0
     assert np.count_nonzero(state.amplitudes) == 1
 
 
 def test_initial_state_psi_alpha_zero_cutoff2():
     state = initial_state_vector(InitialState.psi(0.0), cutoff=2)
-    assert state.amplitudes[BasisIndex(1, 0, 0, 0).flatten(2)] == 1.0
+    assert state.amplitudes[np.ravel_multi_index((1, 0, 0, 0), basis_shape(2))] == 1.0
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 

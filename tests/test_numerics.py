@@ -7,14 +7,13 @@ import pytest
 from doublejc import (
     ALL_PAIRS,
     ATOM_PAIR,
-    BasisIndex,
     InitialState,
     ModelParams,
     Propagator,
     PureState,
     QubitEquivalenceError,
-    Subsystem,
     SubsystemPair,
+    basis_shape,
     build_hamiltonian,
     derive_constants,
     initial_state_vector,
@@ -50,8 +49,8 @@ def random_sample(rng):
 
 def test_single_excitation_block_resonant():
     h = build_hamiltonian(ModelParams(1.0, 1.0, 0.5), cutoff=1)
-    up_dn_00 = BasisIndex(1, 0, 0, 0).flatten(1)
-    dn_dn_10 = BasisIndex(0, 0, 1, 0).flatten(1)
+    up_dn_00 = np.ravel_multi_index((1, 0, 0, 0), basis_shape(1))
+    dn_dn_10 = np.ravel_multi_index((0, 0, 1, 0), basis_shape(1))
     block = h[np.ix_([up_dn_00, dn_dn_10], [up_dn_00, dn_dn_10])]
     assert np.allclose(block, [[1.0, 0.5], [0.5, 1.0]])
     assert np.linalg.eigvalsh(block) == pytest.approx([0.5, 1.5])
@@ -60,18 +59,40 @@ def test_single_excitation_block_resonant():
 def test_single_excitation_eigenvalues_detuned():
     params = ModelParams(2.0, 1.0, 0.5)
     h = build_hamiltonian(params, cutoff=1)
-    i = BasisIndex(1, 0, 0, 0).flatten(1)
-    j = BasisIndex(0, 0, 1, 0).flatten(1)
+    i = np.ravel_multi_index((1, 0, 0, 0), basis_shape(1))
+    j = np.ravel_multi_index((0, 0, 1, 0), basis_shape(1))
     block = h[np.ix_([i, j], [i, j])]
     expected = [1.5 - math.sqrt(2) / 2, 1.5 + math.sqrt(2) / 2]
     assert np.linalg.eigvalsh(block) == pytest.approx(expected, rel=1e-14)
     # the next Fock coupling, g sqrt(2) between |e,1> and |g,2> of pair A
     h2 = build_hamiltonian(params, cutoff=2)
-    i = BasisIndex(1, 0, 1, 0).flatten(2)
-    j = BasisIndex(0, 0, 2, 0).flatten(2)
+    i = np.ravel_multi_index((1, 0, 1, 0), basis_shape(2))
+    j = np.ravel_multi_index((0, 0, 2, 0), basis_shape(2))
     g_root2 = params.g * math.sqrt(2)
     expected_block = [[params.omega + params.nu, g_root2], [g_root2, 2 * params.nu]]
     assert np.abs(h2[np.ix_([i, j], [i, j])] - expected_block).max() <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_hamiltonian_matches_kronecker_build(cutoff):
+    # an independent build: each operator placed by np.kron in (A, B, a, b) order
+    params = ModelParams.from_detuning(0.7, 1.3)
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|, level 0 = ground
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)  # photon annihilation
+
+    def embed(atom_a=np.eye(2), atom_b=np.eye(2), mode_a=np.eye(cutoff + 1), mode_b=np.eye(cutoff + 1)):
+        return np.kron(np.kron(np.kron(atom_a, atom_b), mode_a), mode_b)
+
+    expected = (
+        params.omega * (embed(atom_a=sm.T @ sm) + embed(atom_b=sm.T @ sm))
+        + params.nu * (embed(mode_a=a.T @ a) + embed(mode_b=a.T @ a))
+        + params.g * (embed(atom_a=sm, mode_a=a.T) + embed(atom_a=sm.T, mode_a=a))
+        + params.g * (embed(atom_b=sm, mode_b=a.T) + embed(atom_b=sm.T, mode_b=a))
+    )
+    h = build_hamiltonian(params, cutoff)
+    assert np.abs(h - expected).max() <= 1e-15 * np.linalg.norm(expected, 2)
+    if cutoff == 1:
+        assert np.array_equal(h, expected)
 
 
 def test_hamiltonian_rejects_bad_cutoff():
@@ -127,8 +148,8 @@ def test_evolve_full_transfer():
     state0 = initial_state_vector(InitialState.psi(math.pi / 4), cutoff=1)
     state1 = Propagator(build_hamiltonian(params, 1)).evolve(state0, math.pi)
     populations = np.abs(state1.amplitudes) ** 2
-    i = BasisIndex(0, 0, 1, 0).flatten(1)
-    j = BasisIndex(0, 0, 0, 1).flatten(1)
+    i = np.ravel_multi_index((0, 0, 1, 0), basis_shape(1))
+    j = np.ravel_multi_index((0, 0, 0, 1), basis_shape(1))
     assert populations[i] == pytest.approx(0.5, abs=1e-12)
     assert populations[j] == pytest.approx(0.5, abs=1e-12)
     assert populations.sum() == pytest.approx(1.0, abs=1e-12)
@@ -197,8 +218,8 @@ def test_cutoff_exactness(family):
             states[cutoff] = Propagator(build_hamiltonian(params, cutoff)).evolve(state0, t)
         small, large = states[1], states[3]
         for index in range(small.dim):
-            element = BasisIndex(*np.unravel_index(index, (2, 2, 2, 2)))
-            diff = abs(small.amplitudes[index] - large.amplitudes[element.flatten(3)])
+            element = np.unravel_index(index, basis_shape(1))
+            diff = abs(small.amplitudes[index] - large.amplitudes[np.ravel_multi_index(element, basis_shape(3))])
             assert diff <= 1e-12
         rho1 = partial_trace_pair(small, ATOM_PAIR).entries
         rho3 = partial_trace_pair(large, ATOM_PAIR).entries
@@ -241,7 +262,7 @@ def test_partial_trace_pair_ordering():
 
 def test_qubit_equivalence_violation():
     amps = np.zeros(36, dtype=complex)
-    amps[BasisIndex(1, 0, 2, 0).flatten(2)] = 1.0  # two photons in mode a
+    amps[np.ravel_multi_index((1, 0, 2, 0), basis_shape(2))] = 1.0  # two photons in mode a
     state = PureState(amps, cutoff=2)
     with pytest.raises(QubitEquivalenceError):
         partial_trace_pair(state, SubsystemPair.from_name("Aa"))
@@ -251,9 +272,9 @@ def test_qubit_equivalence_violation():
 
 
 def test_pair_validation():
-    with pytest.raises(ValueError):
-        SubsystemPair(Subsystem.ATOM_A, Subsystem.ATOM_A)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown subsystem pair 'AA'"):
+        SubsystemPair("AA")
+    with pytest.raises(ValueError, match="unknown subsystem pair 'AZ'"):
         SubsystemPair.from_name("AZ")
     assert [p.name for p in ALL_PAIRS] == ["AB", "ab", "Aa", "Bb", "Ab", "Ba"]
 
