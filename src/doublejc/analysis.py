@@ -5,15 +5,15 @@ atom-atom expressions or from the numerical oracle (any subsystem pair).
 :func:`detect_death` classifies the zeros of a series into isolated touch
 points and finite dead intervals; closed-form dead intervals are the
 analytic windows from :mod:`closedform`, and oracle ones are read off the
-grid.  :func:`validate` cross-checks the
-closed forms against the oracle at amplitude, density-matrix and concurrence
-level on a common time grid.
+grid.  :func:`sweep_alpha` classifies many angles the same way from one grid.
+:func:`validate` cross-checks the closed forms against the oracle at
+amplitude, density-matrix and concurrence level on a common time grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -23,6 +23,7 @@ from .model import (
     InitialState,
     ModelParams,
     StateFamily,
+    basis_shape,
     derive_constants,
     initial_state_vector,
 )
@@ -33,7 +34,6 @@ from .numerics import (
     _block_concurrences,
     _pair_blocks,
     build_hamiltonian,
-    pair_concurrences,
 )
 
 __all__ = [
@@ -82,20 +82,25 @@ class ConcurrenceSeries:
     params: ModelParams
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if times.size and np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        # written so that a NaN fails it
-        if values.size and not (values.min() >= -1e-9 and values.max() <= 1 + 1e-9):
-            raise ValueError("concurrence values must lie in [0, 1]")
-        values = np.clip(values, 0.0, 1.0)
-        times.flags.writeable = False
-        values.flags.writeable = False
+        times, [values] = _checked(self.times, [self.values])
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+
+
+def _checked(times, rows):
+    """A strictly increasing 1-d grid and concurrence rows on it, as read-only float arrays clipped into [0, 1]."""
+    times, values = np.asarray(times, dtype=float), np.asarray(rows, dtype=float)
+    if times.ndim != 1 or values.ndim != 2 or values.shape[1:] != times.shape:
+        raise ValueError("times and values must be 1-d arrays of equal length")
+    if times.size and np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    # written so that a NaN fails it
+    if values.size and not (values.min() >= -1e-9 and values.max() <= 1 + 1e-9):
+        raise ValueError("concurrence values must lie in [0, 1]")
+    values = np.clip(values, 0.0, 1.0)
+    times.flags.writeable = False
+    values.flags.writeable = False
+    return times, values
 
 
 @dataclass(frozen=True)
@@ -156,13 +161,18 @@ def _grid(t_max: float, steps: int, what: str = "a scan") -> np.ndarray:
     return np.linspace(0.0, t_max, steps)
 
 
-def _oracle_chunks(init: InitialState, params: ModelParams, times: np.ndarray, cutoff: int):
+def _oracle_chunks(init: InitialState, propagator: Propagator, times: np.ndarray, cutoff: int):
     """Yield (slice, amplitude columns) of the exact propagation, GRID_CHUNK time points at a time."""
     state0 = initial_state_vector(init, cutoff)
-    propagator = Propagator(build_hamiltonian(params, cutoff))
     for start in range(0, times.size, GRID_CHUNK):
         part = slice(start, start + GRID_CHUNK)
         yield part, propagator.evolve_grid(state0, times[part])
+
+
+def _oracle_values(init: InitialState, propagator: Propagator, pairs, times: np.ndarray, cutoff: int):
+    """Oracle concurrence rows, one per pair; all pairs of a chunk go through one kernel call."""
+    chunks = _oracle_chunks(init, propagator, times, cutoff)
+    return np.hstack([_block_concurrences(_pair_blocks(columns, cutoff, pairs)) for _, columns in chunks])
 
 
 def scan_pairs(
@@ -175,14 +185,9 @@ def scan_pairs(
 ) -> dict:
     """Oracle concurrence series for several pairs from one shared propagation."""
     times = _grid(t_max, steps)
-    values = {pair.name: np.empty(steps) for pair in pairs}
-    for part, columns in _oracle_chunks(init, params, times, cutoff):
-        for pair in pairs:
-            values[pair.name][part] = pair_concurrences(columns, cutoff, pair)
-    return {
-        pair.name: ConcurrenceSeries(times, values[pair.name], pair, Source.ORACLE, init, params)
-        for pair in pairs
-    }
+    values = _oracle_values(init, Propagator(build_hamiltonian(params, cutoff)), pairs, times, cutoff)
+    return {pair.name: ConcurrenceSeries(times, row, pair, Source.ORACLE, init, params)
+            for pair, row in zip(pairs, values)}
 
 
 def scan(
@@ -199,6 +204,7 @@ def scan(
     The closed-form source covers only the atom-atom pair of the two named
     families; the oracle source covers all six pairs and custom states.
     """
+    basis_shape(cutoff)  # rejects a cutoff below 1 on both sources
     if source is Source.ORACLE:
         return scan_pairs(init, params, [pair], t_max, steps, cutoff)[pair.name]
     form = closedform.for_state(init, derive_constants(params))
@@ -210,7 +216,7 @@ def scan(
 
 def _zero_runs(mask: np.ndarray):
     """Maximal runs of True as (first, last) index pairs."""
-    flips = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    flips = np.flatnonzero(np.concatenate(([False], mask)) != np.concatenate((mask, [False])))
     return list(zip(flips[0::2].tolist(), (flips[1::2] - 1).tolist()))
 
 
@@ -274,19 +280,25 @@ def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> De
     the approach slopes (see ``_grid_edge``); shorter runs are touch points.
     The oracle reads values <= ``ZERO_TOL_ORACLE`` (1e-9) as zero, so at small
     |sin 2a| it reports dead intervals the dynamics does not have.
+    :func:`sweep_alpha` classifies each of its rows with the same code.
     """
     if series.times.size == 0:
         raise ValueError("empty series")
+    constants = derive_constants(series.params)
+    form = closedform.for_state(series.init, constants) if series.source is Source.CLOSED_FORM else None
+    return _classify(series.times, series.values, form, constants, zero_tol)
+
+
+def _classify(times: np.ndarray, values: np.ndarray, form, constants, zero_tol: float | None) -> DeathReport:
+    """The death report of one checked row (see :func:`detect_death`); ``form`` is None for an oracle row."""
     if zero_tol is None:
-        zero_tol = ZERO_TOL_CLOSED if series.source is Source.CLOSED_FORM else ZERO_TOL_ORACLE
+        zero_tol = ZERO_TOL_ORACLE if form is None else ZERO_TOL_CLOSED
     elif not (math.isfinite(zero_tol) and zero_tol >= 0):
         raise ValueError("zero_tol must be finite and non-negative")
 
-    times, values = series.times, series.values
-    constants = derive_constants(series.params)
     runs = _zero_runs(values <= zero_tol)
-    if series.source is Source.CLOSED_FORM:
-        dead = closedform.for_state(series.init, constants).dead_windows(float(times[0]), float(times[-1]))
+    if form is not None:
+        dead = form.dead_windows(float(times[0]), float(times[-1]))
         last = len(times) - 1
         runs = [(i0, i1) for i0, i1 in runs
                 if not any(a < times[min(i1 + 1, last)] and b > times[max(i0 - 1, 0)] for a, b in dead)]
@@ -335,14 +347,14 @@ def validate(
     times = _grid(t_max, steps, "validation")
 
     errors = np.empty(steps)
-    for part, columns in _oracle_chunks(init, params, times, cutoff):
+    for part, columns in _oracle_chunks(init, Propagator(build_hamiltonian(params, cutoff)), times, cutoff):
         closed = form.amplitudes(times[part])
-        blocks = _pair_blocks(columns, cutoff, ATOM_PAIR)
+        [blocks] = _pair_blocks(columns, cutoff, [ATOM_PAIR])
         rho = np.einsum("tik,tjk->tij", blocks, blocks.conj())
         errors[part] = np.maximum.reduce([
             np.abs(closed.columns(cutoff) - columns).max(axis=0),
             np.abs(closed.atom_density() - rho).max(axis=(1, 2)),
-            np.abs(form.concurrence(times[part]) - _block_concurrences(blocks)),
+            np.abs(form.concurrence(times[part]) - _block_concurrences([blocks])[0]),
         ])
 
     worst = int(np.argmax(errors))  # the first of equal maxima
@@ -368,14 +380,24 @@ def sweep_alpha(
     """Death reports across a grid of superposition angles.
 
     Returns (alpha, report) tuples in grid order; the dead-interval lengths
-    shrink monotonically with growing initial entanglement.
+    shrink monotonically with growing initial entanglement.  Each report equals
+    ``detect_death(scan(...))`` at its angle, from one grid and one classifier per
+    sweep: one (angles x times) closed-form call, or one oracle diagonalisation.
     """
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
         raise ValueError("alpha grid must be nonempty")
-    out = []
-    for alpha in alphas:
-        init = InitialState(family, alpha)
-        series = scan(init, params, ATOM_PAIR, t_max, steps, source, cutoff)
-        out.append((alpha, detect_death(series, zero_tol)))
-    return out
+    basis_shape(cutoff)
+    inits = [InitialState(family, alpha) for alpha in alphas]
+    constants, times = derive_constants(params), _grid(t_max, steps)
+    if source is Source.ORACLE:
+        forms = [None] * len(inits)
+        propagator = Propagator(build_hamiltonian(params, cutoff))
+        rows = [_oracle_values(init, propagator, [ATOM_PAIR], times, cutoff)[0] for init in inits]
+    else:
+        forms = [closedform.for_state(init, constants) for init in inits]
+        # the first form with every angle at once: one row per angle
+        rows = replace(forms[0], alpha=alphas).concurrence(times)
+    times, rows = _checked(times, rows)
+    return [(alpha, _classify(times, row, form, constants, zero_tol))
+            for alpha, row, form in zip(alphas, rows, forms)]

@@ -198,22 +198,29 @@ def _peak_weight(constants: JCConstants) -> float:
     return 4.0 * constants.n_coef**2
 
 
-def _generator(alpha: float, b: float, constants: JCConstants, t):
-    """Signed generator (1 - w)(|sin 2a| - b w), w the transfer weight: b = 0 for psi, 2 cos^2 a for phi."""
+def _generator(alpha, phi: bool, constants: JCConstants, t):
+    """Signed generator (1 - w)(|sin 2a| - b w), w the transfer weight: b = 0 for psi, 2 cos^2 a for phi.
+
+    A sequence of angles gives one row per angle, each bit for bit its scalar call.
+    """
     w = _transfer_weight(constants, t)
-    value = (1.0 - w) * (abs(math.sin(2.0 * alpha)) - b * w)
-    return value if np.ndim(t) else float(value)
+    alphas = np.ravel(alpha).tolist()
+    rows = (-1,) + (1,) * np.ndim(w) if np.ndim(alpha) else ()
+    s = np.array([abs(math.sin(2.0 * a)) for a in alphas]).reshape(rows)
+    b = np.array([2.0 * math.cos(a) ** 2 if phi else 0.0 for a in alphas]).reshape(rows)
+    value = (1.0 - w) * (s - b * w)
+    return value if np.ndim(value) else float(value)
 
 
 def psi_concurrence(alpha: float, constants: JCConstants, t):
     """Atom-atom concurrence of the one-excitation family.
 
-    C(t) = |sin 2a| * (1 - 4 N^2 sin^2(rabi t / 2)).  Accepts scalar or
-    array times.  At zero detuning this is |sin 2a| cos^2(G t / 2); for
-    nonzero detuning it never reaches zero (floor |sin 2a| delta^2/rabi^2).
+    C(t) = |sin 2a| * (1 - 4 N^2 sin^2(rabi t / 2)), at scalar or array times and
+    for one angle or a sequence (a row each).  At zero detuning |sin 2a| cos^2(G t / 2);
+    for nonzero detuning it never reaches zero (floor |sin 2a| delta^2/rabi^2).
     """
-    value = np.clip(_generator(alpha, 0.0, constants, t), 0.0, 1.0)
-    return value if np.ndim(t) else float(value)
+    value = np.clip(_generator(alpha, False, constants, t), 0.0, 1.0)
+    return value if np.ndim(value) else float(value)
 
 
 def phi_f(alpha: float, constants: JCConstants, t):
@@ -226,15 +233,15 @@ def phi_f(alpha: float, constants: JCConstants, t):
     finite dead intervals.  At zero detuning this reduces to
     cos^2(Gt/2) (|sin 2a| - 2 sin^2(Gt/2) cos^2 a), which turns negative on a
     finite window each period whenever tan(a) < 1.  Accepts scalar or array
-    times.
+    times, and a sequence of angles for one row each.
     """
-    return _generator(alpha, 2.0 * math.cos(alpha) ** 2, constants, t)
+    return _generator(alpha, True, constants, t)
 
 
 def phi_concurrence(alpha: float, constants: JCConstants, t):
     """Atom-atom concurrence of the zero/two-excitation family, max{0, f(t)}."""
     value = np.clip(phi_f(alpha, constants, t), 0.0, 1.0)
-    return value if np.ndim(t) else float(value)
+    return value if np.ndim(value) else float(value)
 
 
 @dataclass
@@ -245,7 +252,7 @@ class _StateForm:
     rebinding them on this module (as a tracer or a test does) reaches every call.
     """
 
-    alpha: float
+    alpha: float  # or a sequence of angles, whose concurrence comes as one row per angle
     constants: JCConstants
     phi: bool
 

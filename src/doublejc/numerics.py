@@ -135,14 +135,14 @@ class Propagator:
         return self.modes @ (phases * coeffs[:, None])
 
 
-def _pair_blocks(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.ndarray:
-    """Stacked (T x 4 x k) factors B of the pair's reduced states, rho = B B^dagger.
+def _pair_blocks(columns: np.ndarray, cutoff: int, pairs) -> list:
+    """Stacked (T x 4 x k) factors B of each pair's reduced states, rho = B B^dagger.
 
     ``columns`` holds one unit-norm amplitude vector per time point.  Rows of
     B are the pair's |ee>,|eg>,|ge>,|gg> levels (a mode's ``e`` is one photon),
     columns the levels of the two traced subsystems.  Retained modes must
     behave as qubits: population above Fock level 1 beyond
-    ``QUBIT_EQUIV_TOL`` at any time point raises :class:`QubitEquivalenceError`.
+    ``QUBIT_EQUIV_TOL`` at any time point raises :class:`QubitEquivalenceError` for the first such pair.
     """
     shape = basis_shape(cutoff)
     dim, steps = columns.shape
@@ -150,25 +150,28 @@ def _pair_blocks(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.nd
         raise ValueError("amplitude vector length does not match cutoff")
     if not np.all(np.abs(np.sqrt((np.abs(columns) ** 2).sum(axis=0)) - 1.0) <= NORM_TOL):
         raise ValueError("state vector must have unit norm")
-    # (T, first, second, traced, traced)
-    axes = [len(shape)] + [_AXES.index(sub) for sub in pair.name]
-    tensor = np.moveaxis(columns.reshape(shape + (steps,)), axes, (0, 1, 2))
+    stacks = []
+    for pair in pairs:
+        # (T, first, second, traced, traced)
+        axes = [len(shape)] + [_AXES.index(sub) for sub in pair.name]
+        tensor = np.moveaxis(columns.reshape(shape + (steps,)), axes, (0, 1, 2))
 
-    for k, sub in enumerate(pair.name, start=1):
-        if sub.islower() and cutoff > 1:
-            weight = (np.abs(np.moveaxis(tensor, k, 1)[:, 2:]) ** 2).reshape(steps, -1).sum(axis=1)
-            over = weight > QUBIT_EQUIV_TOL
-            if over.any():
-                raise QubitEquivalenceError(
-                    f"mode {sub} holds population {weight[np.argmax(over)]:.3e} above one photon"
-                )
+        for k, sub in enumerate(pair.name, start=1):
+            if sub.islower() and cutoff > 1:
+                weight = (np.abs(np.moveaxis(tensor, k, 1)[:, 2:]) ** 2).reshape(steps, -1).sum(axis=1)
+                over = weight > QUBIT_EQUIV_TOL
+                if over.any():
+                    raise QubitEquivalenceError(
+                        f"mode {sub} holds population {weight[np.argmax(over)]:.3e} above one photon"
+                    )
 
-    # excited-first ordering for both atoms (g,e) and modes (0,1)
-    blocks = tensor[:, 1::-1, 1::-1].reshape(steps, 4, -1)
-    trace = (np.abs(blocks) ** 2).sum(axis=(1, 2))
-    # mass discarded with the >1-photon tail (still below QUBIT_EQUIV_TOL)
-    drifted = np.abs(trace - 1.0) > TRACE_TOL
-    return blocks / np.sqrt(np.where(drifted, trace, 1.0))[:, None, None]
+        # excited-first ordering for both atoms (g,e) and modes (0,1)
+        blocks = tensor[:, 1::-1, 1::-1].reshape(steps, 4, -1)
+        trace = (np.abs(blocks) ** 2).sum(axis=(1, 2))
+        # mass discarded with the >1-photon tail (still below QUBIT_EQUIV_TOL)
+        drifted = np.abs(trace - 1.0) > TRACE_TOL
+        stacks.append(blocks / np.sqrt(np.where(drifted, trace, 1.0))[:, None, None])
+    return stacks
 
 
 def partial_trace_pair(state: PureState, pair: SubsystemPair) -> DensityMatrix:
@@ -177,7 +180,7 @@ def partial_trace_pair(state: PureState, pair: SubsystemPair) -> DensityMatrix:
     Retained cavity modes must behave as qubits: any population above Fock
     level 1 beyond ``QUBIT_EQUIV_TOL`` raises :class:`QubitEquivalenceError`.
     """
-    block = _pair_blocks(state.amplitudes[:, None], state.cutoff, pair)[0]
+    [[block]] = _pair_blocks(state.amplitudes[:, None], state.cutoff, [pair])
     return DensityMatrix(block @ block.conj().T)
 
 
@@ -194,17 +197,22 @@ _SPIN_FLIP = np.array(
 )
 
 
-def _block_concurrences(blocks: np.ndarray) -> np.ndarray:
-    """Concurrence of each rho = B B^dagger in a (T x 4 x k) stack.
+def _block_concurrences(stacks) -> list:
+    """Concurrence of each rho = B B^dagger in a list of (T x 4 x k) stacks of equal T.
 
     For any decomposition rho = B B^dagger the Wootters lambda_i are the
     singular values of tau = B^T (sy x sy) B (Wootters, PRL 80, 2245, 1998),
     so C = max{0, lambda_1 - lambda_2 - lambda_3 - lambda_4} needs neither
-    sqrt(rho) nor an eigendecomposition.  tau has rank at most 4.
+    sqrt(rho) nor an eigendecomposition.  tau has rank at most 4.  All stacks
+    with the same k go through one tau product and one batched SVD.
     """
-    tau = np.swapaxes(blocks, 1, 2) @ _SPIN_FLIP @ blocks
-    lam = np.linalg.svd(tau, compute_uv=False)
-    return np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
+    lam = {}
+    for k in {blocks.shape[-1] for blocks in stacks}:
+        same = [i for i, blocks in enumerate(stacks) if blocks.shape[-1] == k]
+        blocks = np.concatenate([stacks[i] for i in same])
+        singular = np.linalg.svd(np.swapaxes(blocks, 1, 2) @ _SPIN_FLIP @ blocks, compute_uv=False)
+        lam.update(zip(same, np.split(singular, len(same))))
+    return [np.clip(x[:, 0] - x[:, 1] - x[:, 2] - x[:, 3], 0.0, 1.0) for _, x in sorted(lam.items())]
 
 
 def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.ndarray:
@@ -212,7 +220,7 @@ def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> 
 
     ``columns`` is the dim x T amplitude array that :meth:`Propagator.evolve_grid` returns.
     """
-    return _block_concurrences(_pair_blocks(columns, cutoff, pair))
+    return _block_concurrences(_pair_blocks(columns, cutoff, [pair]))[0]
 
 
 def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
@@ -228,7 +236,7 @@ def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     evals, evecs = np.linalg.eigh(rho.entries)
-    return float(_block_concurrences((evecs * np.sqrt(np.maximum(evals, 0.0)))[None])[0])
+    return float(_block_concurrences([(evecs * np.sqrt(np.maximum(evals, 0.0)))[None]])[0][0])
 
 
 def pair_concurrence(state: PureState, pair: SubsystemPair) -> float:

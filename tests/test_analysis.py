@@ -452,6 +452,34 @@ def test_sweep_rejects_empty_grid():
         sweep_alpha(StateFamily.PHI_ALPHA, RESONANT, [], 1.0, 10)
 
 
+@pytest.mark.parametrize("source", [Source.CLOSED_FORM, Source.ORACLE])
+def test_scan_and_sweep_reject_cutoff_zero(source):
+    with pytest.raises(ValueError, match="Fock cutoff must be at least 1"):
+        scan(InitialState.phi(0.3), RESONANT, ATOM_PAIR, 1.0, 11, source, cutoff=0)
+    with pytest.raises(ValueError, match="Fock cutoff must be at least 1"):
+        sweep_alpha(StateFamily.PHI_ALPHA, RESONANT, [0.3], 1.0, 11, source, cutoff=0)
+
+
+@pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
+def test_closed_sweep_cost_does_not_grow_with_alpha(family, monkeypatch):
+    # the counting of test_detect_death_closed_cost_does_not_grow_with_the_grid, over the angles
+    calls = []
+    for name in closedform.__all__:
+        original = getattr(closedform, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(closedform, name, counted)
+    generator = ["phi_f"] if family is StateFamily.PHI_ALPHA else []
+    for count in (1, 12):
+        calls.clear()
+        results = sweep_alpha(family, RESONANT, np.linspace(0.1, 1.4, count), 4 * math.pi, 201)
+        assert len(results) == count
+        assert calls == [f"{family.value}_concurrence"] + generator
+
+
 # --------------------------------------------------------------- validate
 
 def test_validate_psi_detuned():

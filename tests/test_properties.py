@@ -17,13 +17,17 @@ from doublejc import (
     InitialState,
     ModelParams,
     Propagator,
+    Source,
     StateFamily,
     build_hamiltonian,
     derive_constants,
+    detect_death,
     initial_state_vector,
     pair_concurrences,
     phi_concurrence,
     psi_concurrence,
+    scan,
+    sweep_alpha,
     wootters_concurrence,
 )
 
@@ -89,3 +93,27 @@ def test_closed_form_matches_batched_oracle(family, alpha, delta, big_g, t):
     columns = Propagator(build_hamiltonian(params, 1)).evolve_grid(initial_state_vector(init, 1), [t])
     closed = psi_concurrence if family is StateFamily.PSI_ALPHA else phi_concurrence
     assert abs(pair_concurrences(columns, 1, ATOM_PAIR)[0] - closed(alpha, derive_constants(params), t)) <= 1e-9
+
+
+#: product states, and the resonant threshold arctan(1/2) of the crossed pairs with a hair either side
+EDGE_ALPHAS = [0.0, 0.5 * math.pi, -0.5 * math.pi, math.atan(0.5), math.atan(0.5) - 1e-12, math.atan(0.5) + 1e-12]
+
+
+@bounded
+@given(
+    family=st.sampled_from([StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA]),
+    source=st.sampled_from([Source.CLOSED_FORM, Source.ORACLE]),
+    alphas=st.lists(st.one_of(st.sampled_from(EDGE_ALPHAS), st.floats(-2.0, 2.0)), min_size=1, max_size=5),
+    delta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-2.0, 2.0)),
+    t_max=st.floats(0.5, 30.0),
+    steps=st.integers(2, 400),
+    zero_tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-12, 1e-9]), st.floats(0.0, 1e-3)),
+)
+def test_sweep_reports_equal_detect_death_of_each_scan(family, source, alphas, delta, t_max, steps, zero_tol):
+    # the sweep shares its grid and classifier across angles; each report must be the per-angle one
+    params = ModelParams.from_detuning(delta, 1.0)
+    results = sweep_alpha(family, params, alphas, t_max, steps, source, zero_tol=zero_tol)
+    assert [alpha for alpha, _ in results] == alphas
+    for alpha, report in results:
+        series = scan(InitialState(family, alpha), params, ATOM_PAIR, t_max, steps, source)
+        assert report == detect_death(series, zero_tol)
