@@ -4,8 +4,8 @@ A scan produces a :class:`ConcurrenceSeries` either from the closed-form
 atom-atom expressions or from the numerical oracle (any subsystem pair).
 :func:`detect_death` classifies the zeros of a series into isolated touch
 points and finite dead intervals; closed-form dead intervals are the
-analytic windows from :mod:`closedform`, and oracle ones are read off the
-grid.  :func:`sweep_alpha` classifies many angles the same way from one grid.
+analytic windows from :mod:`closedform`, oracle ones the sign of the Wootters
+value.  :func:`sweep_alpha` classifies many angles the same way from one grid.
 :func:`validate` cross-checks the closed forms against the oracle at
 amplitude, density-matrix and concurrence level on a common time grid.
 """
@@ -49,10 +49,8 @@ __all__ = [
     "sweep_alpha",
 ]
 
-#: zero thresholds separating zeros from numerical dust on the grid: closed-form touch
-#: points, and every zero of an oracle series
-ZERO_TOL_CLOSED = 1e-12
-ZERO_TOL_ORACLE = 1e-9
+#: zero threshold separating the zero runs of a series from numerical dust, on both sources
+ZERO_TOL = 1e-12
 
 #: time points the oracle propagates and reduces at once; bounds its dim x T working set
 GRID_CHUNK = 1024
@@ -70,8 +68,9 @@ class ConcurrenceSeries:
     """Concurrence sampled on a strictly increasing time grid.
 
     Carries the initial state and model parameters it was computed from, so
-    downstream analysis can recover the oscillation period and the signed
-    generator behind the values.
+    downstream analysis can recover the oscillation period and the closed
+    forms behind the values.  An oracle series also carries ``signed``, its
+    unclipped Wootters value, whose sign tells death; it defaults to ``values``.
     """
 
     times: np.ndarray
@@ -80,15 +79,16 @@ class ConcurrenceSeries:
     source: Source
     init: InitialState
     params: ModelParams
+    signed: np.ndarray | None = None
 
     def __post_init__(self):
-        times, [values] = _checked(self.times, [self.values])
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        times, values, signed = _checked(self.times, [self.values], None if self.signed is None else [self.signed])
+        for name, array in (("times", times), ("values", values[0]), ("signed", signed[0])):
+            object.__setattr__(self, name, array)
 
 
-def _checked(times, rows):
-    """A strictly increasing 1-d grid and concurrence rows on it, as read-only float arrays clipped into [0, 1]."""
+def _checked(times, rows, signed=None):
+    """Read-only float arrays: a strictly increasing grid, rows on it clipped into [0, 1], finite signed rows."""
     times, values = np.asarray(times, dtype=float), np.asarray(rows, dtype=float)
     if times.ndim != 1 or values.ndim != 2 or values.shape[1:] != times.shape:
         raise ValueError("times and values must be 1-d arrays of equal length")
@@ -98,9 +98,12 @@ def _checked(times, rows):
     if values.size and not (values.min() >= -1e-9 and values.max() <= 1 + 1e-9):
         raise ValueError("concurrence values must lie in [0, 1]")
     values = np.clip(values, 0.0, 1.0)
-    times.flags.writeable = False
-    values.flags.writeable = False
-    return times, values
+    signed = values if signed is None else np.asarray(signed, dtype=float)
+    if signed is not values and (signed.shape != values.shape or not np.isfinite(signed).all()):
+        raise ValueError("signed values must be finite and match the values")
+    for array in (times, values, signed):
+        array.flags.writeable = False
+    return times, values, signed
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ def _oracle_chunks(init: InitialState, propagator: Propagator, times: np.ndarray
 
 
 def _oracle_values(init: InitialState, propagator: Propagator, pairs, times: np.ndarray, cutoff: int):
-    """Oracle concurrence rows, one per pair; all pairs of a chunk go through one kernel call."""
+    """Oracle signed Wootters rows, one per pair; all pairs of a chunk go through one kernel call."""
     chunks = _oracle_chunks(init, propagator, times, cutoff)
     return np.hstack([_block_concurrences(_pair_blocks(columns, cutoff, pairs)) for _, columns in chunks])
 
@@ -185,9 +188,9 @@ def scan_pairs(
 ) -> dict:
     """Oracle concurrence series for several pairs from one shared propagation."""
     times = _grid(t_max, steps)
-    values = _oracle_values(init, Propagator(build_hamiltonian(params, cutoff)), pairs, times, cutoff)
-    return {pair.name: ConcurrenceSeries(times, row, pair, Source.ORACLE, init, params)
-            for pair, row in zip(pairs, values)}
+    signed = _oracle_values(init, Propagator(build_hamiltonian(params, cutoff)), pairs, times, cutoff)
+    return {pair.name: ConcurrenceSeries(times, np.clip(row, 0.0, 1.0), pair, Source.ORACLE, init, params, row)
+            for pair, row in zip(pairs, signed)}
 
 
 def scan(
@@ -220,24 +223,23 @@ def _zero_runs(mask: np.ndarray):
     return list(zip(flips[0::2].tolist(), (flips[1::2] - 1).tolist()))
 
 
-def _grid_edge(times: np.ndarray, values: np.ndarray, zero: int, step: int) -> float:
-    """Edge of a zero run at its sample ``zero``, on the side ``step`` (-1 before, +1 after).
+def _signed_window(times: np.ndarray, signed: np.ndarray, i0: int, i1: int):
+    """Dead window (start, end) of the oracle zero run i0..i1, or None where the run only touches zero.
 
-    The concurrence is clamped at zero inside a dead window, so the crossing
-    is located by continuing the approach slope of the two live samples
-    beside the run rather than interpolating into the flat region; the
-    estimate is clamped into the grid cell known to bracket the true edge,
-    and is that cell's midpoint when only one live sample is left.
+    The run is dead where its signed row drops below -FEW_ULPS, from the sign
+    change before its first negative sample to the one after its last: the linear
+    root across each bracketing cell, live side clamped at >= 0, or the grid end.
+    Two or more samples within FEW_ULPS of zero are a product state, dead over the run.
     """
-    near, far = zero + step, zero + 2 * step
-    if not 0 <= near < len(times):
-        return float(times[zero])
-    lo, hi = sorted((times[zero], times[near]))
-    if 0 <= far < len(times) and values[far] > values[near] > 0:
-        t_star = times[near] + values[near] * (times[near] - times[far]) / (values[far] - values[near])
-    else:
-        t_star = 0.5 * (lo + hi)
-    return float(min(max(t_star, lo), hi))
+    run, few_ulps = signed[i0 : i1 + 1], closedform.FEW_ULPS
+    negative = i0 + np.flatnonzero(run < -few_ulps)
+    if negative.size == 0:
+        product = i1 > i0 and np.all(np.abs(run) <= few_ulps)
+        return (float(times[i0]), float(times[i1])) if product else None
+    first, last = int(negative[0]), int(negative[-1])
+    cells = ((first, max(first - 1, 0)), (last, min(last + 1, len(times) - 1)))  # (dead, live) sample pairs
+    roots = (times[d] + (times[n] - times[d]) * signed[d] / (signed[d] - max(signed[n], 0.0)) for d, n in cells)
+    return tuple(map(float, roots))
 
 
 def bisect(f, lo: float, hi: float, xtol: float) -> float:
@@ -272,40 +274,34 @@ def bisect(f, lo: float, hi: float, xtol: float) -> float:
 def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> DeathReport:
     """Classify the zeros of a concurrence series.
 
-    Closed-form dead intervals are analytic (the family's
-    ``closedform.for_state(...).dead_windows``).  A grid zero run
-    (values <= zero_tol) whose bracketing grid cells meet no such window is
-    an isolated touch point.  For oracle series a zero run spanning at
-    least two grid intervals is a dead interval with edges extrapolated from
-    the approach slopes (see ``_grid_edge``); shorter runs are touch points.
-    The oracle reads values <= ``ZERO_TOL_ORACLE`` (1e-9) as zero, so at small
-    |sin 2a| it reports dead intervals the dynamics does not have.
-    :func:`sweep_alpha` classifies each of its rows with the same code.
+    A zero run is a maximal run of grid values <= zero_tol (``ZERO_TOL`` on
+    both sources).  Closed-form dead intervals are analytic (the family's
+    ``closedform.for_state(...).dead_windows``); oracle ones are read off the
+    sign of ``series.signed`` (see ``_signed_window``).  On both sources a
+    zero run whose bracketing grid cells meet no dead interval is an isolated
+    touch point.  :func:`sweep_alpha` classifies each of its rows the same way.
     """
     if series.times.size == 0:
         raise ValueError("empty series")
     constants = derive_constants(series.params)
     form = closedform.for_state(series.init, constants) if series.source is Source.CLOSED_FORM else None
-    return _classify(series.times, series.values, form, constants, zero_tol)
+    return _classify(series.times, series.values, series.signed, form, constants, zero_tol)
 
 
-def _classify(times: np.ndarray, values: np.ndarray, form, constants, zero_tol: float | None) -> DeathReport:
-    """The death report of one checked row (see :func:`detect_death`); ``form`` is None for an oracle row."""
-    if zero_tol is None:
-        zero_tol = ZERO_TOL_ORACLE if form is None else ZERO_TOL_CLOSED
-    elif not (math.isfinite(zero_tol) and zero_tol >= 0):
+def _classify(times: np.ndarray, values: np.ndarray, signed: np.ndarray, form, constants, zero_tol) -> DeathReport:
+    """The death report of one checked row and its signed row (see :func:`detect_death`); no form on the oracle."""
+    zero_tol = ZERO_TOL if zero_tol is None else zero_tol
+    if not (math.isfinite(zero_tol) and zero_tol >= 0):
         raise ValueError("zero_tol must be finite and non-negative")
 
     runs = _zero_runs(values <= zero_tol)
     if form is not None:
         dead = form.dead_windows(float(times[0]), float(times[-1]))
-        last = len(times) - 1
-        runs = [(i0, i1) for i0, i1 in runs
-                if not any(a < times[min(i1 + 1, last)] and b > times[max(i0 - 1, 0)] for a, b in dead)]
     else:
-        dead = [(_grid_edge(times, values, i0, -1), _grid_edge(times, values, i1, 1))
-                for i0, i1 in runs if i1 - i0 >= 2]
-        runs = [(i0, i1) for i0, i1 in runs if i1 - i0 < 2]
+        dead = [window for i0, i1 in runs if (window := _signed_window(times, signed, i0, i1))]
+    last = len(times) - 1
+    runs = [(i0, i1) for i0, i1 in runs
+            if not any(a < times[min(i1 + 1, last)] and b > times[max(i0 - 1, 0)] for a, b in dead)]
     touches = [float(times[i0 + int(np.argmin(values[i0 : i1 + 1]))]) for i0, i1 in runs]
 
     return DeathReport(
@@ -354,7 +350,7 @@ def validate(
         errors[part] = np.maximum.reduce([
             np.abs(closed.columns(cutoff) - columns).max(axis=0),
             np.abs(closed.atom_density() - rho).max(axis=(1, 2)),
-            np.abs(form.concurrence(times[part]) - _block_concurrences([blocks])[0]),
+            np.abs(form.concurrence(times[part]) - np.clip(_block_concurrences([blocks])[0], 0.0, 1.0)),
         ])
 
     worst = int(np.argmax(errors))  # the first of equal maxima
@@ -393,11 +389,12 @@ def sweep_alpha(
     if source is Source.ORACLE:
         forms = [None] * len(inits)
         propagator = Propagator(build_hamiltonian(params, cutoff))
-        rows = [_oracle_values(init, propagator, [ATOM_PAIR], times, cutoff)[0] for init in inits]
+        signed = np.array([_oracle_values(init, propagator, [ATOM_PAIR], times, cutoff)[0] for init in inits])
+        rows = np.clip(signed, 0.0, 1.0)
     else:
-        forms = [closedform.for_state(init, constants) for init in inits]
+        forms, signed = [closedform.for_state(init, constants) for init in inits], None
         # the first form with every angle at once: one row per angle
         rows = replace(forms[0], alpha=alphas).concurrence(times)
-    times, rows = _checked(times, rows)
-    return [(alpha, _classify(times, row, form, constants, zero_tol))
-            for alpha, row, form in zip(alphas, rows, forms)]
+    times, rows, signed = _checked(times, rows, signed)
+    return [(alpha, _classify(times, row, signs, form, constants, zero_tol))
+            for alpha, row, signs, form in zip(alphas, rows, signed, forms)]

@@ -78,7 +78,7 @@ _OPTIONS = (
     ("--format", dict(choices=["csv", "json"]), "constants scan sweep"),
     ("--out", dict(help="output file (default stdout)"), "constants scan death validate sweep"),
     ("--plot-script", dict(help="write a gnuplot script next to the CSV"), "scan"),
-    ("--zero-tol", dict(type=float, help="zero threshold for touch points and oracle dead intervals"),
+    ("--zero-tol", dict(type=float, help="zero threshold bounding zero runs on both sources (default 1e-12)"),
      "death sweep"),
     ("--tolerance", dict(type=float, default=1e-9, help="pass threshold (default 1e-9)"), "validate"),
     ("--alphas", dict(type=_alpha_list, help="comma-separated alpha values (rad)"), "sweep"),

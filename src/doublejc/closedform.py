@@ -43,6 +43,9 @@ __all__ = [
     "phi_concurrence",
 ]
 
+#: a few ulps of one: the rounding in a generator or Wootters value of order one, within which its sign is noise
+FEW_ULPS = 4 * math.ulp(1.0)
+
 
 def _pair_factors(constants: JCConstants, t):
     """Stay/transfer amplitudes (f, h) of one atom-cavity pair, broadcast over t."""
@@ -274,11 +277,10 @@ class _StateForm:
         where the generator only touches zero.  Past the product-state guard
         theta > 2e-8, so neighbouring windows never meet.
         """
-        few_ulps = 4 * math.ulp(1.0)
-        if abs(math.sin(2.0 * self.alpha)) <= few_ulps:
+        if abs(math.sin(2.0 * self.alpha)) <= FEW_ULPS:
             return [(t0, t1)]
         s = abs(math.tan(self.alpha)) / _peak_weight(self.constants) if self.phi else math.inf
-        if s >= 1.0 - few_ulps:
+        if s >= 1.0 - FEW_ULPS:
             return []
         theta = math.asin(math.sqrt(s))
         scale = 2.0 / self.constants.rabi

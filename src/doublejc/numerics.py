@@ -198,13 +198,13 @@ _SPIN_FLIP = np.array(
 
 
 def _block_concurrences(stacks) -> list:
-    """Concurrence of each rho = B B^dagger in a list of (T x 4 x k) stacks of equal T.
+    """Signed lambda_1 - lambda_2 - lambda_3 - lambda_4 of each rho = B B^dagger in (T x 4 x k) stacks of equal T.
 
-    For any decomposition rho = B B^dagger the Wootters lambda_i are the
-    singular values of tau = B^T (sy x sy) B (Wootters, PRL 80, 2245, 1998),
-    so C = max{0, lambda_1 - lambda_2 - lambda_3 - lambda_4} needs neither
-    sqrt(rho) nor an eigendecomposition.  tau has rank at most 4.  All stacks
-    with the same k go through one tau product and one batched SVD.
+    For any decomposition rho = B B^dagger the Wootters lambda_i are the singular
+    values of tau = B^T (sy x sy) B (Wootters, PRL 80, 2245, 1998), with neither
+    sqrt(rho) nor an eigendecomposition; tau has rank at most 4.  Clipped into
+    [0, 1] the value is the concurrence, and below zero it marks sudden death.
+    All stacks with the same k go through one tau product and one batched SVD.
     """
     lam = {}
     for k in {blocks.shape[-1] for blocks in stacks}:
@@ -212,7 +212,7 @@ def _block_concurrences(stacks) -> list:
         blocks = np.concatenate([stacks[i] for i in same])
         singular = np.linalg.svd(np.swapaxes(blocks, 1, 2) @ _SPIN_FLIP @ blocks, compute_uv=False)
         lam.update(zip(same, np.split(singular, len(same))))
-    return [np.clip(x[:, 0] - x[:, 1] - x[:, 2] - x[:, 3], 0.0, 1.0) for _, x in sorted(lam.items())]
+    return [x[:, 0] - x[:, 1] - x[:, 2] - x[:, 3] for _, x in sorted(lam.items())]
 
 
 def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.ndarray:
@@ -220,7 +220,7 @@ def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> 
 
     ``columns`` is the dim x T amplitude array that :meth:`Propagator.evolve_grid` returns.
     """
-    return _block_concurrences(_pair_blocks(columns, cutoff, [pair]))[0]
+    return np.clip(_block_concurrences(_pair_blocks(columns, cutoff, [pair]))[0], 0.0, 1.0)
 
 
 def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
@@ -236,7 +236,7 @@ def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     evals, evecs = np.linalg.eigh(rho.entries)
-    return float(_block_concurrences([(evecs * np.sqrt(np.maximum(evals, 0.0)))[None]])[0][0])
+    return float(np.clip(_block_concurrences([(evecs * np.sqrt(np.maximum(evals, 0.0)))[None]])[0][0], 0.0, 1.0))
 
 
 def pair_concurrence(state: PureState, pair: SubsystemPair) -> float:

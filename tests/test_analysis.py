@@ -130,9 +130,9 @@ def test_detect_death_oracle_matches_closed_endpoints():
     assert len(report.dead_intervals) == 2
     start, end = report.dead_intervals[0]
     t_start, t_end = dead_window(math.pi / 12)
-    # linear interpolation on the grid: endpoint accuracy is O(grid step^2)
-    assert start == pytest.approx(t_start, abs=1e-3)
-    assert end == pytest.approx(t_end, abs=1e-3)
+    # linear interpolation of the signed Wootters value on the grid: endpoint accuracy is O(grid step^2)
+    assert start == pytest.approx(t_start, abs=1e-5)
+    assert end == pytest.approx(t_end, abs=1e-5)
 
 
 def test_detect_death_intervals_recur_each_period():
@@ -240,7 +240,7 @@ def test_detect_death_zero_next_to_a_window_belongs_to_it():
     assert not np.any((grid >= start) & (grid <= end))
     times = np.sort(np.append(grid, start - 1e-13))
     values = closedform.phi_concurrence(alpha, derive_constants(params), times)
-    assert values[np.searchsorted(times, start) - 1] <= analysis.ZERO_TOL_CLOSED
+    assert values[np.searchsorted(times, start) - 1] <= analysis.ZERO_TOL
     series = ConcurrenceSeries(times, values, ATOM_PAIR, Source.CLOSED_FORM, InitialState.phi(alpha), params)
     report = detect_death(series)
     assert report.dead_intervals == ((start, end),)
@@ -292,6 +292,28 @@ def test_series_rejects_nan_values():
             np.array([0.0, 1.0]), np.array([math.nan, 0.5]), ATOM_PAIR, Source.ORACLE,
             InitialState.phi(0.3), RESONANT,
         )
+
+
+def test_series_signed_row_is_checked_and_defaults_to_the_values():
+    def series(values, signed=None):
+        return ConcurrenceSeries(np.arange(len(values), dtype=float), np.array(values), ATOM_PAIR,
+                                 Source.ORACLE, InitialState.phi(0.3), RESONANT, signed)
+
+    plain = series([0.5, 0.0, 0.5])
+    assert np.array_equal(plain.signed, plain.values) and not plain.signed.flags.writeable
+    for signed in ([0.5, math.nan, 0.5], [0.5, 0.0]):
+        with pytest.raises(ValueError, match="signed values"):
+            series([0.5, 0.0, 0.5], np.array(signed))
+    # without a signed row, one zero sample touches and a longer zero run is a product-state window
+    assert detect_death(plain).touch_points == (1.0,)
+    assert detect_death(series([0.5, 0.0, 0.0, 0.0, 0.5])).dead_intervals == ((1.0, 3.0),)
+
+
+def test_oracle_series_carries_the_signed_wootters_value():
+    series = phi_series(math.pi / 12, source=Source.ORACLE, steps=201)
+    assert series.signed.min() < -0.1
+    assert np.array_equal(series.values, np.clip(series.signed, 0.0, 1.0))
+    assert not series.signed.flags.writeable
 
 
 # ------------------------------------------------------------- bisection

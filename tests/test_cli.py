@@ -226,6 +226,30 @@ def test_death_exit_code_zero_even_with_death(capsys):
     assert json.loads(out)["dead_intervals"]
 
 
+def death_on_both_sources(capsys, *argv):
+    reports = []
+    for source in ("oracle", "closed"):
+        rc, out, _ = run_cli(capsys, "death", *argv, "--steps", "201", "--source", source)
+        assert rc == 0
+        reports.append(json.loads(out))
+    return reports
+
+
+@pytest.mark.parametrize("alpha", ["1e-7", "1e-10"])
+def test_death_near_product_psi_only_touches_on_both_sources(capsys, alpha):
+    # the oracle used to read the grid values below 1e-9 around each touch, or all of them, as dead
+    oracle, closed = death_on_both_sources(capsys, "--family", "psi", "--alpha", alpha)
+    assert oracle["dead_intervals"] == closed["dead_intervals"] == []
+    assert closed["touch_points"] == pytest.approx([math.pi, 3 * math.pi], abs=1e-12)
+    assert oracle["touch_points"] == pytest.approx(closed["touch_points"], abs=1e-12)
+
+
+def test_death_near_product_phi_dies_twice_on_both_sources(capsys):
+    # the oracle used to report the whole grid as one dead interval
+    oracle, closed = death_on_both_sources(capsys, "--family", "phi", "--alpha", "1e-10")
+    assert len(oracle["dead_intervals"]) == len(closed["dead_intervals"]) == 2
+
+
 
 @pytest.mark.parametrize("zero_tol", ["nan", "-1"])
 @pytest.mark.parametrize("command", ["death", "sweep"])

@@ -7,7 +7,7 @@ repeatable.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,6 +20,7 @@ from doublejc import (
     Source,
     StateFamily,
     build_hamiltonian,
+    death_threshold_alpha,
     derive_constants,
     detect_death,
     initial_state_vector,
@@ -117,3 +118,51 @@ def test_sweep_reports_equal_detect_death_of_each_scan(family, source, alphas, d
     for alpha, report in results:
         series = scan(InitialState(family, alpha), params, ATOM_PAIR, t_max, steps, source)
         assert report == detect_death(series, zero_tol)
+
+
+@settings(bounded, max_examples=100)
+@given(
+    fraction=st.floats(0.0, 1.0),
+    delta=st.floats(-2.0, 2.0),
+    big_g=st.floats(0.5, 2.0),
+    periods=st.floats(0.3, 3.0),
+    steps=st.integers(41, 2001),
+)
+def test_oracle_death_windows_match_the_closed_form(fraction, delta, big_g, periods, steps):
+    # the oracle reads dead windows off the sign of the Wootters value: where the grid resolves
+    # them, it finds the analytic ones and places each edge within a tenth of a grid step
+    params = ModelParams.from_detuning(delta, big_g)
+    init = InitialState.phi(fraction * (death_threshold_alpha(params) - 0.01))
+    t_max = periods * 2 * math.pi / math.hypot(delta, big_g)
+    closed = scan(init, params, ATOM_PAIR, t_max, steps, Source.CLOSED_FORM)
+    dt = closed.times[1] - closed.times[0]
+    expected = detect_death(closed).dead_intervals
+    # windows, and the live stretches between them (the first one mirrored at t = 0), of 16 cells
+    # or more: the interpolation error grows like dt^2 over the width, and at resonance the
+    # Wootters value comes back to zero mid-window, so each half of a narrow window curves sharply
+    bounds = np.ravel(expected)
+    assume(np.all(np.diff(np.concatenate((-bounds[:1], bounds))) >= 16 * dt))
+    got = detect_death(scan(init, params, ATOM_PAIR, t_max, steps, Source.ORACLE)).dead_intervals
+    assert len(got) == len(expected)
+    assert np.abs(np.subtract(got, expected)).max(initial=0.0) <= 0.1 * dt
+
+
+@bounded
+@given(
+    exponent=st.floats(-9.0, math.log10(math.pi / 4)),
+    mirrored=st.booleans(),
+    delta=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    t_max=st.floats(0.5, 30.0),
+    steps=st.integers(2, 400),
+)
+def test_oracle_psi_never_dies(exponent, mirrored, delta, t_max, steps):
+    # psi's Wootters value never turns negative, down to |sin 2 alpha| of about 1e-9: the oracle
+    # reports no death and finds the closed form's touch points, each within one grid step
+    alpha = 10.0**exponent
+    init = InitialState.psi(math.pi / 2 - alpha if mirrored else alpha)
+    params = ModelParams.from_detuning(delta, 1.0)
+    closed, oracle = (detect_death(scan(init, params, ATOM_PAIR, t_max, steps, source))
+                      for source in (Source.CLOSED_FORM, Source.ORACLE))
+    assert oracle.dead_intervals == ()
+    assert len(oracle.touch_points) == len(closed.touch_points)
+    assert np.abs(np.subtract(oracle.touch_points, closed.touch_points)).max(initial=0.0) <= t_max / (steps - 1)
