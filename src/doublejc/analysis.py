@@ -89,7 +89,8 @@ class ConcurrenceSeries:
 
 def _checked(times, rows, signed=None):
     """Read-only float arrays: a strictly increasing grid, rows on it clipped into [0, 1], finite signed rows."""
-    times, values = np.asarray(times, dtype=float), np.asarray(rows, dtype=float)
+    # the grid is copied before it is frozen, so the caller's own array stays writable
+    times, values = np.array(times, dtype=float), np.asarray(rows, dtype=float)
     if times.ndim != 1 or values.ndim != 2 or values.shape[1:] != times.shape:
         raise ValueError("times and values must be 1-d arrays of equal length")
     if times.size and np.any(np.diff(times) <= 0):

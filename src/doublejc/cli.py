@@ -48,6 +48,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_rows(table) -> str:
+    """One CSV line per row of the 2-D ``table``, each number as ``_fmt`` writes it, in one pass."""
+    rows, cols = np.shape(table)
+    return (",".join(["%.17g"] * cols) + "\n") * rows % tuple(np.ravel(table).tolist())
+
+
+def _json(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` for dicts of JSON scalars and finite float arrays, each array
+    joined in one pass (the ``indent`` encoder is pure Python, one call per number)."""
+    if isinstance(obj, np.ndarray):
+        if not np.isfinite(obj).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        items, ends = map(float.__repr__, obj.tolist()), "[]"
+    elif isinstance(obj, dict):
+        items, ends = (f"{json.dumps(key)}: {_json(value, level + 1)}" for key, value in obj.items()), "{}"
+    else:
+        return json.dumps(obj)
+    pad = "\n" + "  " * level
+    body = f",{pad}  ".join(items)
+    return f"{ends[0]}{pad}  {body}{pad}{ends[1]}" if body else ends
+
+
 # ---------------------------------------------------------------- arguments
 
 def _alpha_list(text: str) -> list:
@@ -241,28 +263,12 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     names = [p.name for p in pairs]
     times = series[names[0]].times
     if ns.format == "json":
-        payload = {
-            "family": init.family.value,
-            "alpha": init.alpha,
-            "omega": params.omega,
-            "nu": params.nu,
-            "g": params.g,
-            "tmax": tmax,
-            "steps": ns.steps,
-            "source": ns.source,
-            "cutoff": ns.cutoff,
-            "times": times.tolist(),
-            "concurrence": {name: series[name].values.tolist() for name in names},
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json({"family": init.family.value, "alpha": init.alpha, "omega": params.omega, "nu": params.nu,
+                      "g": params.g, "tmax": tmax, "steps": ns.steps, "source": ns.source, "cutoff": ns.cutoff,
+                      "times": times, "concurrence": {name: series[name].values for name in names}}) + "\n"
     else:
-        lines = [_echo_line(params, init, tmax, ns.steps, names, ns.source, ns.cutoff)]
-        lines.append("t," + ",".join(names) + "\n")
-        columns = [series[name].values for name in names]
-        for j, t in enumerate(times):
-            row = [_fmt(t)] + [_fmt(col[j]) for col in columns]
-            lines.append(",".join(row) + "\n")
-        text = "".join(lines)
+        text = (_echo_line(params, init, tmax, ns.steps, names, ns.source, ns.cutoff) + "t," + ",".join(names)
+                + "\n" + _csv_rows(np.column_stack([times, *(series[name].values for name in names)])))
     _write_output(ns, text)
 
     if ns.plot_script:
@@ -309,13 +315,10 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     results = sweep_alpha(StateFamily(ns.family), params, grid, tmax, ns.steps, source, ns.cutoff, ns.zero_tol)
 
     if ns.format == "csv":
-        lines = ["alpha,dead_intervals,first_death_start,first_death_end,total_dead_length,initial_concurrence\n"]
-        for alpha, report in results:
-            first = report.dead_intervals[0] if report.dead_intervals else (math.nan, math.nan)
-            fields = [_fmt(alpha), str(len(report.dead_intervals)), _fmt(first[0]), _fmt(first[1]),
-                      _fmt(report.total_dead_length()), _fmt(report.initial_concurrence)]
-            lines.append(",".join(fields) + "\n")
-        text = "".join(lines)
+        rows = [(alpha, len(report.dead_intervals), *(report.dead_intervals or [(math.nan, math.nan)])[0],
+                 report.total_dead_length(), report.initial_concurrence) for alpha, report in results]
+        text = ("alpha,dead_intervals,first_death_start,first_death_end,total_dead_length,initial_concurrence\n"
+                + _csv_rows(rows))
     else:
         payload = {"family": ns.family, "source": source.value, "tmax": tmax, "steps": ns.steps,
                    "reports": [{"alpha": alpha, **report.to_dict()} for alpha, report in results]}

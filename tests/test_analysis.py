@@ -294,6 +294,14 @@ def test_series_rejects_nan_values():
         )
 
 
+def test_series_freezes_a_copy_of_the_callers_grid():
+    times = np.linspace(0.0, 1.0, 3)
+    series = ConcurrenceSeries(times, np.array([0.1, 0.2, 0.3]), ATOM_PAIR, Source.ORACLE, InitialState.phi(0.3),
+                               RESONANT)
+    times[0] = 5.0  # the caller's array stays writable
+    assert series.times.tolist() == [0.0, 0.5, 1.0] and not series.times.flags.writeable
+
+
 def test_series_signed_row_is_checked_and_defaults_to_the_values():
     def series(values, signed=None):
         return ConcurrenceSeries(np.arange(len(values), dtype=float), np.array(values), ATOM_PAIR,

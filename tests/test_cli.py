@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doublejc import QubitEquivalenceError
-from doublejc.cli import _build_parser, main
+from doublejc import ATOM_PAIR, InitialState, ModelParams, QubitEquivalenceError, Source, scan
+from doublejc.cli import _build_parser, _csv_rows, _json, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -420,6 +422,82 @@ def test_unwritable_plot_script_exits_2(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("doublejc: error: cannot write output:") and err.count("\n") == 1
+
+
+#: values whose formatting has edge cases: signed zero, the smallest subnormal, a tiny normal, a repeating
+#: fraction, and magnitudes from 1e16 up, where repr switches to an exponent
+EDGE_VALUES = [0.0, -0.0, 1.0, 5e-324, 1e-300, 1 / 3,
+               1e16, 2.0**53 + 2, 1.2345678901234567e22, 1.7976931348623157e308]
+
+
+def reference_csv_rows(table) -> str:
+    """The per-number CSV the bulk writer replaces: one ``format(x, ".17g")`` per cell."""
+    return "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in table)
+
+
+def reference_json(header: dict, columns) -> str:
+    """The per-number JSON the bulk writer replaces: ``json.dumps`` with ``indent=2`` over lists."""
+    times, *rows = columns
+    payload = {**header, "times": list(times), "concurrence": {f"P{i}": list(row) for i, row in enumerate(rows)}}
+    return json.dumps(payload, indent=2)
+
+
+def bulk_json(header: dict, columns) -> str:
+    times, *rows = (np.array(column, dtype=float) for column in columns)
+    return _json({**header, "times": times, "concurrence": {f"P{i}": row for i, row in enumerate(rows)}})
+
+
+def tables(elements):
+    """(rows, 1 + pairs) tables as column lists: 1, 2 or 7 columns, edge values mixed in."""
+    values = st.one_of(st.sampled_from(EDGE_VALUES), elements)
+    return st.tuples(st.integers(1, 30), st.sampled_from([1, 2, 7])).flatmap(
+        lambda shape: st.lists(st.lists(values, min_size=shape[0], max_size=shape[0]),
+                               min_size=shape[1], max_size=shape[1]))
+
+
+writers = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@writers
+@given(tables(st.floats()))
+def test_bulk_csv_matches_per_number_formatting(columns):
+    table = np.column_stack(columns)
+    assert _csv_rows(table) == reference_csv_rows(table)
+    assert _csv_rows([list(row) for row in table]) == reference_csv_rows(table)
+
+
+@writers
+@given(tables(st.floats(allow_nan=False, allow_infinity=False)), st.sampled_from(["phi", "psi"]),
+       st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 10**6))
+def test_bulk_json_matches_json_dumps(columns, family, alpha, steps):
+    header = {"family": family, "alpha": alpha, "steps": steps, "source": "oracle"}
+    assert bulk_json(header, columns) == reference_json(header, columns)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bulk_json_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _json({"times": np.array([0.0, bad])})
+
+
+def test_long_scan_output_matches_per_number_formatting(tmp_path, capsys):
+    steps, t_max = 10001, 4 * math.pi
+    series = scan(InitialState.psi(math.pi / 4), ModelParams.from_detuning(0.0, 1.0), ATOM_PAIR, t_max, steps,
+                  Source.CLOSED_FORM)
+    argv = ["scan", "--delta", "0", "--G", "1", "--steps", str(steps)]
+    csv_path, json_path = tmp_path / "scan.csv", tmp_path / "scan.json"
+    assert main(argv + ["--out", str(csv_path)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+    capsys.readouterr()
+
+    _, header, rows = csv_path.read_bytes().decode().split("\n", 2)
+    assert header == "t,AB"
+    assert rows == reference_csv_rows(zip(series.times, series.values))
+    scalars = {"family": "psi", "alpha": math.pi / 4, "omega": 10.0, "nu": 10.0, "g": 0.5, "tmax": t_max,
+               "steps": steps, "source": "closed", "cutoff": 1}
+    want = json.dumps({**scalars, "times": series.times.tolist(), "concurrence": {"AB": series.values.tolist()}},
+                      indent=2)
+    assert json_path.read_bytes().decode() == want + "\n"
 
 
 # ----------------------------------------------------------------- config

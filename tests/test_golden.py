@@ -2,7 +2,8 @@
 
 Closed-form outputs must stay byte-identical.  Oracle outputs are compared
 numerically, every number within ``ORACLE_TOL``, since a change of linear
-algebra route legitimately moves their last digits.
+algebra route legitimately moves their last digits; their text with every
+number masked must still match byte for byte, so the layout is pinned too.
 
 Regenerate the files (only when a change deliberately alters an output, and
 say so in CHANGES.md) with
@@ -12,6 +13,7 @@ say so in CHANGES.md) with
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -21,8 +23,10 @@ from doublejc.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ORACLE_TOL = 1e-9
+#: a JSON or CSV number, non-finite spellings included
+NUMBER = re.compile(r"-?\b(?:\d+(?:\.\d+)?(?:e[-+]?\d+)?|nan|inf|NaN|Infinity)\b")
 
-#: file name -> argv; a name containing "oracle" is compared numerically
+#: file name -> argv; a name containing "oracle" is compared numerically and with its numbers masked
 CASES = {
     "constants_detuned.txt": ["constants", "--delta", "0.5", "--G", "1"],
     "constants_physical.json": ["constants", "--omega", "2", "--nu", "1", "--g", "0.5", "--format", "json"],
@@ -40,6 +44,9 @@ CASES = {
                               "--alphas", "0.1,0.3,0.5", "--steps", "501"],
     "scan_all_oracle.csv": ["scan", "--family", "phi", "--alpha", "0.5333333333333333", "--delta", "1",
                             "--G", "1", "--pair", "all", "--source", "oracle", "--steps", "101"],
+    "scan_all_oracle.json": ["scan", "--family", "phi", "--alpha", "0.5333333333333333", "--delta", "1",
+                             "--G", "1", "--pair", "all", "--source", "oracle", "--steps", "101",
+                             "--format", "json"],
     "scan_psi_oracle.json": ["scan", "--family", "psi", "--alpha", "0.6", "--delta", "0.5", "--G", "1",
                              "--pair", "Ab", "--source", "oracle", "--cutoff", "2", "--steps", "81",
                              "--format", "json"],
@@ -79,10 +86,13 @@ def _parse_csv(text: str) -> tuple:
 
 
 def _assert_golden(name: str, path: Path) -> None:
-    got, want = path.read_text(encoding="utf-8"), (GOLDEN / name).read_text(encoding="utf-8")
+    # decoded from bytes, not read as text, so that a line-ending change shows in the masked layout
+    got, want = (p.read_bytes().decode("utf-8") for p in (path, GOLDEN / name))
     if "oracle" not in name:
         assert path.read_bytes() == (GOLDEN / name).read_bytes()
-    elif name.endswith(".json"):
+        return
+    assert NUMBER.sub("#", got) == NUMBER.sub("#", want), f"{name}: layout differs"
+    if name.endswith(".json"):
         _assert_close(json.loads(got), json.loads(want), name)
     else:
         got_header, got_rows = _parse_csv(got)
