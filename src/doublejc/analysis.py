@@ -272,11 +272,11 @@ def bisect(f, lo: float, hi: float, xtol: float) -> float:
     raise RuntimeError("bisection did not converge in 100 steps")
 
 
-def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> DeathReport:
+def detect_death(series: ConcurrenceSeries) -> DeathReport:
     """Classify the zeros of a concurrence series.
 
-    A zero run is a maximal run of grid values <= zero_tol (``ZERO_TOL`` on
-    both sources).  Closed-form dead intervals are analytic (the family's
+    A zero run is a maximal run of grid values <= ``ZERO_TOL``, on both
+    sources.  Closed-form dead intervals are analytic (the family's
     ``closedform.for_state(...).dead_windows``); oracle ones are read off the
     sign of ``series.signed`` (see ``_signed_window``).  On both sources a
     zero run whose bracketing grid cells meet no dead interval is an isolated
@@ -286,16 +286,12 @@ def detect_death(series: ConcurrenceSeries, zero_tol: float | None = None) -> De
         raise ValueError("empty series")
     constants = derive_constants(series.params)
     form = closedform.for_state(series.init, constants) if series.source is Source.CLOSED_FORM else None
-    return _classify(series.times, series.values, series.signed, form, constants, zero_tol)
+    return _classify(series.times, series.values, series.signed, form, constants)
 
 
-def _classify(times: np.ndarray, values: np.ndarray, signed: np.ndarray, form, constants, zero_tol) -> DeathReport:
+def _classify(times: np.ndarray, values: np.ndarray, signed: np.ndarray, form, constants) -> DeathReport:
     """The death report of one checked row and its signed row (see :func:`detect_death`); no form on the oracle."""
-    zero_tol = ZERO_TOL if zero_tol is None else zero_tol
-    if not (math.isfinite(zero_tol) and zero_tol >= 0):
-        raise ValueError("zero_tol must be finite and non-negative")
-
-    runs = _zero_runs(values <= zero_tol)
+    runs = _zero_runs(values <= ZERO_TOL)
     if form is not None:
         dead = form.dead_windows(float(times[0]), float(times[-1]))
     else:
@@ -372,7 +368,6 @@ def sweep_alpha(
     steps: int,
     source: Source = Source.CLOSED_FORM,
     cutoff: int = 1,
-    zero_tol: float | None = None,
 ) -> list:
     """Death reports across a grid of superposition angles.
 
@@ -397,5 +392,5 @@ def sweep_alpha(
         # the first form with every angle at once: one row per angle
         rows = replace(forms[0], alpha=alphas).concurrence(times)
     times, rows, signed = _checked(times, rows, signed)
-    return [(alpha, _classify(times, row, signs, form, constants, zero_tol))
+    return [(alpha, _classify(times, row, signs, form, constants))
             for alpha, row, signs, form in zip(alphas, rows, signed, forms)]

@@ -55,14 +55,16 @@ def _csv_rows(table) -> str:
 
 
 def _json(obj, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2)`` for dicts of JSON scalars and finite float arrays, each array
-    joined in one pass (the ``indent`` encoder is pure Python, one call per number)."""
+    """``json.dumps(obj, indent=2)`` for every CLI JSON document: dicts, lists and tuples of JSON scalars
+    (through ``json.dumps``) and finite float arrays, each joined in one pass, not one call per number."""
     if isinstance(obj, np.ndarray):
         if not np.isfinite(obj).all():
             raise ValueError("Out of range float values are not JSON compliant")
         items, ends = map(float.__repr__, obj.tolist()), "[]"
     elif isinstance(obj, dict):
         items, ends = (f"{json.dumps(key)}: {_json(value, level + 1)}" for key, value in obj.items()), "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, ends = (_json(value, level + 1) for value in obj), "[]"
     else:
         return json.dumps(obj)
     pad = "\n" + "  " * level
@@ -100,8 +102,6 @@ _OPTIONS = (
     ("--format", dict(choices=["csv", "json"]), "constants scan sweep"),
     ("--out", dict(help="output file (default stdout)"), "constants scan death validate sweep"),
     ("--plot-script", dict(help="write a gnuplot script next to the CSV"), "scan"),
-    ("--zero-tol", dict(type=float, help="zero threshold bounding zero runs on both sources (default 1e-12)"),
-     "death sweep"),
     ("--tolerance", dict(type=float, default=1e-9, help="pass threshold (default 1e-9)"), "validate"),
     ("--alphas", dict(type=_alpha_list, help="comma-separated alpha values (rad)"), "sweep"),
     ("--alpha-min", dict(type=float, default=0.05), "sweep"),
@@ -225,7 +225,7 @@ def _cmd_constants(ns: argparse.Namespace) -> int:
         ("N", c.n_coef),
     ]
     if ns.format == "json":
-        text = json.dumps(dict(items), indent=2) + "\n"
+        text = _json(dict(items)) + "\n"
     else:
         text = "".join(f"{key} = {_fmt(value)}\n" for key, value in items)
     _write_output(ns, text)
@@ -283,17 +283,9 @@ def _cmd_death(ns: argparse.Namespace) -> int:
         raise ValueError("death detection works on a single pair")
     source = Source(ns.source)
     series = scan(init, params, SubsystemPair.from_name(ns.pair), tmax, ns.steps, source, ns.cutoff)
-    report = detect_death(series, ns.zero_tol)
-    payload = {
-        "family": init.family.value,
-        "alpha": init.alpha,
-        "pair": ns.pair,
-        "source": source.value,
-        "tmax": tmax,
-        "steps": ns.steps,
-        **report.to_dict(),
-    }
-    _write_output(ns, json.dumps(payload, indent=2) + "\n")
+    payload = {"family": init.family.value, "alpha": init.alpha, "pair": ns.pair, "source": source.value,
+               "tmax": tmax, "steps": ns.steps, **detect_death(series).to_dict()}
+    _write_output(ns, _json(payload) + "\n")
     return EXIT_OK
 
 
@@ -302,7 +294,7 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
     init = InitialState(StateFamily(ns.family), ns.alpha)
     report = validate(init, params, tmax, ns.steps, ns.tolerance, ns.cutoff)
     payload = {"family": init.family.value, "alpha": init.alpha, **report.to_dict()}
-    _write_output(ns, json.dumps(payload, indent=2) + "\n")
+    _write_output(ns, _json(payload) + "\n")
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 
 
@@ -312,7 +304,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     if ns.alphas is None and (ns.alpha_count < 1 or ns.alpha_max < ns.alpha_min):
         raise ValueError("bad alpha grid")
     grid = ns.alphas or np.linspace(ns.alpha_min, ns.alpha_max, ns.alpha_count).tolist()
-    results = sweep_alpha(StateFamily(ns.family), params, grid, tmax, ns.steps, source, ns.cutoff, ns.zero_tol)
+    results = sweep_alpha(StateFamily(ns.family), params, grid, tmax, ns.steps, source, ns.cutoff)
 
     if ns.format == "csv":
         rows = [(alpha, len(report.dead_intervals), *(report.dead_intervals or [(math.nan, math.nan)])[0],
@@ -322,7 +314,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     else:
         payload = {"family": ns.family, "source": source.value, "tmax": tmax, "steps": ns.steps,
                    "reports": [{"alpha": alpha, **report.to_dict()} for alpha, report in results]}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload) + "\n"
     _write_output(ns, text)
     return EXIT_OK
 

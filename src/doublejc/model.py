@@ -24,6 +24,7 @@ concurrence formulas.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +48,9 @@ NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
+
+#: largest |alpha| of a named family: the closed forms take sin(2 alpha), and 2 alpha must stay finite
+ALPHA_MAX = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -164,8 +168,8 @@ class StateFamily(Enum):
 class InitialState:
     """Initial state of the total system.
 
-    For the named families ``alpha`` is the superposition angle; any real
-    value is accepted (the concurrence formulas only involve ``|sin 2a|``).
+    For the named families ``alpha`` is the superposition angle; any real value up to
+    ``ALPHA_MAX`` in size is accepted (the concurrence formulas only involve ``|sin 2a|``).
     A custom state supplies the full flattened amplitude vector instead.
     """
 
@@ -174,8 +178,8 @@ class InitialState:
     custom_amplitudes: np.ndarray | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        if not abs(self.alpha) <= ALPHA_MAX:  # written so that a NaN fails it
+            raise ValueError(f"alpha must be finite with |alpha| <= {ALPHA_MAX!r}, so that 2 alpha is finite")
         if self.family is StateFamily.CUSTOM:
             if self.custom_amplitudes is None:
                 raise ValueError("custom family requires an amplitude vector")

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ from doublejc import (
     validate,
     wootters_concurrence,
 )
+from doublejc.model import ALPHA_MAX
 
 RESONANT = ModelParams.from_detuning(0.0, 1.0)
 
@@ -173,14 +175,30 @@ def test_detect_death_rejects_empty_series():
 
 
 
-@pytest.mark.parametrize("zero_tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("zero_tol", [math.nan, -1.0, math.inf, 1e-3])
 def test_detect_death_rejects_bad_zero_tol(zero_tol):
-    # a NaN or negative threshold would silently drop every oracle interval and touch point
-    for series in (phi_series(0.3, steps=101), phi_series(0.3, source=Source.ORACLE, steps=101),
-                   psi_series(0.4, steps=101)):
-        with pytest.raises(ValueError, match="zero_tol must be finite and non-negative"):
-            detect_death(series, zero_tol)
-    assert detect_death(phi_series(0.3, steps=101), 0.0).dead_intervals
+    # no threshold is a parameter any more, bad or plausible: zero runs are bounded by
+    # ZERO_TOL on both sources, and death itself is read from the sign
+    for source in Source:
+        with pytest.raises(TypeError):
+            detect_death(phi_series(0.3, source=source, steps=101), zero_tol)
+        with pytest.raises(TypeError):
+            sweep_alpha(StateFamily.PHI_ALPHA, RESONANT, [0.3], 4 * math.pi, 101, source, 1, zero_tol)
+        with pytest.raises(TypeError):
+            sweep_alpha(StateFamily.PHI_ALPHA, RESONANT, [0.3], 4 * math.pi, 101, source, zero_tol=zero_tol)
+    assert detect_death(phi_series(0.3, steps=101)).dead_intervals
+
+
+def test_series_rejects_a_bad_grid():
+    init = InitialState.psi(0.3)
+    with pytest.raises(ValueError, match="times and values must be 1-d arrays of equal length"):
+        ConcurrenceSeries(np.array([0.0, 1.0]), np.array([0.5, 0.5, 0.5]), ATOM_PAIR, Source.ORACLE, init, RESONANT)
+    with pytest.raises(ValueError, match="times and values must be 1-d arrays of equal length"):
+        ConcurrenceSeries(np.zeros((2, 2)), np.zeros((2, 2)), ATOM_PAIR, Source.ORACLE, init, RESONANT)
+    for times in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            ConcurrenceSeries(np.array(times), np.full(3, 0.5), ATOM_PAIR, Source.ORACLE, init, RESONANT)
+
 
 def loop_zero_runs(mask):
     """The per-element loop _zero_runs replaced."""
@@ -628,6 +646,26 @@ def test_chunked_oracle_matches_unchunked(monkeypatch):
     again = validate(init, params, 10.0, 101)
     assert again.max_abs_error == pytest.approx(report.max_abs_error, abs=1e-15)
     assert again.samples == report.samples and again.passed == report.passed
+
+
+@pytest.mark.parametrize("alpha", [1e308, -1e308, np.nextafter(ALPHA_MAX, math.inf)])
+def test_an_angle_whose_double_overflows_is_refused_by_both_sources(alpha):
+    # the closed forms take sin(2 alpha); the oracle alone used to accept such an angle
+    for family in (StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA):
+        with pytest.raises(ValueError, match=re.escape(f"|alpha| <= {ALPHA_MAX!r}")):
+            InitialState(family, alpha)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            sweep_alpha(family, RESONANT, [0.3, alpha], 1.0, 11)
+
+
+@pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
+def test_the_largest_angles_agree_on_both_sources(family):
+    for alpha in (ALPHA_MAX, -ALPHA_MAX):
+        closed, oracle = (scan(InitialState(family, alpha), RESONANT, ATOM_PAIR, 4 * math.pi, 51, source)
+                          for source in (Source.CLOSED_FORM, Source.ORACLE))
+        assert closed.values[0] == pytest.approx(abs(math.sin(2 * alpha)), abs=1e-12)
+        np.testing.assert_allclose(oracle.values, closed.values, rtol=0, atol=1e-9)
+        assert validate(InitialState(family, alpha), RESONANT, 4 * math.pi, 51).passed
 
 
 def test_oracle_scan_rejects_non_finite_input():

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublejc import ATOM_PAIR, InitialState, ModelParams, QubitEquivalenceError, Source, scan
@@ -65,6 +68,13 @@ def test_constants_rejects_detuning_below_minus_nu(capsys):
     assert rc == 2
     assert out == ""
     assert "detuning must be above -nu = -10 (nu defaults to 10 G)" in err
+
+
+def test_constants_rejects_incomplete_physical_parameters(capsys):
+    rc, out, err = run_cli(capsys, "constants", "--omega", "2", "--g", "0.5")
+    assert rc == 2
+    assert out == ""
+    assert "physical parameterization needs --omega, --nu and --g" in err
 
 
 def test_constants_rejects_mixed_parameterizations(capsys):
@@ -253,15 +263,30 @@ def test_death_near_product_phi_dies_twice_on_both_sources(capsys):
 
 
 
-@pytest.mark.parametrize("zero_tol", ["nan", "-1"])
+@pytest.mark.parametrize("zero_tol", ["nan", "-1", "1e-3"])
 @pytest.mark.parametrize("command", ["death", "sweep"])
-def test_bad_zero_tol_exits_2(capsys, command, zero_tol):
-    # with a NaN or negative threshold every dead interval and touch point used to vanish
-    argv = [command, "--family", "phi", "--source", "oracle", "--steps", "201", "--zero-tol", zero_tol]
-    rc, out, err = run_cli(capsys, *argv, *(["--alpha", "0.3"] if command == "death" else ["--alphas", "0.3"]))
+def test_bad_zero_tol_exits_2(tmp_path, capsys, command, zero_tol):
+    # --zero-tol is no flag and no config key any more, bad or plausible: zero runs are bounded
+    # by ZERO_TOL on both sources, and a looser threshold merged oracle windows
+    argv = [command, "--family", "phi", "--source", "oracle", "--steps", "201"]
+    rc, out, err = run_cli(capsys, *argv, "--zero-tol", zero_tol)
     assert rc == 2
     assert out == ""
-    assert "zero_tol must be finite and non-negative" in err
+    assert f"unrecognized arguments: --zero-tol {zero_tol}" in err
+    for key in ("zero-tol", "zero_tol"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {zero_tol}\n")
+        rc, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert rc == 2
+        assert out == ""
+        assert f"unknown key {key!r}" in err
+
+
+def test_death_rejects_all_pairs(capsys):
+    rc, out, err = run_cli(capsys, "death", "--pair", "all", "--steps", "11")
+    assert rc == 2
+    assert out == ""
+    assert "death detection works on a single pair" in err
 
 
 # --------------------------------------------------------------- validate
@@ -341,6 +366,35 @@ def test_sweep_bad_alphas(capsys):
     assert "comma-separated" in err
 
 
+@pytest.mark.parametrize("grid", [["--alpha-count", "0"], ["--alpha-min", "0.5", "--alpha-max", "0.4"]])
+def test_sweep_bad_alpha_grid(capsys, grid):
+    rc, out, err = run_cli(capsys, "sweep", "--steps", "11", *grid)
+    assert rc == 2
+    assert out == ""
+    assert "bad alpha grid" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--alpha", "1e308"],
+        ["scan", "--alpha", "1e308", "--source", "oracle"],
+        ["scan", "--alpha=-1e308", "--family", "phi"],
+        ["death", "--alpha", "1e308"],
+        ["validate", "--alpha", "1e308"],
+        ["sweep", "--alphas", "0.3,1e308"],
+        ["sweep", "--alphas", "1e308", "--source", "oracle"],
+    ],
+)
+def test_angle_whose_double_overflows_exits_2(capsys, argv):
+    # the closed path used to fail on sin(2 alpha) with "math domain error", the oracle to print a number
+    rc, out, err = run_cli(capsys, *argv, "--steps", "11")
+    assert rc == 2
+    assert out == ""
+    assert err == ("doublejc: error: alpha must be finite with |alpha| <= 8.988465674311579e+307, "
+                   "so that 2 alpha is finite\n")
+
+
 
 # ------------------------------------------------------------------- flags
 
@@ -349,10 +403,10 @@ FLAGS = {
     "constants": "--omega --nu --g --delta --G --format --out",
     "scan": "--family --alpha --omega --nu --g --delta --G --tmax --steps --pair --source --cutoff --format --out "
             "--plot-script",
-    "death": "--family --alpha --omega --nu --g --delta --G --tmax --steps --pair --source --cutoff --out --zero-tol",
+    "death": "--family --alpha --omega --nu --g --delta --G --tmax --steps --pair --source --cutoff --out",
     "validate": "--family --alpha --omega --nu --g --delta --G --tmax --steps --cutoff --out --tolerance",
-    "sweep": "--family --omega --nu --g --delta --G --tmax --steps --source --cutoff --format --out --zero-tol "
-             "--alphas --alpha-min --alpha-max --alpha-count",
+    "sweep": "--family --omega --nu --g --delta --G --tmax --steps --source --cutoff --format --out --alphas "
+             "--alpha-min --alpha-max --alpha-count",
 }
 
 
@@ -466,18 +520,49 @@ def test_bulk_csv_matches_per_number_formatting(columns):
     assert _csv_rows([list(row) for row in table]) == reference_csv_rows(table)
 
 
+finite = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+#: what ``death`` and ``sweep`` write: lists of float pairs (as lists or tuples), lists of dicts, empty lists
+death_reports = st.fixed_dictionaries({
+    "dead_intervals": st.lists(st.one_of(st.tuples(finite, finite), st.lists(finite, min_size=2, max_size=2)),
+                               max_size=3),
+    "touch_points": st.lists(finite, max_size=3),
+    "period": finite,
+    "initial_concurrence": finite,
+})
+
+
 @writers
 @given(tables(st.floats(allow_nan=False, allow_infinity=False)), st.sampled_from(["phi", "psi"]),
-       st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 10**6))
-def test_bulk_json_matches_json_dumps(columns, family, alpha, steps):
-    header = {"family": family, "alpha": alpha, "steps": steps, "source": "oracle"}
+       finite, st.integers(2, 10**6), st.booleans(), death_reports, st.lists(death_reports, max_size=3))
+@example([[0.0]], "phi", 0.0, 2, True, {"dead_intervals": [], "touch_points": [], "period": 1.0,
+                                        "initial_concurrence": 0.0}, [])
+def test_bulk_json_matches_json_dumps(columns, family, alpha, steps, passed, report, reports):
+    header = {"family": family, "alpha": alpha, "steps": steps, "source": "oracle", "pass": passed, **report,
+              "reports": [{"alpha": alpha, **each} for each in reports]}
     assert bulk_json(header, columns) == reference_json(header, columns)
+    assert _json(header) == json.dumps(header, indent=2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_bulk_json_refuses_non_finite_values(bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
         _json({"times": np.array([0.0, bad])})
+
+
+def test_module_entry_point_runs_main(capsys):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    module = [sys.executable, "-m", "doublejc.cli"]
+    result = subprocess.run([*module, "constants"], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert main(["constants"]) == 0
+    assert result.stdout == capsys.readouterr().out
+    # the exit code passes through: a failed validation exits 1
+    result = subprocess.run([*module, "validate", "--tolerance", "1e-20", "--steps", "11"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1, result.stderr
+    assert json.loads(result.stdout)["pass"] is False
 
 
 def test_long_scan_output_matches_per_number_formatting(tmp_path, capsys):
@@ -519,6 +604,15 @@ def test_config_unknown_key(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "scan", "--config", str(cfg))
     assert rc == 2
     assert "unknown key" in err
+
+
+def test_config_line_without_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# comment\nfamily = phi\n\nsteps 11\n")
+    rc, out, err = run_cli(capsys, "scan", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert f"{cfg}:4: expected 'key = value'" in err
 
 
 def test_config_missing_file(capsys):

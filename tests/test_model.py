@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from doublejc import (
+    DensityMatrix,
     InitialState,
     ModelParams,
+    PureState,
     StateFamily,
     basis_dimension,
     basis_shape,
@@ -163,6 +165,23 @@ def test_custom_state_validation():
         InitialState(StateFamily.CUSTOM)
     with pytest.raises(ValueError):
         InitialState(StateFamily.PSI_ALPHA, 0.1, custom_amplitudes=good)
+
+
+def test_pure_state_validation():
+    with pytest.raises(ValueError, match="amplitude vector length does not match cutoff"):
+        PureState(np.eye(16)[0], cutoff=2)
+    with pytest.raises(ValueError, match="state vector must have unit norm"):
+        PureState(np.full(16, 0.5), cutoff=1)
+    assert PureState(np.full(16, 0.25), cutoff=1).dim == 16
+
+
+def test_density_matrix_validation():
+    with pytest.raises(ValueError, match="density matrix must be 4x4"):
+        DensityMatrix(np.eye(3) / 3)
+    # Hermitian with unit trace, but with eigenvalues 1.5 and -0.5
+    with pytest.raises(ValueError, match="density matrix must be positive semidefinite"):
+        DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))
+    DensityMatrix(np.eye(4) / 4)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -18,6 +18,7 @@ from doublejc import (
     derive_constants,
     initial_state_vector,
     pair_concurrence,
+    pair_concurrences,
     partial_trace_pair,
     phi_amplitudes,
     psi_amplitudes,
@@ -132,6 +133,12 @@ def test_propagator_rejects_non_hermitian_operator():
     h[0, 5] += 1e-3
     with pytest.raises(ValueError, match="operator must be Hermitian"):
         Propagator(h)
+
+
+def test_evolve_grid_rejects_a_state_of_another_cutoff():
+    propagator = Propagator(build_hamiltonian(ModelParams(1.0, 1.0, 0.5), cutoff=1))
+    with pytest.raises(ValueError, match="state dimension does not match operator"):
+        propagator.evolve_grid(initial_state_vector(InitialState.psi(0.3), cutoff=2), [0.0, 1.0])
 
 
 # ------------------------------------------------------------- evolution
@@ -280,6 +287,19 @@ def test_pair_validation():
 
 
 # ------------------------------------------------------------- concurrence
+
+def test_pair_concurrences_input_validation():
+    with pytest.raises(ValueError, match="amplitude vector length does not match cutoff"):
+        pair_concurrences(np.eye(36, 3), 1, ATOM_PAIR)
+    with pytest.raises(ValueError, match="state vector must have unit norm"):
+        pair_concurrences(np.ones((16, 2)), 1, ATOM_PAIR)
+    # one bad column among good ones is enough
+    columns = np.eye(16, 3)
+    columns[5, 2] = 1.0
+    with pytest.raises(ValueError, match="state vector must have unit norm"):
+        pair_concurrences(columns, 1, ATOM_PAIR)
+    assert pair_concurrences(np.eye(16, 3), 1, ATOM_PAIR).tolist() == [0.0, 0.0, 0.0]
+
 
 def test_wootters_bell_states():
     assert wootters_concurrence(bell_rho()) == pytest.approx(1.0, abs=1e-12)
