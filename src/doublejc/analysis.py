@@ -12,6 +12,7 @@ amplitude, density-matrix and concurrence level on a common time grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -85,6 +86,13 @@ class ConcurrenceSeries:
         times, values, signed = _checked(self.times, [self.values], None if self.signed is None else [self.signed])
         for name, array in (("times", times), ("values", values[0]), ("signed", signed[0])):
             object.__setattr__(self, name, array)
+
+    @classmethod
+    def _of_checked(cls, *fields) -> "ConcurrenceSeries":
+        """A series of arrays that already passed :func:`_checked` together, built without a second check."""
+        series = object.__new__(cls)
+        series.__dict__.update(zip(cls.__dataclass_fields__, fields))
+        return series
 
 
 def _checked(times, rows, signed=None):
@@ -165,6 +173,13 @@ def _grid(t_max: float, steps: int, what: str = "a scan") -> np.ndarray:
     return np.linspace(0.0, t_max, steps)
 
 
+@functools.lru_cache(maxsize=8)
+def _propagator(params: ModelParams, cutoff: int) -> Propagator:
+    """The oracle's propagator, diagonalised once per (params, cutoff) while among the 8 most recent."""
+    # module globals looked up at each miss, so rebinding them here (as a tracer or a test does) sees every one
+    return Propagator(build_hamiltonian(params, cutoff))
+
+
 def _oracle_chunks(init: InitialState, propagator: Propagator, times: np.ndarray, cutoff: int):
     """Yield (slice, amplitude columns) of the exact propagation, GRID_CHUNK time points at a time."""
     state0 = initial_state_vector(init, cutoff)
@@ -176,7 +191,8 @@ def _oracle_chunks(init: InitialState, propagator: Propagator, times: np.ndarray
 def _oracle_values(init: InitialState, propagator: Propagator, pairs, times: np.ndarray, cutoff: int):
     """Oracle signed Wootters rows, one per pair; all pairs of a chunk go through one kernel call."""
     chunks = _oracle_chunks(init, propagator, times, cutoff)
-    return np.hstack([_block_concurrences(_pair_blocks(columns, cutoff, pairs)) for _, columns in chunks])
+    rows = np.hstack([_block_concurrences(_pair_blocks(columns, cutoff, pairs)) for _, columns in chunks])
+    return rows.reshape(len(pairs), times.size)  # (0, T) for no pairs
 
 
 def scan_pairs(
@@ -189,9 +205,10 @@ def scan_pairs(
 ) -> dict:
     """Oracle concurrence series for several pairs from one shared propagation."""
     times = _grid(t_max, steps)
-    signed = _oracle_values(init, Propagator(build_hamiltonian(params, cutoff)), pairs, times, cutoff)
-    return {pair.name: ConcurrenceSeries(times, np.clip(row, 0.0, 1.0), pair, Source.ORACLE, init, params, row)
-            for pair, row in zip(pairs, signed)}
+    signed = _oracle_values(init, _propagator(params, cutoff), pairs, times, cutoff)
+    times, values, signed = _checked(times, np.clip(signed, 0.0, 1.0), signed)
+    return {pair.name: ConcurrenceSeries._of_checked(times, row, pair, Source.ORACLE, init, params, signs)
+            for pair, row, signs in zip(pairs, values, signed)}
 
 
 def scan(
@@ -340,14 +357,14 @@ def validate(
     times = _grid(t_max, steps, "validation")
 
     errors = np.empty(steps)
-    for part, columns in _oracle_chunks(init, Propagator(build_hamiltonian(params, cutoff)), times, cutoff):
+    for part, columns in _oracle_chunks(init, _propagator(params, cutoff), times, cutoff):
         closed = form.amplitudes(times[part])
-        [blocks] = _pair_blocks(columns, cutoff, [ATOM_PAIR])
-        rho = np.einsum("tik,tjk->tij", blocks, blocks.conj())
+        [(_, blocks)] = stacks = _pair_blocks(columns, cutoff, [ATOM_PAIR])
+        rho = np.einsum("tgik,tgjk->tij", blocks, blocks.conj())
         errors[part] = np.maximum.reduce([
             np.abs(closed.columns(cutoff) - columns).max(axis=0),
             np.abs(closed.atom_density() - rho).max(axis=(1, 2)),
-            np.abs(form.concurrence(times[part]) - np.clip(_block_concurrences([blocks])[0], 0.0, 1.0)),
+            np.abs(form.concurrence(times[part]) - np.clip(_block_concurrences(stacks)[0], 0.0, 1.0)),
         ])
 
     worst = int(np.argmax(errors))  # the first of equal maxima
@@ -384,7 +401,7 @@ def sweep_alpha(
     constants, times = derive_constants(params), _grid(t_max, steps)
     if source is Source.ORACLE:
         forms = [None] * len(inits)
-        propagator = Propagator(build_hamiltonian(params, cutoff))
+        propagator = _propagator(params, cutoff)
         signed = np.array([_oracle_values(init, propagator, [ATOM_PAIR], times, cutoff)[0] for init in inits])
         rows = np.clip(signed, 0.0, 1.0)
     else:

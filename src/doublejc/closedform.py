@@ -28,6 +28,7 @@ from .model import (
     JCConstants,
     PureState,
     StateFamily,
+    _check_alpha,
     basis_shape,
 )
 
@@ -161,7 +162,7 @@ def psi_amplitudes(alpha: float, constants: JCConstants, t) -> PsiAmplitudes:
     """Evolved amplitudes for cos(a)|eg00> + sin(a)|ge00>, at scalar or array times."""
     _check_time(t)
     f, h = _pair_factors(constants, t)
-    ca, sa = math.cos(alpha), math.sin(alpha)
+    ca, sa = math.cos(_check_alpha(alpha)), math.sin(alpha)
     return PsiAmplitudes(x1=f * ca, x2=f * sa, x3=h * ca, x4=h * sa, t=t)
 
 
@@ -169,7 +170,7 @@ def phi_amplitudes(alpha: float, constants: JCConstants, t) -> PhiAmplitudes:
     """Evolved amplitudes for cos(a)|ee00> + sin(a)|gg00>, at scalar or array times."""
     _check_time(t)
     f, h = _pair_factors(constants, t)
-    ca, sa = math.cos(alpha), math.sin(alpha)
+    ca, sa = math.cos(_check_alpha(alpha)), math.sin(alpha)
     return PhiAmplitudes(
         x1=f * f * ca,
         x2=h * h * ca,
@@ -207,7 +208,7 @@ def _generator(alpha, phi: bool, constants: JCConstants, t):
     A sequence of angles gives one row per angle, each bit for bit its scalar call.
     """
     w = _transfer_weight(constants, t)
-    alphas = np.ravel(alpha).tolist()
+    alphas = [_check_alpha(a) for a in np.ravel(alpha).tolist()]
     rows = (-1,) + (1,) * np.ndim(w) if np.ndim(alpha) else ()
     s = np.array([abs(math.sin(2.0 * a)) for a in alphas]).reshape(rows)
     b = np.array([2.0 * math.cos(a) ** 2 if phi else 0.0 for a in alphas]).reshape(rows)

@@ -53,6 +53,13 @@ PSD_TOL = -1e-10
 ALPHA_MAX = sys.float_info.max / 2
 
 
+def _check_alpha(alpha: float) -> float:
+    """The angle itself, once it is known to be finite with |alpha| <= ``ALPHA_MAX``; else ValueError."""
+    if not abs(alpha) <= ALPHA_MAX:  # written so that a NaN fails it
+        raise ValueError(f"alpha must be finite with |alpha| <= {ALPHA_MAX!r}, so that 2 alpha is finite")
+    return alpha
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical frequencies of one atom-cavity pair (both pairs identical).
@@ -178,8 +185,7 @@ class InitialState:
     custom_amplitudes: np.ndarray | None = None
 
     def __post_init__(self):
-        if not abs(self.alpha) <= ALPHA_MAX:  # written so that a NaN fails it
-            raise ValueError(f"alpha must be finite with |alpha| <= {ALPHA_MAX!r}, so that 2 alpha is finite")
+        _check_alpha(self.alpha)
         if self.family is StateFamily.CUSTOM:
             if self.custom_amplitudes is None:
                 raise ValueError("custom family requires an amplitude vector")

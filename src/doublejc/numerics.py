@@ -9,6 +9,7 @@ this module serves as an independent check on the analytic formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -121,6 +122,7 @@ class Propagator:
         if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("operator must be Hermitian")
         self.energies, self.modes = np.linalg.eigh(h)
+        self.energies.flags.writeable = self.modes.flags.writeable = False  # shared through the analysis cache
 
     def evolve(self, state0: PureState, t: float) -> PureState:
         """State at time t from ``state0`` at time 0."""
@@ -135,42 +137,47 @@ class Propagator:
         return self.modes @ (phases * coeffs[:, None])
 
 
-def _pair_blocks(columns: np.ndarray, cutoff: int, pairs) -> list:
-    """Stacked (T x 4 x k) factors B of each pair's reduced states, rho = B B^dagger.
+@functools.lru_cache(maxsize=64)
+def _gather_plan(cutoff: int, names: tuple) -> list:
+    """[(positions, g x 4 x k flat basis indices)] of the named pairs' blocks B, one entry per k (see _pair_blocks)."""
+    flat = np.arange(math.prod(basis_shape(cutoff))).reshape(basis_shape(cutoff))
+    # excited-first ordering for both atoms (g,e) and modes (0,1)
+    indices = [np.moveaxis(flat, [_AXES.index(sub) for sub in name], (0, 1))[1::-1, 1::-1].reshape(4, -1)
+               for name in names]
+    ks = [index.shape[1] for index in indices]
+    groups = [tuple(i for i, k in enumerate(ks) if k == key) for key in dict.fromkeys(ks)]
+    return [(same, np.stack([indices[i] for i in same])) for same in groups]
 
-    ``columns`` holds one unit-norm amplitude vector per time point.  Rows of
-    B are the pair's |ee>,|eg>,|ge>,|gg> levels (a mode's ``e`` is one photon),
-    columns the levels of the two traced subsystems.  Retained modes must
-    behave as qubits: population above Fock level 1 beyond
-    ``QUBIT_EQUIV_TOL`` at any time point raises :class:`QubitEquivalenceError` for the first such pair.
+
+def _pair_blocks(columns: np.ndarray, cutoff: int, pairs) -> list:
+    """Factors B of the pairs' reduced states, rho = B B^dagger, as [(positions, T x g x 4 x k stack)].
+
+    ``columns`` holds one unit-norm amplitude vector per time point.  Rows of B are the
+    pair's |ee>,|eg>,|ge>,|gg> levels (a mode's ``e`` is one photon), columns the levels
+    of the two traced subsystems; the g pairs of equal k, at ``positions`` in ``pairs``,
+    share one gather.  Retained modes must behave as qubits: population above Fock level 1
+    beyond ``QUBIT_EQUIV_TOL`` at any time raises :class:`QubitEquivalenceError` for the first such pair.
     """
     shape = basis_shape(cutoff)
     dim, steps = columns.shape
     if dim != math.prod(shape):
         raise ValueError("amplitude vector length does not match cutoff")
-    if not np.all(np.abs(np.sqrt((np.abs(columns) ** 2).sum(axis=0)) - 1.0) <= NORM_TOL):
+    population = np.abs(columns) ** 2
+    if not np.all(np.abs(np.sqrt(population.sum(axis=0)) - 1.0) <= NORM_TOL):
         raise ValueError("state vector must have unit norm")
+    # each retained mode once, in the order its first pair comes
+    for sub in dict.fromkeys(sub for pair in pairs for sub in pair.name if sub.islower() and cutoff > 1):
+        weight = np.moveaxis(population.reshape(shape + (steps,)), _AXES.index(sub), 0)[2:].reshape(-1, steps).sum(0)
+        over = weight > QUBIT_EQUIV_TOL
+        if over.any():
+            raise QubitEquivalenceError(f"mode {sub} holds population {weight[np.argmax(over)]:.3e} above one photon")
     stacks = []
-    for pair in pairs:
-        # (T, first, second, traced, traced)
-        axes = [len(shape)] + [_AXES.index(sub) for sub in pair.name]
-        tensor = np.moveaxis(columns.reshape(shape + (steps,)), axes, (0, 1, 2))
-
-        for k, sub in enumerate(pair.name, start=1):
-            if sub.islower() and cutoff > 1:
-                weight = (np.abs(np.moveaxis(tensor, k, 1)[:, 2:]) ** 2).reshape(steps, -1).sum(axis=1)
-                over = weight > QUBIT_EQUIV_TOL
-                if over.any():
-                    raise QubitEquivalenceError(
-                        f"mode {sub} holds population {weight[np.argmax(over)]:.3e} above one photon"
-                    )
-
-        # excited-first ordering for both atoms (g,e) and modes (0,1)
-        blocks = tensor[:, 1::-1, 1::-1].reshape(steps, 4, -1)
-        trace = (np.abs(blocks) ** 2).sum(axis=(1, 2))
+    for positions, index in _gather_plan(cutoff, tuple(pair.name for pair in pairs)):
+        blocks = columns.T[:, index]
         # mass discarded with the >1-photon tail (still below QUBIT_EQUIV_TOL)
+        trace = population.T[:, index].sum(axis=(2, 3))
         drifted = np.abs(trace - 1.0) > TRACE_TOL
-        stacks.append(blocks / np.sqrt(np.where(drifted, trace, 1.0))[:, None, None])
+        stacks.append((positions, blocks / np.sqrt(np.where(drifted, trace, 1.0))[..., None, None]))
     return stacks
 
 
@@ -180,39 +187,27 @@ def partial_trace_pair(state: PureState, pair: SubsystemPair) -> DensityMatrix:
     Retained cavity modes must behave as qubits: any population above Fock
     level 1 beyond ``QUBIT_EQUIV_TOL`` raises :class:`QubitEquivalenceError`.
     """
-    [[block]] = _pair_blocks(state.amplitudes[:, None], state.cutoff, [pair])
+    [(_, [[block]])] = _pair_blocks(state.amplitudes[:, None], state.cutoff, [pair])
     return DensityMatrix(block @ block.conj().T)
 
 
-# sigma_y (x) sigma_y in the |ee>,|eg>,|ge>,|gg> ordering, with
-# sigma_y = [[0, -i], [i, 0]] on (excited, ground)
-_SPIN_FLIP = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-)
-
-
 def _block_concurrences(stacks) -> list:
-    """Signed lambda_1 - lambda_2 - lambda_3 - lambda_4 of each rho = B B^dagger in (T x 4 x k) stacks of equal T.
+    """Signed lambda_1 - lambda_2 - lambda_3 - lambda_4 of each pair, in pair order, from :func:`_pair_blocks` stacks.
 
     For any decomposition rho = B B^dagger the Wootters lambda_i are the singular
     values of tau = B^T (sy x sy) B (Wootters, PRL 80, 2245, 1998), with neither
-    sqrt(rho) nor an eigendecomposition; tau has rank at most 4.  Clipped into
-    [0, 1] the value is the concurrence, and below zero it marks sudden death.
-    All stacks with the same k go through one tau product and one batched SVD.
+    sqrt(rho) nor an eigendecomposition; tau has rank at most 4.  sy x sy only
+    reverses and signs the rows b_0..b_3 of B, so tau = P + P^T with
+    P = b_1 (x) b_2 - b_0 (x) b_3.  Clipped into [0, 1] the value is the
+    concurrence, and below zero it marks sudden death.  One batched SVD per stack.
     """
-    lam = {}
-    for k in {blocks.shape[-1] for blocks in stacks}:
-        same = [i for i, blocks in enumerate(stacks) if blocks.shape[-1] == k]
-        blocks = np.concatenate([stacks[i] for i in same])
-        singular = np.linalg.svd(np.swapaxes(blocks, 1, 2) @ _SPIN_FLIP @ blocks, compute_uv=False)
-        lam.update(zip(same, np.split(singular, len(same))))
-    return [x[:, 0] - x[:, 1] - x[:, 2] - x[:, 3] for _, x in sorted(lam.items())]
+    rows = {}
+    for positions, blocks in stacks:
+        b0, b1, b2, b3 = (blocks[..., r, :] for r in range(4))
+        p = b1[..., :, None] * b2[..., None, :] - b0[..., :, None] * b3[..., None, :]
+        x = np.linalg.svd(p + np.swapaxes(p, -1, -2), compute_uv=False)
+        rows.update(zip(positions, (x[..., 0] - x[..., 1] - x[..., 2] - x[..., 3]).T))
+    return [rows[i] for i in range(len(rows))]
 
 
 def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.ndarray:
@@ -236,7 +231,8 @@ def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     evals, evecs = np.linalg.eigh(rho.entries)
-    return float(np.clip(_block_concurrences([(evecs * np.sqrt(np.maximum(evals, 0.0)))[None]])[0][0], 0.0, 1.0))
+    block = (evecs * np.sqrt(np.maximum(evals, 0.0)))[None, None]
+    return float(np.clip(_block_concurrences([((0,), block)])[0][0], 0.0, 1.0))
 
 
 def pair_concurrence(state: PureState, pair: SubsystemPair) -> float:

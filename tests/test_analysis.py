@@ -635,6 +635,59 @@ def test_scan_pairs_rejects_mode_overflow_in_a_later_chunk(monkeypatch):
         scan_pairs(overflow_state(), RESONANT, [OWN_CAVITY], 23 * step, 24, cutoff=2)
 
 
+def test_scan_pairs_names_the_first_offending_pair_in_pair_order():
+    # both pairs carry |e 1>, so both modes overflow into |g 2>; mode b holds four times the population of mode a
+    amps = np.zeros(basis_shape(2), dtype=complex)
+    amps[1, 0, 1, 0], amps[0, 1, 0, 1] = 1.0, 2.0
+    init = InitialState.custom(amps.ravel() / math.sqrt(5.0))
+    times = np.linspace(0.0, 5.0, 11)
+    columns = Propagator(build_hamiltonian(RESONANT, 2)).evolve_grid(initial_state_vector(init, 2), times)
+    tensor = np.abs(columns.reshape(basis_shape(2) + (11,))) ** 2
+    above = {"a": tensor[:, :, 2:].sum(axis=(0, 1, 2, 3)), "b": tensor[:, :, :, 2:].sum(axis=(0, 1, 2, 3))}
+    for names, mode in ((["Bb", "Aa"], "b"), (["Aa", "Bb"], "a"), (["AB", "ab"], "a"), (["Ab", "Ba"], "b")):
+        weight = above[mode][np.argmax(above[mode] > 1e-10)]
+        message = f"mode {mode} holds population {weight:.3e} above one photon"
+        with pytest.raises(QubitEquivalenceError, match=f"^{re.escape(message)}$"):
+            scan_pairs(init, RESONANT, [SubsystemPair.from_name(n) for n in names], 5.0, 11, cutoff=2)
+    # the atoms alone keep no mode
+    scan_pairs(init, RESONANT, [ATOM_PAIR], 5.0, 11, cutoff=2)
+
+
+def test_propagator_arrays_are_read_only():
+    propagator = Propagator(build_hamiltonian(RESONANT, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        propagator.modes[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        propagator.energies[0] = 0.0
+
+
+def test_cached_propagators_give_the_uncached_results(monkeypatch):
+    init, first, second = InitialState.phi(0.4), ModelParams.from_detuning(0.5, 1.0), ModelParams.from_detuning(-1, 2)
+
+    def run(params):
+        series = scan_pairs(init, params, ALL_PAIRS, 8.0, 41)
+        return [series[pair.name].signed for pair in ALL_PAIRS], validate(init, params, 8.0, 41)
+
+    fresh = {}
+    for params in (first, second):
+        analysis._propagator.cache_clear()
+        fresh[params] = run(params)
+    analysis._propagator.cache_clear()
+    for params in (first, second, first):
+        rows, report = run(params)
+        assert all(np.array_equal(got, want) for got, want in zip(rows, fresh[params][0]))
+        assert report == fresh[params][1]
+    # a repeat at the same parameters diagonalises nothing: the cache looks the builder up on the module
+    builds = []
+    monkeypatch.setattr(analysis, "build_hamiltonian", lambda *args: builds.append(args) or build_hamiltonian(*args))
+    run(first)
+    sweep_alpha(StateFamily.PHI_ALPHA, second, [0.2, 0.6], 8.0, 41, Source.ORACLE)
+    assert builds == []
+    run(ModelParams.from_detuning(0.25, 1.0))
+    assert builds == [(ModelParams.from_detuning(0.25, 1.0), 1)]
+    assert analysis._propagator.cache_info().maxsize == 8
+
+
 def test_chunked_oracle_matches_unchunked(monkeypatch):
     init, params = InitialState.phi(0.3), ModelParams.from_detuning(0.5, 1.0)
     whole = scan_pairs(init, params, ALL_PAIRS, 10.0, 101)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from doublejc import (
     psi_concurrence,
     psi_reduced_density,
 )
+from doublejc.model import ALPHA_MAX
 
 RESONANT = derive_constants(ModelParams.from_detuning(0.0, 1.0))
 
@@ -249,3 +251,18 @@ def test_array_broadcasting_matches_scalars():
     for j, t in enumerate(times):
         assert psi_vals[j] == psi_concurrence(0.5, c, float(t))
         assert phi_vals[j] == phi_concurrence(0.5, c, float(t))
+
+
+@pytest.mark.parametrize("fn", [psi_amplitudes, phi_amplitudes, psi_concurrence, phi_f, phi_concurrence])
+@pytest.mark.parametrize("alpha", [1e308, -1e308, math.inf, math.nan, np.nextafter(ALPHA_MAX, math.inf)])
+def test_single_angle_functions_refuse_an_angle_whose_double_overflows(fn, alpha):
+    # the same check and message as InitialState, before any sin(2 alpha) is taken
+    message = re.escape(f"alpha must be finite with |alpha| <= {ALPHA_MAX!r}, so that 2 alpha is finite")
+    with pytest.raises(ValueError, match=message):
+        fn(alpha, RESONANT, np.array([0.0, 1.0]))
+    if fn not in (psi_amplitudes, phi_amplitudes):
+        # a sequence of angles, one row each, is checked angle by angle
+        with pytest.raises(ValueError, match=message):
+            fn([0.3, alpha], RESONANT, np.array([0.0, 1.0]))
+    for edge in (ALPHA_MAX, -ALPHA_MAX):
+        fn(edge, RESONANT, np.array([0.0, 1.0]))

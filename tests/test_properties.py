@@ -19,6 +19,7 @@ from doublejc import (
     Propagator,
     Source,
     StateFamily,
+    basis_shape,
     build_hamiltonian,
     death_threshold_alpha,
     derive_constants,
@@ -28,6 +29,7 @@ from doublejc import (
     phi_concurrence,
     psi_concurrence,
     scan,
+    scan_pairs,
     sweep_alpha,
     wootters_concurrence,
 )
@@ -165,3 +167,45 @@ def test_oracle_psi_never_dies(exponent, mirrored, delta, t_max, steps):
     assert oracle.dead_intervals == ()
     assert len(oracle.touch_points) == len(closed.touch_points)
     assert np.abs(np.subtract(oracle.touch_points, closed.touch_points)).max(initial=0.0) <= t_max / (steps - 1)
+
+
+#: sigma_y (x) sigma_y on the |ee>,|eg>,|ge>,|gg> levels, with sigma_y = [[0, -i], [i, 0]] on (excited, ground)
+SPIN_FLIP = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+
+
+def reference_signed_rows(init, params, cutoff, times):
+    """Signed Wootters value of every pair, as lambda_1 - lambda_2 - lambda_3 - lambda_4 of B^T (sy x sy) B."""
+    columns = Propagator(build_hamiltonian(params, cutoff)).evolve_grid(initial_state_vector(init, cutoff), times)
+    tensor = columns.reshape(basis_shape(cutoff) + (len(times),))
+    rows = {}
+    for pair in ALL_PAIRS:
+        # (time, first, second, traced...), excited level first on both kept subsystems
+        kept = ["ABab".index(sub) for sub in pair.name]
+        blocks = np.moveaxis(tensor, [4] + kept, [0, 1, 2])[:, 1::-1, 1::-1].reshape(len(times), 4, -1)
+        lam = np.linalg.svd(np.swapaxes(blocks, 1, 2) @ SPIN_FLIP @ blocks, compute_uv=False)
+        rows[pair.name] = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return rows
+
+
+@bounded
+@given(
+    amps=complex_array((2, 2, 2, 2)),
+    cutoff=st.sampled_from([1, 2]),
+    delta=st.floats(-2.0, 2.0),
+    big_g=st.floats(0.5, 2.0),
+    steps=st.integers(2, 60),
+)
+def test_scan_pairs_kernel_matches_the_explicit_spin_flip(amps, cutoff, delta, big_g, steps):
+    if cutoff > 1:
+        # at most one excitation per atom-cavity pair, which each pair conserves: no mode ever
+        # holds more than one photon, so every pair's block is exact on the larger space
+        amps = amps.copy()
+        amps[1, :, 1, :] = amps[:, 1, :, 1] = 0.0
+    assume(np.linalg.norm(amps) > 1e-3)
+    embedded = np.zeros(basis_shape(cutoff), dtype=complex)
+    embedded[:, :, :2, :2] = amps / np.linalg.norm(amps)
+    init, params = InitialState.custom(embedded.ravel()), ModelParams.from_detuning(delta, big_g)
+    series = scan_pairs(init, params, ALL_PAIRS, 4.0 * math.pi / big_g, steps, cutoff)
+    want = reference_signed_rows(init, params, cutoff, series["AB"].times)
+    for pair in ALL_PAIRS:
+        np.testing.assert_allclose(series[pair.name].signed, want[pair.name], rtol=0, atol=1e-13)
