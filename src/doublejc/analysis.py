@@ -5,7 +5,7 @@ atom-atom expressions or from the numerical oracle (any subsystem pair).
 :func:`detect_death` classifies the zeros of a series into isolated touch
 points and finite dead intervals; closed-form dead intervals are the
 analytic windows from :mod:`closedform`, oracle ones the sign of the Wootters
-value.  :func:`sweep_alpha` classifies many angles the same way from one grid.
+value.  :func:`sweep_alpha` gives the same reports for many angles from one grid.
 :func:`validate` cross-checks the closed forms against the oracle at
 amplitude, density-matrix and concurrence level on a common time grid.
 """
@@ -297,7 +297,7 @@ def detect_death(series: ConcurrenceSeries) -> DeathReport:
     ``closedform.for_state(...).dead_windows``); oracle ones are read off the
     sign of ``series.signed`` (see ``_signed_window``).  On both sources a
     zero run whose bracketing grid cells meet no dead interval is an isolated
-    touch point.  :func:`sweep_alpha` classifies each of its rows the same way.
+    touch point.  :func:`sweep_alpha` applies the same touch rule (``_report``).
     """
     if series.times.size == 0:
         raise ValueError("empty series")
@@ -309,21 +309,20 @@ def detect_death(series: ConcurrenceSeries) -> DeathReport:
 def _classify(times: np.ndarray, values: np.ndarray, signed: np.ndarray, form, constants) -> DeathReport:
     """The death report of one checked row and its signed row (see :func:`detect_death`); no form on the oracle."""
     runs = _zero_runs(values <= ZERO_TOL)
-    if form is not None:
-        dead = form.dead_windows(float(times[0]), float(times[-1]))
-    else:
-        dead = [window for i0, i1 in runs if (window := _signed_window(times, signed, i0, i1))]
-    last = len(times) - 1
-    runs = [(i0, i1) for i0, i1 in runs
-            if not any(a < times[min(i1 + 1, last)] and b > times[max(i0 - 1, 0)] for a, b in dead)]
-    touches = [float(times[i0 + int(np.argmin(values[i0 : i1 + 1]))]) for i0, i1 in runs]
+    dead = (form.dead_windows(float(times[0]), float(times[-1])) if form is not None else
+            [window for i0, i1 in runs if (window := _signed_window(times, signed, i0, i1))])
+    return _report(times, values, runs, dead, constants, float(values[0]))
 
-    return DeathReport(
-        dead_intervals=tuple(dead),
-        touch_points=tuple(touches),
-        period=2.0 * math.pi / constants.rabi,
-        initial_concurrence=float(values[0]),
-    )
+
+def _report(times: np.ndarray, values: np.ndarray, runs: list, dead: list, constants, initial: float) -> DeathReport:
+    """The touch rule (see :func:`detect_death`) on a row, or on samples that hold their zero runs' grid neighbours."""
+    if runs and dead:  # windows come in time order: a bracket (lo, hi) may meet only the first one ending after lo
+        (i0, i1), (a, b) = np.array(runs).T, np.array(dead).T
+        lo, hi = times[np.maximum(i0 - 1, 0)], times[np.minimum(i1 + 1, len(times) - 1)]
+        k = np.searchsorted(b[:-1], lo, side="right")  # the last window where none ends after lo
+        runs = [run for run, met in zip(runs, ((a[k] < hi) & (b[k] > lo)).tolist()) if not met]
+    touches = [float(times[i0 + int(np.argmin(values[i0 : i1 + 1]))]) for i0, i1 in runs]
+    return DeathReport(tuple(dead), tuple(touches), period=2.0 * math.pi / constants.rabi, initial_concurrence=initial)
 
 
 def death_threshold_alpha(params: ModelParams | None = None) -> float:
@@ -388,10 +387,11 @@ def sweep_alpha(
 ) -> list:
     """Death reports across a grid of superposition angles.
 
-    Returns (alpha, report) tuples in grid order; the dead-interval lengths
-    shrink monotonically with growing initial entanglement.  Each report equals
-    ``detect_death(scan(...))`` at its angle, from one grid and one classifier per
-    sweep: one (angles x times) closed-form call, or one oracle diagonalisation.
+    Returns (alpha, report) tuples in grid order, each ``detect_death(scan(...))`` at its angle, bit for bit.
+    The oracle classifies a row per angle from one diagonalisation.  The closed path has no row: zero runs lie in
+    touch zones (``zero_zones`` at 2 ``ZERO_TOL``).  A cluster of zones that no grid point parts, each meeting a dead
+    window, holds only runs the touch rule drops; the rest are sampled in one call, widened by one grid index.  The
+    cost grows with angles x peaks (at most 3 steps), the dead windows and the samples, not with angles x steps.
     """
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
@@ -400,14 +400,43 @@ def sweep_alpha(
     inits = [InitialState(family, alpha) for alpha in alphas]
     constants, times = derive_constants(params), _grid(t_max, steps)
     if source is Source.ORACLE:
-        forms = [None] * len(inits)
         propagator = _propagator(params, cutoff)
         signed = np.array([_oracle_values(init, propagator, [ATOM_PAIR], times, cutoff)[0] for init in inits])
-        rows = np.clip(signed, 0.0, 1.0)
-    else:
-        forms, signed = [closedform.for_state(init, constants) for init in inits], None
-        # the first form with every angle at once: one row per angle
-        rows = replace(forms[0], alpha=alphas).concurrence(times)
-    times, rows, signed = _checked(times, rows, signed)
-    return [(alpha, _classify(times, row, signs, form, constants))
-            for alpha, row, signs, form in zip(alphas, rows, signed, forms)]
+        times, rows, signed = _checked(times, np.clip(signed, 0.0, 1.0), signed)
+        return [(alpha, _classify(times, row, signs, None, constants)) for alpha, row, signs in zip(alphas, rows, signed)]
+    forms = [closedform.for_state(init, constants) for init in inits]
+    if np.any(times[1:] <= times[:-1]):  # as a scan of this grid would
+        raise ValueError("times must be strictly increasing")
+    t0, t1, size = float(times[0]), float(times[-1]), times.size
+    # the phase rabi t / 2 of a row value rounds by an ulp of itself, so the margin grows with t1
+    level = 2 * ZERO_TOL + closedform.FEW_ULPS * constants.rabi * t1
+    # on fewer points than periods only the peaks by a point, or one either side for rounding, can hold a zone
+    peaks = None if (t1 - t0) * constants.rabi < 2.0 * math.pi * size else sorted(
+        {k + d for k in (times * constants.rabi / (2.0 * math.pi)).astype(int).tolist() for d in (-1, 0, 1)})
+    deads = [form.dead_windows(t0, t1) for form in forms]
+    # an angle's dead windows fill one window per peak over their span: a zone meets one iff it meets the span
+    zones = [(j, start, end, bool(dead) and end > dead[0][0] and start < dead[-1][1]) for j, (form, dead)
+             in enumerate(zip(forms, deads)) for start, end in form.zero_zones(t0, t1, level, peaks)]
+    owner = index = samples = np.empty(0, dtype=int)
+    if not all(zone[3] for zone in zones):  # a zone that meets no dead window may hold a touch
+        # each zone's grid points lo..hi-1, widened by one index, as increasing keys angle * (size + 1) + index
+        owner, starts, ends, meets = np.array(zones).T
+        lo, hi = np.searchsorted(times, starts), np.searchsorted(times, ends, side="right")
+        base, held = owner.astype(int) * (size + 1), hi > lo
+        first, last = (base + np.maximum(lo - 1, 0))[held], (base + np.minimum(hi, size - 1))[held]
+        # a zero run may cross zones no grid point parts: sample such a cluster unless its zones all meet dead windows
+        cluster = np.cumsum(first >= np.concatenate(([-1], last[:-1])))
+        kept = np.bincount(cluster, meets[held] == 0)[cluster] > 0
+        first, last = first[kept], last[kept]
+        first[1:] = np.maximum(first[1:], last[:-1] + 1)  # each key once: zones come in order, and may overlap
+        width = np.maximum(last - first + 1, 0)  # the ranges first..last as one arange, shifted range by range
+        owner, index = np.divmod(np.repeat(first - np.cumsum(width) + width, width) + np.arange(width.sum()), size + 1)
+    if index.size:  # one call for all sampled angles, in the row's own elementwise arithmetic
+        sampled, union = np.flatnonzero(np.bincount(owner)), np.flatnonzero(np.bincount(index))
+        rows = replace(forms[0], alpha=[alphas[j] for j in sampled.tolist()]).concurrence(times[union])
+        samples = rows[np.searchsorted(sampled, owner), np.searchsorted(union, index)]
+    cuts = np.searchsorted(owner, np.arange(len(alphas) + 1)).tolist()
+    # the initial value: at t = 0 the transfer weight is 0, and the row's first value is |sin 2a|, bit for bit
+    return [(alpha, _report(times[index[i:k]], samples[i:k], _zero_runs(samples[i:k] <= ZERO_TOL) if k > i else [],
+                            dead, constants, abs(math.sin(2.0 * alpha))))
+            for alpha, dead, i, k in zip(alphas, deads, cuts, cuts[1:])]

@@ -29,6 +29,7 @@ from .model import (
     PureState,
     StateFamily,
     _check_alpha,
+    _check_time,
     basis_shape,
 )
 
@@ -56,11 +57,6 @@ def _pair_factors(constants: JCConstants, t):
     f = constants.l_coef * ep + constants.m_coef * em
     h = constants.n_coef * (ep - em)
     return f, h
-
-
-def _check_time(t) -> None:
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("time must be nonnegative")
 
 
 class _Amplitudes:
@@ -283,15 +279,31 @@ class _StateForm:
         s = abs(math.tan(self.alpha)) / _peak_weight(self.constants) if self.phi else math.inf
         if s >= 1.0 - FEW_ULPS:
             return []
-        theta = math.asin(math.sqrt(s))
+        return self._around_peaks(t0, t1, math.asin(math.sqrt(s)))
+
+    def zero_zones(self, t0: float, t1: float, level: float, peaks=None) -> list:
+        """Windows where the generator is at most ``level`` > 0 that meet [t0, t1], clipped to it, around ``peaks``.
+
+        The generator is convex in w and zero at w = 1 >= w: it is at most ``level`` where w >= w_lo, around each peak.
+        """
+        s, b = abs(math.sin(2.0 * self.alpha)), 2.0 * math.cos(self.alpha) ** 2 if self.phi else 0.0
+        # the smaller root of b w^2 - (s + b) w + s - level, free of cancellation; none above 0 if s <= level
+        w_lo = 2.0 * (s - level) / (s + b + math.sqrt((b - s) ** 2 + 4.0 * b * level)) if s > level else 0.0
+        ratio = w_lo / _peak_weight(self.constants)
+        return self._around_peaks(t0, t1, math.asin(math.sqrt(ratio)), peaks) if ratio <= 1.0 else []
+
+    def _around_peaks(self, t0: float, t1: float, theta: float, peaks=None) -> list:
+        """Windows (2/rabi) (k pi + theta, (k + 1) pi - theta) that meet [t0, t1], clipped; k in ``peaks``, or all."""
         scale = 2.0 / self.constants.rabi
         windows = []
-        k = math.floor(t0 / (scale * math.pi))
-        while (start := scale * (k * math.pi + theta)) < t1:
+        if peaks is None:
+            peaks = range(math.floor(t0 / (scale * math.pi)), math.floor(t1 / (scale * math.pi)) + 3)
+        for k in peaks:
+            if (start := scale * (k * math.pi + theta)) >= t1:
+                break
             end = scale * ((k + 1) * math.pi - theta)
             if end > t0:
                 windows.append((max(start, t0), min(end, t1)))
-            k += 1
         return windows
 
 

@@ -60,6 +60,12 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_time(t) -> None:
+    """ValueError unless every time in t (a scalar or a grid) is finite and nonnegative; a NaN fails it."""
+    if not ((np.asarray(t, dtype=float) >= 0) & np.isfinite(t)).all():
+        raise ValueError("time must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical frequencies of one atom-cavity pair (both pairs identical).

@@ -22,6 +22,7 @@ from .model import (
     NORM_TOL,
     PureState,
     TRACE_TOL,
+    _check_time,
     basis_shape,
 )
 
@@ -129,7 +130,8 @@ class Propagator:
         return PureState(self.evolve_grid(state0, [t])[:, 0], state0.cutoff)
 
     def evolve_grid(self, state0: PureState, times: np.ndarray) -> np.ndarray:
-        """Amplitudes at many times, one column per time point."""
+        """Amplitudes at many finite, nonnegative times, one column per time point."""
+        _check_time(times)
         if state0.dim != self.energies.size:
             raise ValueError("state dimension does not match operator")
         coeffs = self.modes.conj().T @ state0.amplitudes

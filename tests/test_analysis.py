@@ -510,7 +510,8 @@ def test_scan_and_sweep_reject_cutoff_zero(source):
 
 @pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
 def test_closed_sweep_cost_does_not_grow_with_alpha(family, monkeypatch):
-    # the counting of test_detect_death_closed_cost_does_not_grow_with_the_grid, over the angles
+    # the counting of test_detect_death_closed_cost_does_not_grow_with_the_grid, over the angles and the grid:
+    # the closed sweep computes no row, and samples the touch zones of all its angles in one call
     calls = []
     for name in closedform.__all__:
         original = getattr(closedform, name)
@@ -522,10 +523,18 @@ def test_closed_sweep_cost_does_not_grow_with_alpha(family, monkeypatch):
         monkeypatch.setattr(closedform, name, counted)
     generator = ["phi_f"] if family is StateFamily.PHI_ALPHA else []
     for count in (1, 12):
+        for steps in (201, 20001):
+            calls.clear()
+            # above the threshold from 1.4 down, so the first angle has touch points at pi and 3 pi on both grids
+            results = sweep_alpha(family, RESONANT, np.linspace(1.4, 0.1, count), 4 * math.pi, steps)
+            assert len(results) == count
+            assert calls == [f"{family.value}_concurrence"] + generator
+    if family is StateFamily.PHI_ALPHA:
+        # every angle dies: every zone meets a dead window, and nothing is sampled
         calls.clear()
-        results = sweep_alpha(family, RESONANT, np.linspace(0.1, 1.4, count), 4 * math.pi, 201)
-        assert len(results) == count
-        assert calls == [f"{family.value}_concurrence"] + generator
+        results = sweep_alpha(family, RESONANT, np.linspace(0.1, 0.7, 12), 4 * math.pi, 201)
+        assert all(report.has_death and not report.touch_points for _, report in results)
+        assert calls == []
 
 
 # --------------------------------------------------------------- validate

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from doublejc import (
+    InitialState,
     ModelParams,
     derive_constants,
     phi_amplitudes,
@@ -15,6 +16,7 @@ from doublejc import (
     psi_concurrence,
     psi_reduced_density,
 )
+from doublejc import closedform
 from doublejc.model import ALPHA_MAX
 
 RESONANT = derive_constants(ModelParams.from_detuning(0.0, 1.0))
@@ -97,6 +99,15 @@ def test_negative_time_rejected():
         psi_amplitudes(0.3, RESONANT, -0.1)
     with pytest.raises(ValueError):
         phi_concurrence(0.3, RESONANT, -1.0)
+
+
+@pytest.mark.parametrize("function", [psi_concurrence, phi_concurrence, phi_f, psi_amplitudes, phi_amplitudes])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+def test_non_finite_or_negative_time_rejected(function, bad):
+    # a NaN or an infinity used to come back as NaN values without complaint
+    for t in (bad, np.array([0.0, 1.0, bad]), np.array([[0.5], [bad]])):
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            function(0.3, RESONANT, t)
 
 
 def test_psi_reduced_density_bell_at_t0():
@@ -266,3 +277,22 @@ def test_single_angle_functions_refuse_an_angle_whose_double_overflows(fn, alpha
             fn([0.3, alpha], RESONANT, np.array([0.0, 1.0]))
     for edge in (ALPHA_MAX, -ALPHA_MAX):
         fn(edge, RESONANT, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("phi", [False, True])
+@pytest.mark.parametrize("points", [3001, 7])
+def test_zero_zones_hold_their_dead_windows_and_every_point_at_most_zero_tol(phi, points):
+    # a zone holds the dead window it meets; a point in no zone is above ZERO_TOL, so each zero run lies in zones
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        constants = random_constants(rng)
+        times = np.linspace(0.0, rng.uniform(0.5, 12.0) * 2.0 * math.pi / constants.rabi, points)
+        t0, t1 = float(times[0]), float(times[-1])
+        for alpha in [*rng.uniform(0.0, 0.5 * math.pi, 4), 1e-13, 4e-12, math.pi / 4, 0.5 * math.pi - 1e-13]:
+            form = closedform.for_state((InitialState.phi if phi else InitialState.psi)(alpha), constants)
+            a, b = np.reshape(form.zero_zones(t0, t1, 2e-12), (-1, 2)).T
+            inside = ((times >= a[:, None]) & (times <= b[:, None])).any(axis=0)
+            assert np.all(form.concurrence(times)[~inside] > 1e-12)
+            for lo, hi in form.dead_windows(t0, t1):
+                meets = (a < hi) & (b > lo)
+                assert meets.any() and np.all((a[meets] <= lo) & (b[meets] >= hi))

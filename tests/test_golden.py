@@ -48,6 +48,12 @@ CASES = {
                              "--steps", "501", "--format", "csv"],
     "sweep_phi_closed.json": ["sweep", "--family", "phi", "--delta", "1", "--G", "1",
                               "--alphas", "0.1,0.3,0.5", "--steps", "501"],
+    # touch points at pi and 3pi; at alpha = 1e-13 the whole grid is one zero run
+    "sweep_psi_closed.json": ["sweep", "--family", "psi", "--delta", "0", "--G", "1",
+                              "--alphas", "1e-13,0.3,1.2", "--steps", "401"],
+    # the threshold pi/4, touch points above it, and the narrow live gaps of alpha = 1e-13
+    "sweep_phi_touch_closed.json": ["sweep", "--family", "phi", "--delta", "0", "--G", "1",
+                                    "--alphas", "0.7853981633974483,0.9,1e-13", "--steps", "401"],
     "scan_all_oracle.csv": ["scan", "--family", "phi", "--alpha", "0.5333333333333333", "--delta", "1",
                             "--G", "1", "--pair", "all", "--source", "oracle", "--steps", "101"],
     "scan_all_oracle.json": ["scan", "--family", "phi", "--alpha", "0.5333333333333333", "--delta", "1",

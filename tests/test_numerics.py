@@ -141,6 +141,17 @@ def test_evolve_grid_rejects_a_state_of_another_cutoff():
         propagator.evolve_grid(initial_state_vector(InitialState.psi(0.3), cutoff=2), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_evolution_rejects_non_finite_or_negative_times(bad):
+    # evolve used to fail with "state vector must have unit norm", and evolve_grid returned NaN columns
+    propagator = Propagator(build_hamiltonian(ModelParams(1.0, 1.0, 0.5), cutoff=1))
+    state0 = initial_state_vector(InitialState.psi(0.3), cutoff=1)
+    with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+        propagator.evolve(state0, bad)
+    with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+        propagator.evolve_grid(state0, [0.0, bad, 1.0])
+
+
 # ------------------------------------------------------------- evolution
 
 def test_evolve_identity_at_t0():

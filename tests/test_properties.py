@@ -7,6 +7,7 @@ repeatable.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -33,6 +34,7 @@ from doublejc import (
     sweep_alpha,
     wootters_concurrence,
 )
+from doublejc.closedform import FEW_ULPS
 
 bounded = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 unit = st.floats(-1.0, 1.0)
@@ -112,14 +114,79 @@ EDGE_ALPHAS = [0.0, 0.5 * math.pi, -0.5 * math.pi, math.atan(0.5), math.atan(0.5
     steps=st.integers(2, 400),
 )
 def test_sweep_reports_equal_detect_death_of_each_scan(family, source, alphas, delta, t_max, steps):
-    # the sweep shares its grid and classifier across angles; each report must be the per-angle one
-    params = ModelParams.from_detuning(delta, 1.0)
+    # the sweep shares its grid across angles; each report must be the per-angle one
+    assert_sweep_equals_scans(family, ModelParams.from_detuning(delta, 1.0), alphas, t_max, steps, source)
+
+
+def assert_sweep_equals_scans(family, params, alphas, t_max, steps, source=Source.CLOSED_FORM):
     results = sweep_alpha(family, params, alphas, t_max, steps, source)
     assert [alpha for alpha, _ in results] == alphas
     for alpha, report in results:
-        series = scan(InitialState(family, alpha), params, ATOM_PAIR, t_max, steps, source)
-        assert report == detect_death(series)
+        assert report == detect_death(scan(InitialState(family, alpha), params, ATOM_PAIR, t_max, steps, source))
 
+
+@st.composite
+def hard_alphas(draw, params):
+    """An angle where the closed sweep is hardest: by alpha_c, by pi/4, or by a product state."""
+    kind = draw(st.sampled_from(["threshold", "quarter", "product"]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "threshold":
+        return death_threshold_alpha(params) + sign * 10.0 ** draw(st.floats(-14.0, -2.0))
+    if kind == "quarter":
+        return math.pi / 4 + sign * 10.0 ** draw(st.floats(-15.0, -3.0))
+    # |sin 2 alpha| from a few ulps through the zero threshold 1e-12 up to 1e-5, by either end of [0, pi/2]
+    alpha = 0.5 * math.asin(10.0 ** draw(st.floats(math.log10(FEW_ULPS), -5.0)))
+    return sign * (0.5 * math.pi - alpha if draw(st.booleans()) else alpha)
+
+
+@settings(bounded, max_examples=200)
+@given(
+    data=st.data(),
+    family=st.sampled_from([StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA]),
+    delta=st.one_of(st.sampled_from([0.0, 1e-12, -1e-12, 1e-8, -1e-8]), st.floats(-2.0, 2.0)),
+    big_g=st.floats(0.3, 3.0),
+    periods=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.2, 6.0)),
+    # 4k + 1 points over whole or half periods put grid points on the peaks, where touches are
+    steps=st.one_of(st.integers(2, 3000), st.integers(1, 750).map(lambda k: 4 * k + 1)),
+)
+def test_closed_sweep_in_the_hard_region_equals_detect_death_of_each_scan(data, family, delta, big_g, periods,
+                                                                         steps):
+    params = ModelParams.from_detuning(delta, big_g)
+    alphas = data.draw(st.lists(hard_alphas(params), min_size=1, max_size=4))
+    t_max = periods * 2.0 * math.pi / derive_constants(params).rabi
+    assert_sweep_equals_scans(family, params, alphas, t_max, steps)
+
+
+#: the hard angles of the resonant closed sweep, each family's threshold with a hair either side
+RESONANT_HARD_ALPHAS = [1e-13, 5e-13, 1.5e-12, 0.3, math.pi / 4 - 1e-10, math.pi / 4, math.pi / 4 + 1e-15,
+                        math.pi / 4 + 1e-10, 0.9, 1.2, 0.5 * math.pi - 1e-13]
+
+
+@pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
+def test_closed_sweep_on_a_fine_grid_equals_detect_death_of_each_scan(family):
+    assert_sweep_equals_scans(family, ModelParams.from_detuning(0.0, 1.0), RESONANT_HARD_ALPHAS,
+                              2.0 * math.pi, 200_001)
+
+
+@pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
+@pytest.mark.parametrize("periods", [1e4, 1e4 + 0.5])
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+def test_closed_sweep_over_a_long_horizon_equals_detect_death_of_each_scan(family, periods, delta):
+    # ten thousand windows and zones an angle: a pass over them that is not linear shows in the run time
+    params = ModelParams.from_detuning(delta, 1.0)
+    alphas = RESONANT_HARD_ALPHAS + [death_threshold_alpha(params) - 1e-9, death_threshold_alpha(params) + 1e-9]
+    assert_sweep_equals_scans(family, params, alphas, periods * 2.0 * math.pi / derive_constants(params).rabi, 101)
+
+
+
+@pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
+@pytest.mark.parametrize("periods", [1.01, 10.1])
+def test_closed_sweep_where_no_grid_point_parts_zones_equals_detect_death_of_each_scan(family, periods):
+    # by a product state, far detuned (4 N^2 = 1e-10), the touch zones fill whole periods or leave gaps narrower
+    # than a grid cell, so a zero run may reach from a zone that holds a dead window into one that holds none
+    params = ModelParams.from_detuning(1e5, 1.0)
+    alphas = [1e-13, 4e-13, 1e-12, 1.5e-12, 3e-12, 1e-11, 0.5 * math.pi - 4e-13]
+    assert_sweep_equals_scans(family, params, alphas, periods * 2.0 * math.pi / derive_constants(params).rabi, 101)
 
 @settings(bounded, max_examples=100)
 @given(
