@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
+from . import _numtext
 from .analysis import Source, detect_death, scan, scan_pairs, sweep_alpha, validate
 from .model import InitialState, ModelParams, StateFamily, derive_constants
 from .numerics import ALL_PAIRS, QubitEquivalenceError, SubsystemPair
@@ -49,27 +51,36 @@ def _fmt(x: float) -> str:
 
 
 def _csv_rows(table) -> str:
-    """One CSV line per row of the 2-D ``table``, each number as ``_fmt`` writes it, in one pass."""
-    rows, cols = np.shape(table)
-    return (",".join(["%.17g"] * cols) + "\n") * rows % tuple(np.ravel(table).tolist())
+    """One CSV line per row of the 2-D ``table``, each number as ``_fmt`` writes it."""
+    return "".join(_numtext.chunks(table, [","] * (np.shape(table)[1] - 1) + ["\n"], shortest=False))
 
 
-def _json(obj, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2)`` for every CLI JSON document: dicts, lists and tuples of JSON scalars
-    (through ``json.dumps``) and finite float arrays, each joined in one pass, not one call per number."""
+def _json_chunks(obj, level: int = 0):
+    """``json.dumps(obj, indent=2)`` of a CLI document in pieces; a finite 1-D float array streams in chunks."""
+    pad = "\n" + "  " * level
     if isinstance(obj, np.ndarray):
         if not np.isfinite(obj).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        items, ends = map(float.__repr__, obj.tolist()), "[]"
-    elif isinstance(obj, dict):
-        items, ends = (f"{json.dumps(key)}: {_json(value, level + 1)}" for key, value in obj.items()), "{}"
+        yield "[" + pad + "  " if obj.size else "[]"
+        yield from _numtext.chunks(obj, ["," + pad + "  "], shortest=True, end=pad + "]")
+        return
+    if isinstance(obj, dict):
+        items, ends = ((json.dumps(key) + ": ", value) for key, value in obj.items()), "{}"
     elif isinstance(obj, (list, tuple)):
-        items, ends = (_json(value, level + 1) for value in obj), "[]"
+        items, ends = (("", value) for value in obj), "[]"
     else:
-        return json.dumps(obj)
-    pad = "\n" + "  " * level
-    body = f",{pad}  ".join(items)
-    return f"{ends[0]}{pad}  {body}{pad}{ends[1]}" if body else ends
+        yield json.dumps(obj)
+        return
+    lead = ends[0] + pad + "  "
+    for key, value in items:
+        yield lead + key
+        yield from _json_chunks(value, level + 1)
+        lead = "," + pad + "  "
+    yield ends if lead[0] == ends[0] else pad + ends[1]
+
+
+def _json(obj) -> str:
+    return "".join(_json_chunks(obj))
 
 
 # ---------------------------------------------------------------- arguments
@@ -175,19 +186,16 @@ def _resolve_run(ns: argparse.Namespace) -> tuple[ModelParams, float]:
     return params, tmax
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_output(path, chunks) -> None:
+    """Write the text ``chunks`` to ``path`` (stdout if None) as they come, never holding a long scan whole."""
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from None
-
-
-def _write_output(ns: argparse.Namespace, text: str) -> None:
-    if ns.out:
-        _write_file(ns.out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _echo_line(params: ModelParams, init: InitialState, tmax, steps, pairs, source, cutoff) -> str:
@@ -228,7 +236,7 @@ def _cmd_constants(ns: argparse.Namespace) -> int:
         text = _json(dict(items)) + "\n"
     else:
         text = "".join(f"{key} = {_fmt(value)}\n" for key, value in items)
-    _write_output(ns, text)
+    _write_output(ns.out, [text])
     return EXIT_OK
 
 
@@ -263,16 +271,18 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     names = [p.name for p in pairs]
     times = series[names[0]].times
     if ns.format == "json":
-        text = _json({"family": init.family.value, "alpha": init.alpha, "omega": params.omega, "nu": params.nu,
-                      "g": params.g, "tmax": tmax, "steps": ns.steps, "source": ns.source, "cutoff": ns.cutoff,
-                      "times": times, "concurrence": {name: series[name].values for name in names}}) + "\n"
+        chunks = itertools.chain(_json_chunks({
+            "family": init.family.value, "alpha": init.alpha, "omega": params.omega, "nu": params.nu, "g": params.g,
+            "tmax": tmax, "steps": ns.steps, "source": ns.source, "cutoff": ns.cutoff, "times": times,
+            "concurrence": {name: series[name].values for name in names}}), ["\n"])
     else:
-        text = (_echo_line(params, init, tmax, ns.steps, names, ns.source, ns.cutoff) + "t," + ",".join(names)
-                + "\n" + _csv_rows(np.column_stack([times, *(series[name].values for name in names)])))
-    _write_output(ns, text)
+        header = _echo_line(params, init, tmax, ns.steps, names, ns.source, ns.cutoff) + "t," + ",".join(names) + "\n"
+        table = np.column_stack([times, *(series[name].values for name in names)])
+        chunks = itertools.chain([header], _numtext.chunks(table, [","] * len(names) + ["\n"], shortest=False))
+    _write_output(ns.out, chunks)
 
     if ns.plot_script:
-        _write_file(ns.plot_script, _gnuplot_script(ns.out, names))
+        _write_output(ns.plot_script, [_gnuplot_script(ns.out, names)])
     return EXIT_OK
 
 
@@ -285,7 +295,7 @@ def _cmd_death(ns: argparse.Namespace) -> int:
     series = scan(init, params, SubsystemPair.from_name(ns.pair), tmax, ns.steps, source, ns.cutoff)
     payload = {"family": init.family.value, "alpha": init.alpha, "pair": ns.pair, "source": source.value,
                "tmax": tmax, "steps": ns.steps, **detect_death(series).to_dict()}
-    _write_output(ns, _json(payload) + "\n")
+    _write_output(ns.out, [_json(payload), "\n"])
     return EXIT_OK
 
 
@@ -294,7 +304,7 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
     init = InitialState(StateFamily(ns.family), ns.alpha)
     report = validate(init, params, tmax, ns.steps, ns.tolerance, ns.cutoff)
     payload = {"family": init.family.value, "alpha": init.alpha, **report.to_dict()}
-    _write_output(ns, _json(payload) + "\n")
+    _write_output(ns.out, [_json(payload), "\n"])
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 
 
@@ -315,7 +325,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         payload = {"family": ns.family, "source": source.value, "tmax": tmax, "steps": ns.steps,
                    "reports": [{"alpha": alpha, **report.to_dict()} for alpha, report in results]}
         text = _json(payload) + "\n"
-    _write_output(ns, text)
+    _write_output(ns.out, [text])
     return EXIT_OK
 
 

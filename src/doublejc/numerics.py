@@ -90,6 +90,8 @@ def build_hamiltonian(params: ModelParams, cutoff: int) -> np.ndarray:
     with the atomic ground state at zero energy.  The rotating-wave coupling
     conserves the total excitation number, also on the truncated space.
     """
+    if not math.isfinite(2 * params.omega + 2 * cutoff * params.nu):
+        raise ValueError("Hamiltonian diagonal 2*omega + 2*cutoff*nu is not finite")
     shape = basis_shape(cutoff)
     # flattened-index step of one level along each axis
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
@@ -132,6 +134,8 @@ class Propagator:
     def evolve_grid(self, state0: PureState, times: np.ndarray) -> np.ndarray:
         """Amplitudes at many finite, nonnegative times, one column per time point."""
         _check_time(times)
+        if not math.isfinite(float(np.abs(self.energies).max()) * float(np.max(times, initial=0.0))):
+            raise ValueError("propagation phase max|E| * max(t) is not finite")
         if state0.dim != self.energies.size:
             raise ValueError("state dimension does not match operator")
         coeffs = self.modes.conj().T @ state0.amplitudes

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,29 @@ def test_angle_whose_double_overflows_exits_2(capsys, argv):
                    "so that 2 alpha is finite\n")
 
 
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--steps", "5"], "Hamiltonian diagonal 2*omega + 2*cutoff*nu is not finite"),
+        (["death", "--source", "oracle", "--steps", "5"], "Hamiltonian diagonal 2*omega + 2*cutoff*nu is not finite"),
+        (["scan", "--source", "oracle", "--steps", "5"], "Hamiltonian diagonal 2*omega + 2*cutoff*nu is not finite"),
+        (["sweep", "--source", "oracle", "--steps", "5"], "Hamiltonian diagonal 2*omega + 2*cutoff*nu is not finite"),
+        (["death", "--source", "oracle", "--tmax", "1e10", "--nu", "1e300"],
+         "propagation phase max|E| * max(t) is not finite"),
+        (["validate", "--tmax", "1e10", "--steps", "5", "--nu", "1e300"],
+         "propagation phase max|E| * max(t) is not finite"),
+    ],
+)
+def test_overflowing_oracle_exits_2_without_warnings(capsys, argv, message):
+    # these used to print numpy RuntimeWarnings and exit 2 with "state vector must have unit norm"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, *argv, "--G", "1", *([] if "--nu" in argv else ["--nu", "1e308"]))
+    assert rc == 2
+    assert out == ""
+    assert err == f"doublejc: error: {message}\n"
+    assert [str(w.message) for w in caught] == []
 
 # ------------------------------------------------------------------- flags
 
