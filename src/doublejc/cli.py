@@ -180,7 +180,8 @@ def _resolve_params(ns: argparse.Namespace) -> ModelParams:
 def _resolve_run(ns: argparse.Namespace) -> tuple[ModelParams, float]:
     """Parameters and scan end time of the subcommands that scan."""
     params = _resolve_params(ns)
-    tmax = 4.0 * math.pi / (2.0 * params.g) if ns.tmax is None else ns.tmax
+    # 4 pi/G with G = 2g, written so that no 2g can overflow
+    tmax = 2.0 * math.pi / params.g if ns.tmax is None else ns.tmax
     if not (math.isfinite(tmax) and tmax > 0):
         raise ValueError("tmax must be positive and finite")
     return params, tmax

@@ -1,10 +1,12 @@
 """Brute-force numerical oracle for the double Jaynes-Cummings system.
 
 Everything here works directly on the truncated product space: build the
-full Hamiltonian, propagate exactly through its eigendecomposition, trace
-down to any of the six subsystem pairs, and evaluate the concurrence of the
-resulting two-qubit state.  No closed-form result enters any code path, so
-this module serves as an independent check on the analytic formulas.
+full Hamiltonian, propagate exactly through the eigendecomposition of each
+block of its exact nonzero pattern, trace down to any of the six subsystem
+pairs, and evaluate the concurrence of the resulting two-qubit state from the
+blocks of the exact nonzero pattern of its Wootters matrix.  No closed-form
+result enters any code path, so this module serves as an independent check
+on the analytic formulas.
 """
 
 from __future__ import annotations
@@ -111,11 +113,30 @@ def total_excitation(cutoff: int) -> np.ndarray:
     return np.diag(_basis_labels(cutoff).sum(axis=0).astype(float))
 
 
+def _blocks(link: np.ndarray) -> list:
+    """Connected components of a symmetric boolean pattern, as one (count x size) index array per size.
+
+    Each index takes the least label among its neighbours and then that label's own
+    label, until no label changes; each component is then labelled by its least index.
+    """
+    link = link | np.eye(len(link), dtype=bool)
+    labels = np.arange(len(link))
+    while not np.array_equal(least := np.where(link, labels, len(link)).min(axis=1), labels):
+        labels = least[least]
+    order = np.argsort(labels * len(labels) + np.arange(len(labels)))  # each component's indices together, ascending
+    sizes = np.bincount(labels, minlength=len(labels))[labels[order]]
+    return [order[sizes == size].reshape(-1, size) for size in dict.fromkeys(sizes.tolist())]
+
+
 class Propagator:
     """Exact propagator exp(-iHt) through one shared eigendecomposition.
 
     Diagonalizing once and reusing the eigenbasis makes dense time grids
-    cheap; evolution is exact at any t, with no step-size error.
+    cheap; evolution is exact at any t, with no step-size error.  Each
+    connected block of H's exact nonzero pattern (for :func:`build_hamiltonian`
+    the (N_A, N_B) excitation sectors) is diagonalised on its own, about its
+    mean diagonal, in one batched ``eigh`` per block size, so amplitudes
+    outside the blocks a state occupies stay exactly 0.
     """
 
     def __init__(self, h: np.ndarray):
@@ -124,7 +145,12 @@ class Propagator:
             raise ValueError("operator must be a square matrix")
         if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("operator must be Hermitian")
-        self.energies, self.modes = np.linalg.eigh(h)
+        self.energies, self.modes = np.empty(len(h)), np.zeros_like(h)
+        for index in _blocks((h != 0) | (h.T != 0)):
+            rows, cols = index[:, :, None], index[:, None, :]
+            shift = h[index, index].real.mean(axis=1, keepdims=True)[..., None]
+            energies, self.modes[rows, cols] = np.linalg.eigh(h[rows, cols] - shift * np.eye(index.shape[1]))
+            self.energies[index] = energies + shift[..., 0]
         self.energies.flags.writeable = self.modes.flags.writeable = False  # shared through the analysis cache
 
     def evolve(self, state0: PureState, t: float) -> PureState:
@@ -197,6 +223,41 @@ def partial_trace_pair(state: PureState, pair: SubsystemPair) -> DensityMatrix:
     return DensityMatrix(block @ block.conj().T)
 
 
+def _svd2(m: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a stack of complex 2 x 2 matrices (... x 2 x 2).
+
+    Each matrix is scaled by a power of two at or above its largest modulus (exact, and
+    1 for a zero matrix), so its products neither overflow nor underflow.  A unitary
+    Givens rotation of its first column and two phases bring it to the real upper
+    triangle [[f, g], [0, h]], whose singular values follow as in LAPACK's dlas2: the
+    larger from two hypotenuses, the smaller as f h over the larger.
+    """
+    modulus = np.abs(m)
+    scale = np.ldexp(1.0, np.frexp(modulus.max(axis=(-2, -1)))[1])[..., None, None]
+    (a, b), (c, d) = np.moveaxis(m / scale, (-2, -1), (0, 1))
+    (abs_a, abs_b), (abs_c, abs_d) = np.moveaxis(modulus / scale, (-2, -1), (0, 1))
+    f = np.hypot(abs_a, abs_c)
+    rotated = f > 0  # else the first column is zero and [[0, b], [0, d]] needs no rotation
+    over = np.where(rotated, f, 1.0)
+    g = np.where(rotated, np.abs(a.conj() * b + c.conj() * d) / over, abs_b)
+    h = np.where(rotated, np.abs(a * d - b * c) / over, abs_d)
+    large = 0.5 * (np.hypot(f + h, g) + np.hypot(f - h, g))  # 0 only for a zero matrix
+    return np.stack([large, f * h / np.maximum(large, np.finfo(float).tiny)], -1) * scale[..., 0]
+
+
+@functools.lru_cache(maxsize=64)
+def _block_plan(pattern: bytes, pairs: int, k: int) -> list:
+    """[(g_s x s x s flat indices into a g x k x k stack, g_s s flat slots in g x k)], one per block size s.
+
+    The blocks are the connected components of each k x k matrix's symmetric nonzero
+    ``pattern``; each block's s singular values go to the slots of its own s indices.
+    """
+    link = np.frombuffer(pattern, dtype=bool).reshape(pairs, k, k)
+    # the g patterns as one block-diagonal (g k) x (g k) pattern: index p k + i is row i of matrix p
+    whole = (np.eye(pairs, dtype=bool)[:, None, :, None] & link[:, :, None, :]).reshape(pairs * k, pairs * k)
+    return [(index[:, :, None] * k + index[:, None, :] % k, index.ravel()) for index in _blocks(whole)]
+
+
 def _block_concurrences(stacks) -> list:
     """Signed lambda_1 - lambda_2 - lambda_3 - lambda_4 of each pair, in pair order, from :func:`_pair_blocks` stacks.
 
@@ -204,20 +265,34 @@ def _block_concurrences(stacks) -> list:
     values of tau = B^T (sy x sy) B (Wootters, PRL 80, 2245, 1998), with neither
     sqrt(rho) nor an eigendecomposition; tau has rank at most 4.  sy x sy only
     reverses and signs the rows b_0..b_3 of B, so tau = P + P^T with
-    P = b_1 (x) b_2 - b_0 (x) b_3.  Clipped into [0, 1] the value is the
-    concurrence, and below zero it marks sudden death.  One batched SVD per stack.
+    P = b_1 (x) b_2 - b_0 (x) b_3.  Where tau's exact nonzero pattern over the batch
+    splits it into blocks (for the named families, each pair conserves its excitation
+    number, so it does), its singular values are those of the blocks: |tau_jj| for a
+    1 x 1 block, :func:`_svd2` for a 2 x 2 one and a batched SVD for larger ones.
+    Clipped into [0, 1] the value is the concurrence, and below zero it marks sudden death.
     """
     rows = {}
     for positions, blocks in stacks:
         b0, b1, b2, b3 = (blocks[..., r, :] for r in range(4))
         p = b1[..., :, None] * b2[..., None, :] - b0[..., :, None] * b3[..., None, :]
-        x = np.linalg.svd(p + np.swapaxes(p, -1, -2), compute_uv=False)
+        tau = p + np.swapaxes(p, -1, -2)
+        steps, pairs, k = tau.shape[:3]
+        pattern = np.any(tau != 0, axis=0)
+        if pattern.all():  # one dense block per pair: the batched SVD, with no gather
+            x = np.linalg.svd(tau, compute_uv=False)
+        else:
+            flat, x = tau.reshape(steps, -1), np.empty((steps, pairs * k))
+            for gather, slots in _block_plan(pattern.tobytes(), pairs, k):
+                part, size = flat[:, gather], gather.shape[-1]
+                x[:, slots] = (np.abs(part) if size == 1 else _svd2(part) if size == 2
+                               else np.linalg.svd(part, compute_uv=False)).reshape(steps, -1)
+            x = -np.sort(-x.reshape(steps, pairs, k), axis=-1)
         rows.update(zip(positions, (x[..., 0] - x[..., 1] - x[..., 2] - x[..., 3]).T))
     return [rows[i] for i in range(len(rows))]
 
 
 def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.ndarray:
-    """Concurrence of a subsystem pair at every time point, from one batched SVD.
+    """Concurrence of a subsystem pair at every time point, from one pass of the block kernel.
 
     ``columns`` is the dim x T amplitude array that :meth:`Propagator.evolve_grid` returns.
     """

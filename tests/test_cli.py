@@ -264,6 +264,23 @@ def test_death_near_product_phi_dies_twice_on_both_sources(capsys):
 
 
 
+def test_death_below_the_zero_threshold_floor(capsys):
+    # the floor README states: at alpha = 1e-13 every grid value is within ZERO_TOL of zero, so the phi oracle
+    # merges its windows; psi's tau is one exact entry, so its oracle touch point is the closed form's pi
+    # (a dense SVD put it where its rounding was lowest, at 3.0473)
+    argv = ["--alpha", "1e-13", "--delta", "0", "--G", "1", "--steps", "401"]
+    psi_oracle, psi_closed = (json.loads(run_cli(capsys, "death", "--family", "psi", *argv, "--source", source)[1])
+                              for source in ("oracle", "closed"))
+    assert psi_oracle["dead_intervals"] == psi_closed["dead_intervals"] == []
+    assert psi_oracle["touch_points"] == pytest.approx([math.pi], abs=1e-12)
+    assert psi_closed["touch_points"] == pytest.approx([math.pi], abs=1e-12)
+    phi_oracle = json.loads(run_cli(capsys, "death", "--family", "phi", *argv, "--source", "oracle")[1])
+    [[start, end]] = phi_oracle["dead_intervals"]
+    assert start == pytest.approx(1.3e-11, rel=0.05)
+    assert end == pytest.approx(4 * math.pi, abs=1e-9)
+    assert phi_oracle["touch_points"] == []
+
+
 @pytest.mark.parametrize("zero_tol", ["nan", "-1", "1e-3"])
 @pytest.mark.parametrize("command", ["death", "sweep"])
 def test_bad_zero_tol_exits_2(tmp_path, capsys, command, zero_tol):
@@ -419,6 +436,25 @@ def test_overflowing_oracle_exits_2_without_warnings(capsys, argv, message):
     assert out == ""
     assert err == f"doublejc: error: {message}\n"
     assert [str(w.message) for w in caught] == []
+
+def test_default_tmax_at_a_huge_coupling_names_the_phase(capsys):
+    # the default end time 4 pi/(2g) overflowed 2g to inf and exited with "tmax must be positive and finite"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, "validate", "--omega", "1", "--nu", "1", "--g", "1e308", "--steps", "5")
+    assert rc == 2
+    assert out == ""
+    assert err == "doublejc: error: propagation phase max|E| * max(t) is not finite\n"
+    assert [str(w.message) for w in caught] == []
+
+
+def test_default_tmax_is_four_pi_over_big_g(capsys):
+    # 2 pi/g and 4 pi/(2g) are the same double wherever 2g is finite
+    for g in (0.5, 0.3, 1e-300, 1e300):
+        rc, out, _ = run_cli(capsys, "death", "--omega", "1", "--nu", "1", "--g", repr(g), "--steps", "3")
+        assert rc == 0
+        assert json.loads(out)["tmax"] == 4.0 * math.pi / (2.0 * g)
+
 
 # ------------------------------------------------------------------- flags
 

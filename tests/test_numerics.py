@@ -1,5 +1,6 @@
 import math
 
+import kernel_sweep
 import mpmath
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from doublejc import (
     phi_amplitudes,
     psi_amplitudes,
     psi_reduced_density,
+    scan_pairs,
     total_excitation,
     wootters_concurrence,
 )
+from doublejc.numerics import _block_concurrences, _pair_blocks, _svd2
 
 MODES = SubsystemPair.from_name("ab")
 
@@ -150,6 +153,38 @@ def test_evolution_rejects_non_finite_or_negative_times(bad):
         propagator.evolve(state0, bad)
     with pytest.raises(ValueError, match="time must be finite and nonnegative"):
         propagator.evolve_grid(state0, [0.0, bad, 1.0])
+
+
+# ------------------------------------------------------- exact structure
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+@pytest.mark.parametrize("family, occupied, support", [(InitialState.phi, {(0, 0), (1, 1)}, 5),
+                                                       (InitialState.psi, {(1, 0), (0, 1)}, 4)])
+def test_resonant_propagation_keeps_unoccupied_sectors_exactly_zero(cutoff, family, occupied, support):
+    # each (N_A, N_B) sector gets its own eigh; one 16 x 16 eigh mixed the degenerate sectors at delta = 0,
+    # so 11 of phi's 16 amplitudes came out nonzero although phi occupies 5 basis states
+    atom_a, atom_b, n_a, n_b = np.indices(basis_shape(cutoff)).reshape(4, -1)
+    inside = np.array([sector in occupied for sector in zip(atom_a + n_a, atom_b + n_b)])
+    propagator = Propagator(build_hamiltonian(ModelParams.from_detuning(0.0, 1.0), cutoff))
+    for alpha in (0.3, math.pi / 4, 1.2):
+        columns = propagator.evolve_grid(initial_state_vector(family(alpha), cutoff), np.linspace(0.0, 40.0, 401))
+        assert np.count_nonzero(columns[~inside]) == 0
+        assert np.count_nonzero(columns[:, 7]) == support  # a pair's sector 1 is {|e,0>, |g,1>} at any cutoff
+
+
+def test_dense_hermitian_operator_is_one_block_and_evolves_exactly():
+    rng = np.random.default_rng(61)
+    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    h = (m + m.conj().T) / 2
+    propagator = Propagator(h)
+    assert np.count_nonzero(propagator.modes) == 256
+    amplitudes = rng.normal(size=16) + 1j * rng.normal(size=16)
+    state0 = PureState(amplitudes / np.linalg.norm(amplitudes), cutoff=1)
+    times = [0.7, 3.1]
+    with mpmath.workdps(25):
+        for t, column in zip(times, propagator.evolve_grid(state0, times).T):
+            exact = mpmath.expm(-1j * t * mpmath.matrix(h.tolist())) * mpmath.matrix(state0.amplitudes.tolist())
+            assert max(abs(complex(exact[i]) - column[i]) for i in range(16)) <= 1e-12
 
 
 # ------------------------------------------------------------- evolution
@@ -374,6 +409,63 @@ def test_pair_concurrence_follows_resonant_cosine():
         state = propagator.evolve(state0, float(t))
         expected = math.cos(t / 2) ** 2
         assert pair_concurrence(state, ATOM_PAIR) == pytest.approx(expected, abs=1e-10)
+
+
+def test_psi_oracle_signed_rows_are_never_negative():
+    # psi's tau is one nonzero entry on every pair, so lambda_2..4 are exactly 0; a dense 4 x 4 SVD gave
+    # 33 negative samples here, down to -3.0e-16
+    for delta in (0.0, 0.5, 1.0, 2.0):
+        params = ModelParams.from_detuning(delta, 1.0)
+        for alpha in np.linspace(0.02, math.pi / 2 - 0.02, 11):
+            series = scan_pairs(InitialState.psi(float(alpha)), params, ALL_PAIRS, 4 * math.pi, 401)
+            assert min(each.signed.min() for each in series.values()) >= 0.0
+
+
+def within_ulps_of_norm(got, want, ulps) -> bool:
+    """Whether each singular value in ``got`` is within ``ulps`` eps ||block||_2 of ``want`` (sorted descending)."""
+    return bool(np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * want[:, :1]))
+
+
+#: hard 2 x 2 blocks: rank one, equal singular values, zero rows and columns, complex-symmetric
+HARD_BLOCKS = np.array([
+    [[1, 2j], [3, 6j]], [[1e-3, 1], [1e-3, 1]], [[1 + 1j, 1 - 1j], [2 + 2j, 2 - 2j]],
+    [[1, 0], [0, 1j]], [[0, 1], [1, 0]], [[0.6, -0.8j], [0.8, 0.6j]], [[1, 1j], [1j, 1]],
+    [[0, 0], [0, 0]], [[0, 0], [1 + 1j, 2]], [[0, 3j], [0, 4]], [[5, 0], [0, 0]], [[0, 0], [0, 7j]],
+    [[0, 1e-20], [0, 0]], [[1 + 2j, 0.5j], [0.5j, -3 + 1j]], [[-2j, 1e-8], [1e-8, 2j]], [[0, 1 + 1j], [1 + 1j, 0]],
+], dtype=complex)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-100, 1.0, 1e100, 1e150])
+def test_svd2_matches_dense_svd_on_hard_blocks(scale):
+    # scaling by a power of two keeps the products in range; unscaled, they underflow at 1e-160, where
+    # the values are off by 1.2e-2 of the norm, and overflow above about 1e154
+    blocks = HARD_BLOCKS * scale
+    assert within_ulps_of_norm(_svd2(blocks), np.linalg.svd(blocks, compute_uv=False), 4)
+    assert _svd2(blocks[7:8]).tolist() == [[0.0, 0.0]]
+    assert _svd2(blocks[10:11]).tolist() == [[5 * scale, 0.0]]  # a single entry is exact
+
+
+def test_svd2_is_within_four_ulps_of_the_exact_singular_values():
+    # measured against 40-digit values, so the bound holds whatever LAPACK's own rounding
+    for name, blocks in kernel_sweep.hard_blocks(40, np.random.default_rng(67)).items():
+        with mpmath.workdps(40):
+            exact = np.array([sorted(map(float, mpmath.svd_c(mpmath.matrix(block.tolist()), compute_uv=False)),
+                                     reverse=True) for block in blocks])
+        assert within_ulps_of_norm(_svd2(blocks), exact, 4), name
+
+
+def test_block_kernel_is_the_dense_svd_for_dense_states():
+    # a tau with no zero is one block, and goes to the batched SVD whole
+    rng = np.random.default_rng(71)
+    amplitudes = rng.normal(size=(16, 50)) + 1j * rng.normal(size=(16, 50))
+    stacks = _pair_blocks(amplitudes / np.linalg.norm(amplitudes, axis=0), 1, ALL_PAIRS)
+    for got, want in zip(_block_concurrences(stacks), kernel_sweep.dense_signed(stacks)):
+        assert np.array_equal(got, want)
+
+
+def test_block_kernel_matches_the_dense_svd_on_hard_blocks_and_sector_supported_states():
+    found = kernel_sweep.sweep(500, seed=79)
+    assert {name: bad[:3] for name, bad in found.items() if bad} == {}
 
 
 def mp_phi_pair_concurrence(alpha, delta, big_g, nu, t, pair_name):
