@@ -45,7 +45,6 @@ __all__ = [
     "scan",
     "scan_pairs",
     "detect_death",
-    "death_threshold_alpha",
     "validate",
     "sweep_alpha",
 ]
@@ -325,18 +324,6 @@ def _report(times: np.ndarray, values: np.ndarray, runs: list, dead: list, const
     return DeathReport(tuple(dead), tuple(touches), period=2.0 * math.pi / constants.rabi, initial_concurrence=initial)
 
 
-def death_threshold_alpha(params: ModelParams | None = None) -> float:
-    """Critical angle alpha_c = arctan(G^2 / (delta^2 + G^2)) of the zero/two-excitation family.
-
-    The signed generator turns negative iff the transfer weight, at most
-    4 N^2 = G^2 / (delta^2 + G^2), can exceed |tan alpha|, so finite dead
-    intervals occur exactly for alpha < alpha_c.  At the threshold the
-    generator only touches zero.  The default is zero detuning, where
-    alpha_c = pi/4.
-    """
-    return math.atan(1.0 if params is None else closedform._peak_weight(derive_constants(params)))
-
-
 def validate(
     init: InitialState,
     params: ModelParams,
@@ -389,9 +376,10 @@ def sweep_alpha(
 
     Returns (alpha, report) tuples in grid order, each ``detect_death(scan(...))`` at its angle, bit for bit.
     The oracle classifies a row per angle from one diagonalisation.  The closed path has no row: zero runs lie in
-    touch zones (``zero_zones`` at 2 ``ZERO_TOL``).  A cluster of zones that no grid point parts, each meeting a dead
-    window, holds only runs the touch rule drops; the rest are sampled in one call, widened by one grid index.  The
-    cost grows with angles x peaks (at most 3 steps), the dead windows and the samples, not with angles x steps.
+    the touch zones that ``zero_zones`` picks from the grid at 2 ``ZERO_TOL``.  A cluster of zones that no grid point
+    parts, each meeting a dead window, holds only runs the touch rule drops; the rest are sampled in one call, widened
+    by one grid index.  The cost grows with angles x peaks (3 per point at most), the dead windows and the samples, not
+    with angles x steps.
     """
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
@@ -408,15 +396,10 @@ def sweep_alpha(
     if np.any(times[1:] <= times[:-1]):  # as a scan of this grid would
         raise ValueError("times must be strictly increasing")
     t0, t1, size = float(times[0]), float(times[-1]), times.size
-    # the phase rabi t / 2 of a row value rounds by an ulp of itself, so the margin grows with t1
-    level = 2 * ZERO_TOL + closedform.FEW_ULPS * constants.rabi * t1
-    # on fewer points than periods only the peaks by a point, or one either side for rounding, can hold a zone
-    peaks = None if (t1 - t0) * constants.rabi < 2.0 * math.pi * size else sorted(
-        {k + d for k in (times * constants.rabi / (2.0 * math.pi)).astype(int).tolist() for d in (-1, 0, 1)})
     deads = [form.dead_windows(t0, t1) for form in forms]
     # an angle's dead windows fill one window per peak over their span: a zone meets one iff it meets the span
     zones = [(j, start, end, bool(dead) and end > dead[0][0] and start < dead[-1][1]) for j, (form, dead)
-             in enumerate(zip(forms, deads)) for start, end in form.zero_zones(t0, t1, level, peaks)]
+             in enumerate(zip(forms, deads)) for start, end in form.zero_zones(times, 2 * ZERO_TOL)]
     owner = index = samples = np.empty(0, dtype=int)
     if not all(zone[3] for zone in zones):  # a zone that meets no dead window may hold a touch
         # each zone's grid points lo..hi-1, widened by one index, as increasing keys angle * (size + 1) + index

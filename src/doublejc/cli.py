@@ -312,7 +312,8 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     params, tmax = _resolve_run(ns)
     source = Source(ns.source)
-    if ns.alphas is None and (ns.alpha_count < 1 or ns.alpha_max < ns.alpha_min):
+    # finite ends, before linspace meets an infinity; written so that a NaN fails it
+    if ns.alphas is None and not (ns.alpha_count >= 1 and -math.inf < ns.alpha_min <= ns.alpha_max < math.inf):
         raise ValueError("bad alpha grid")
     grid = ns.alphas or np.linspace(ns.alpha_min, ns.alpha_max, ns.alpha_count).tolist()
     results = sweep_alpha(StateFamily(ns.family), params, grid, tmax, ns.steps, source, ns.cutoff)

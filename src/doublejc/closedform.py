@@ -26,11 +26,13 @@ from .model import (
     DensityMatrix,
     InitialState,
     JCConstants,
+    ModelParams,
     PureState,
     StateFamily,
     _check_alpha,
     _check_time,
     basis_shape,
+    derive_constants,
 )
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "psi_concurrence",
     "phi_f",
     "phi_concurrence",
+    "death_threshold_alpha",
 ]
 
 #: a few ulps of one: the rounding in a generator or Wootters value of order one, within which its sign is noise
@@ -187,15 +190,17 @@ def phi_reduced_density(alpha: float, constants: JCConstants, t: float) -> Densi
     return DensityMatrix(phi_amplitudes(alpha, constants, t).atom_density())
 
 
-def _transfer_weight(constants: JCConstants, t):
-    """|h(t)|^2 = 4 N^2 sin^2(rabi t / 2), broadcast over t."""
-    _check_time(t)
-    return 4.0 * constants.n_coef**2 * np.sin(0.5 * constants.rabi * np.asarray(t, dtype=float)) ** 2
-
-
 def _peak_weight(constants: JCConstants) -> float:
     """Largest transfer weight 4 N^2 = G^2 / (delta^2 + G^2); phi dies iff |tan alpha| is below it."""
     return 4.0 * constants.n_coef**2
+
+
+def death_threshold_alpha(params: ModelParams | None = None) -> float:
+    """Critical angle arctan(G^2 / (delta^2 + G^2)) of phi (see :func:`_peak_weight`), pi/4 by default (delta = 0).
+
+    Finite dead intervals occur exactly below it; at it the generator only touches zero.
+    """
+    return math.atan(1.0 if params is None else _peak_weight(derive_constants(params)))
 
 
 def _generator(alpha, phi: bool, constants: JCConstants, t):
@@ -203,7 +208,8 @@ def _generator(alpha, phi: bool, constants: JCConstants, t):
 
     A sequence of angles gives one row per angle, each bit for bit its scalar call.
     """
-    w = _transfer_weight(constants, t)
+    _check_time(t)
+    w = _peak_weight(constants) * np.sin(0.5 * constants.rabi * np.asarray(t, dtype=float)) ** 2  # |h|^2
     alphas = [_check_alpha(a) for a in np.ravel(alpha).tolist()]
     rows = (-1,) + (1,) * np.ndim(w) if np.ndim(alpha) else ()
     s = np.array([abs(math.sin(2.0 * a)) for a in alphas]).reshape(rows)
@@ -272,32 +278,45 @@ class _StateForm:
         theta = asin(sqrt(s)), s = |tan a| / (4 N^2).  tan a and N^2 carry a
         few ulps of rounding each, so s within 4 eps of 1 is the threshold,
         where the generator only touches zero.  Past the product-state guard
-        theta > 2e-8, so neighbouring windows never meet.
+        theta > 2e-8, so neighbouring windows never meet.  Where 4 N^2
+        underflows to 0 (|delta| / G past about 4.5e161), w = 0 and none is dead.
         """
         if abs(math.sin(2.0 * self.alpha)) <= FEW_ULPS:
             return [(t0, t1)]
-        s = abs(math.tan(self.alpha)) / _peak_weight(self.constants) if self.phi else math.inf
+        peak = _peak_weight(self.constants)
+        s = abs(math.tan(self.alpha)) / peak if self.phi and peak else math.inf
         if s >= 1.0 - FEW_ULPS:
             return []
         return self._around_peaks(t0, t1, math.asin(math.sqrt(s)))
 
-    def zero_zones(self, t0: float, t1: float, level: float, peaks=None) -> list:
-        """Windows where the generator is at most ``level`` > 0 that meet [t0, t1], clipped to it, around ``peaks``.
+    def zero_zones(self, times: np.ndarray, level: float) -> list:
+        """Windows, clipped to the grid ``times``, holding every grid point where a row value can be at most ``level``.
 
-        The generator is convex in w and zero at w = 1 >= w: it is at most ``level`` where w >= w_lo, around each peak.
+        A row value's phase rabi t / 2 rounds by an ulp of itself, so the level widens by FEW_ULPS rabi t_max; once
+        it reaches 1 (rabi t_max about 2^50) every value lies within it, and the whole grid is one zone.  Otherwise the
+        generator is convex in w and zero at w = 1 >= w: it is at most the level where w >= w_lo, around each peak.
         """
+        t0, t1 = float(times[0]), float(times[-1])
+        level += FEW_ULPS * self.constants.rabi * t1
+        if level >= 1.0:
+            return [(t0, t1)]
         s, b = abs(math.sin(2.0 * self.alpha)), 2.0 * math.cos(self.alpha) ** 2 if self.phi else 0.0
         # the smaller root of b w^2 - (s + b) w + s - level, free of cancellation; none above 0 if s <= level
         w_lo = 2.0 * (s - level) / (s + b + math.sqrt((b - s) ** 2 + 4.0 * b * level)) if s > level else 0.0
-        ratio = w_lo / _peak_weight(self.constants)
-        return self._around_peaks(t0, t1, math.asin(math.sqrt(ratio)), peaks) if ratio <= 1.0 else []
+        peak = _peak_weight(self.constants)  # 0 where it underflows, and then w = 0 too
+        if w_lo > peak:
+            return []
+        return self._around_peaks(t0, t1, math.asin(math.sqrt(w_lo / peak)) if w_lo else 0.0, times)
 
-    def _around_peaks(self, t0: float, t1: float, theta: float, peaks=None) -> list:
-        """Windows (2/rabi) (k pi + theta, (k + 1) pi - theta) that meet [t0, t1], clipped; k in ``peaks``, or all."""
+    def _around_peaks(self, t0: float, t1: float, theta: float, grid=None) -> list:
+        """Windows (2/rabi) (k pi + theta, (k + 1) pi - theta) that meet [t0, t1], clipped; k over every peak, or on
+        a ``grid`` with fewer points than periods, each point's floored peak and one either side (exact below 2^53)."""
         scale = 2.0 / self.constants.rabi
-        windows = []
-        if peaks is None:
+        if grid is None or (t1 - t0) * self.constants.rabi < 2.0 * math.pi * grid.size:
             peaks = range(math.floor(t0 / (scale * math.pi)), math.floor(t1 / (scale * math.pi)) + 3)
+        else:
+            peaks = np.unique(np.floor(grid * self.constants.rabi / (2.0 * math.pi))[:, None] + (-1, 0, 1)).tolist()
+        windows = []
         for k in peaks:
             if (start := scale * (k * math.pi + theta)) >= t1:
                 break

@@ -265,10 +265,10 @@ def _block_concurrences(stacks) -> list:
     values of tau = B^T (sy x sy) B (Wootters, PRL 80, 2245, 1998), with neither
     sqrt(rho) nor an eigendecomposition; tau has rank at most 4.  sy x sy only
     reverses and signs the rows b_0..b_3 of B, so tau = P + P^T with
-    P = b_1 (x) b_2 - b_0 (x) b_3.  Where tau's exact nonzero pattern over the batch
-    splits it into blocks (for the named families, each pair conserves its excitation
-    number, so it does), its singular values are those of the blocks: |tau_jj| for a
-    1 x 1 block, :func:`_svd2` for a 2 x 2 one and a batched SVD for larger ones.
+    P = b_1 (x) b_2 - b_0 (x) b_3.  Its singular values are those of the blocks of its
+    exact nonzero pattern over the batch (for the named families each pair conserves its
+    excitation number, so it splits; a dense tau is one block): |tau_jj| for a 1 x 1
+    block, :func:`_svd2` for a 2 x 2 one and a batched SVD for larger ones.
     Clipped into [0, 1] the value is the concurrence, and below zero it marks sudden death.
     """
     rows = {}
@@ -277,16 +277,12 @@ def _block_concurrences(stacks) -> list:
         p = b1[..., :, None] * b2[..., None, :] - b0[..., :, None] * b3[..., None, :]
         tau = p + np.swapaxes(p, -1, -2)
         steps, pairs, k = tau.shape[:3]
-        pattern = np.any(tau != 0, axis=0)
-        if pattern.all():  # one dense block per pair: the batched SVD, with no gather
-            x = np.linalg.svd(tau, compute_uv=False)
-        else:
-            flat, x = tau.reshape(steps, -1), np.empty((steps, pairs * k))
-            for gather, slots in _block_plan(pattern.tobytes(), pairs, k):
-                part, size = flat[:, gather], gather.shape[-1]
-                x[:, slots] = (np.abs(part) if size == 1 else _svd2(part) if size == 2
-                               else np.linalg.svd(part, compute_uv=False)).reshape(steps, -1)
-            x = -np.sort(-x.reshape(steps, pairs, k), axis=-1)
+        flat, x = tau.reshape(steps, -1), np.empty((steps, pairs * k))
+        for gather, slots in _block_plan(np.any(tau != 0, axis=0).tobytes(), pairs, k):
+            part, size = flat[:, gather], gather.shape[-1]
+            x[:, slots] = (np.abs(part) if size == 1 else _svd2(part) if size == 2
+                           else np.linalg.svd(part, compute_uv=False)).reshape(steps, -1)
+        x = -np.sort(-x.reshape(steps, pairs, k), axis=-1)
         rows.update(zip(positions, (x[..., 0] - x[..., 1] - x[..., 2] - x[..., 3]).T))
     return [rows[i] for i in range(len(rows))]
 

@@ -537,6 +537,18 @@ def test_closed_sweep_cost_does_not_grow_with_alpha(family, monkeypatch):
         assert calls == []
 
 
+@pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
+@pytest.mark.parametrize("delta, t_max", [(1e10, 1e10), (1e10, 1e6), (1e200, 4 * math.pi), (1e200, 1e-199)])
+def test_closed_sweep_is_detect_death_at_huge_phases_and_detunings(family, delta, t_max):
+    # rabi t_max of 1e20 put the peak indices past 2^63 (the sweep gave the touch point 5.4e9, the scan 9.3e9);
+    # 1e16 is past 2^50, where the phase rounding alone reaches the zone level; at delta = 1e200 the peak
+    # weight G^2 / rabi^2 underflows to 0, where dividing by it raised ZeroDivisionError
+    params, alphas = ModelParams.from_detuning(delta, 1.0), [1e-13, 0.3, 1.2]
+    for alpha, report in sweep_alpha(family, params, alphas, t_max, 101):
+        init = InitialState(family, alpha)
+        assert report == detect_death(scan(init, params, ATOM_PAIR, t_max, 101, Source.CLOSED_FORM))
+
+
 # --------------------------------------------------------------- validate
 
 def test_validate_psi_detuned():

@@ -384,12 +384,53 @@ def test_sweep_bad_alphas(capsys):
     assert "comma-separated" in err
 
 
-@pytest.mark.parametrize("grid", [["--alpha-count", "0"], ["--alpha-min", "0.5", "--alpha-max", "0.4"]])
+@pytest.mark.parametrize("grid", [["--alpha-count", "0"], ["--alpha-min", "0.5", "--alpha-max", "0.4"],
+                                  ["--alpha-max", "inf"], ["--alpha-min=-inf"], ["--alpha-min", "nan"],
+                                  ["--alpha-max", "nan"]])
 def test_sweep_bad_alpha_grid(capsys, grid):
-    rc, out, err = run_cli(capsys, "sweep", "--steps", "11", *grid)
+    # a non-finite end is refused before np.linspace, which printed "invalid value encountered in multiply"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, "sweep", "--steps", "11", *grid)
     assert rc == 2
     assert out == ""
-    assert "bad alpha grid" in err
+    assert err == "doublejc: error: bad alpha grid\n"
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["death", "--family", "phi", "--alpha", "0.3", "--delta", "1e162"],
+        ["death", "--family", "psi", "--alpha", "0.3", "--delta", "1e300"],
+        ["sweep", "--family", "psi", "--alphas", "0.3", "--delta", "1e200"],
+        ["sweep", "--family", "phi", "--alphas", "0.3,1.2", "--delta", "1e300"],
+    ],
+)
+def test_underflowed_peak_weight_reports_as_the_oracle_does(capsys, argv):
+    # past |delta| / G of about 4.5e161 the peak weight G^2 / rabi^2 underflows to 0, and the closed form used to
+    # divide by it (ZeroDivisionError, exit 1); the concurrence is |sin 2 alpha| throughout, dead nowhere
+    reports = {}
+    for source in ("closed", "oracle"):
+        rc, out, err = run_cli(capsys, *argv, "--G", "1", "--steps", "3", "--source", source)
+        assert (rc, err) == (0, "")
+        payload = json.loads(out)
+        reports[source] = payload.get("reports", [payload])
+    for closed, oracle in zip(reports["closed"], reports["oracle"]):
+        assert closed["dead_intervals"] == oracle["dead_intervals"] == []
+        assert closed["touch_points"] == oracle["touch_points"] == []
+
+
+def test_sweep_past_exact_peak_indices_prints_no_warning(capsys):
+    # rabi t / 2 pi near 2e19 passes 2^63: the sweep's own integer cast of the peak indices printed
+    # "RuntimeWarning: invalid value encountered in cast"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, "sweep", "--family", "psi", "--alphas", "1e-13", "--delta", "1e19", "--G", "1",
+                               "--steps", "3")
+    assert (rc, err) == (0, "")
+    assert [str(w.message) for w in caught] == []
+    assert json.loads(out)["reports"][0]["touch_points"] == [0.0]
 
 
 @pytest.mark.parametrize(
