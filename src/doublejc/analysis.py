@@ -52,7 +52,7 @@ __all__ = [
 #: zero threshold separating the zero runs of a series from numerical dust, on both sources
 ZERO_TOL = 1e-12
 
-#: time points the oracle propagates and reduces at once; bounds its dim x T working set
+#: columns (initial states x time points) the oracle propagates and reduces at once; bounds its working set
 GRID_CHUNK = 1024
 
 
@@ -179,19 +179,26 @@ def _propagator(params: ModelParams, cutoff: int) -> Propagator:
     return Propagator(build_hamiltonian(params, cutoff))
 
 
-def _oracle_chunks(init: InitialState, propagator: Propagator, times: np.ndarray, cutoff: int):
-    """Yield (slice, amplitude columns) of the exact propagation, GRID_CHUNK time points at a time."""
-    state0 = initial_state_vector(init, cutoff)
-    for start in range(0, times.size, GRID_CHUNK):
-        part = slice(start, start + GRID_CHUNK)
-        yield part, propagator.evolve_grid(state0, times[part])
+def _oracle_chunks(inits, propagator: Propagator, times: np.ndarray, cutoff: int):
+    """Yield (states, part, dim x states x part amplitudes) of the exact propagation, in chunks of at most
+    GRID_CHUNK columns: ``states`` slices ``inits`` and ``part`` the grid, and a chunk's states share one propagation.
+    """
+    states0 = [initial_state_vector(init, cutoff) for init in inits]
+    for first in range(0, len(states0), GRID_CHUNK):
+        group = slice(first, first + GRID_CHUNK)
+        width = GRID_CHUNK // len(states0[group])
+        for start in range(0, times.size, width):
+            part = slice(start, start + width)
+            yield group, part, propagator.evolve_grid(states0[group], times[part])
 
 
-def _oracle_values(init: InitialState, propagator: Propagator, pairs, times: np.ndarray, cutoff: int):
-    """Oracle signed Wootters rows, one per pair; all pairs of a chunk go through one kernel call."""
-    chunks = _oracle_chunks(init, propagator, times, cutoff)
-    rows = np.hstack([_block_concurrences(_pair_blocks(columns, cutoff, pairs)) for _, columns in chunks])
-    return rows.reshape(len(pairs), times.size)  # (0, T) for no pairs
+def _oracle_values(inits, propagator: Propagator, pairs, times: np.ndarray, cutoff: int) -> np.ndarray:
+    """Oracle signed Wootters rows, pairs x states x times; a chunk's pairs and states go through one kernel call."""
+    rows = np.empty((len(pairs), len(inits), times.size))
+    for states, part, columns in _oracle_chunks(inits, propagator, times, cutoff):
+        signed = _block_concurrences(_pair_blocks(columns.reshape(len(columns), -1), cutoff, pairs))
+        rows[:, states, part] = np.reshape(signed, (len(pairs),) + columns.shape[1:])
+    return rows
 
 
 def scan_pairs(
@@ -204,7 +211,7 @@ def scan_pairs(
 ) -> dict:
     """Oracle concurrence series for several pairs from one shared propagation."""
     times = _grid(t_max, steps)
-    signed = _oracle_values(init, _propagator(params, cutoff), pairs, times, cutoff)
+    signed = _oracle_values([init], _propagator(params, cutoff), pairs, times, cutoff)[:, 0]
     times, values, signed = _checked(times, np.clip(signed, 0.0, 1.0), signed)
     return {pair.name: ConcurrenceSeries._of_checked(times, row, pair, Source.ORACLE, init, params, signs)
             for pair, row, signs in zip(pairs, values, signed)}
@@ -343,10 +350,10 @@ def validate(
     times = _grid(t_max, steps, "validation")
 
     errors = np.empty(steps)
-    for part, columns in _oracle_chunks(init, _propagator(params, cutoff), times, cutoff):
-        closed = form.amplitudes(times[part])
+    for _, part, columns in _oracle_chunks([init], _propagator(params, cutoff), times, cutoff):
+        columns, closed = columns[:, 0], form.amplitudes(times[part])
         [(_, blocks)] = stacks = _pair_blocks(columns, cutoff, [ATOM_PAIR])
-        rho = np.einsum("tgik,tgjk->tij", blocks, blocks.conj())
+        rho = np.einsum("gikt,gjkt->tij", blocks, blocks.conj())
         errors[part] = np.maximum.reduce([
             np.abs(closed.columns(cutoff) - columns).max(axis=0),
             np.abs(closed.atom_density() - rho).max(axis=(1, 2)),
@@ -375,7 +382,8 @@ def sweep_alpha(
     """Death reports across a grid of superposition angles.
 
     Returns (alpha, report) tuples in grid order, each ``detect_death(scan(...))`` at its angle, bit for bit.
-    The oracle classifies a row per angle from one diagonalisation.  The closed path has no row: zero runs lie in
+    The oracle propagates all angles together from one diagonalisation, GRID_CHUNK angle x time columns at a time,
+    and classifies each angle's row.  The closed path has no row: zero runs lie in
     the touch zones that ``zero_zones`` picks from the grid at 2 ``ZERO_TOL``.  A cluster of zones that no grid point
     parts, each meeting a dead window, holds only runs the touch rule drops; the rest are sampled in one call, widened
     by one grid index.  The cost grows with angles x peaks (3 per point at most), the dead windows and the samples, not
@@ -388,8 +396,7 @@ def sweep_alpha(
     inits = [InitialState(family, alpha) for alpha in alphas]
     constants, times = derive_constants(params), _grid(t_max, steps)
     if source is Source.ORACLE:
-        propagator = _propagator(params, cutoff)
-        signed = np.array([_oracle_values(init, propagator, [ATOM_PAIR], times, cutoff)[0] for init in inits])
+        signed = _oracle_values(inits, _propagator(params, cutoff), [ATOM_PAIR], times, cutoff)[0]
         times, rows, signed = _checked(times, np.clip(signed, 0.0, 1.0), signed)
         return [(alpha, _classify(times, row, signs, None, constants)) for alpha, row, signs in zip(alphas, rows, signed)]
     forms = [closedform.for_state(init, constants) for init in inits]

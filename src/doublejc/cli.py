@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _numtext
 from .analysis import Source, detect_death, scan, scan_pairs, sweep_alpha, validate
-from .model import InitialState, ModelParams, StateFamily, derive_constants
+from .model import ALPHA_MAX, InitialState, ModelParams, StateFamily, derive_constants
 from .numerics import ALL_PAIRS, QubitEquivalenceError, SubsystemPair
 
 __all__ = ["main"]
@@ -312,8 +312,10 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     params, tmax = _resolve_run(ns)
     source = Source(ns.source)
-    # finite ends, before linspace meets an infinity; written so that a NaN fails it
-    if ns.alphas is None and not (ns.alpha_count >= 1 and -math.inf < ns.alpha_min <= ns.alpha_max < math.inf):
+    # ends within ALPHA_MAX less than the largest float apart, before linspace overflows on them (at a span of
+    # exactly that float some counts still overflow); written so that a NaN fails it
+    if ns.alphas is None and not (ns.alpha_count >= 1 and -ALPHA_MAX <= ns.alpha_min <= ns.alpha_max <= ALPHA_MAX
+                                  and ns.alpha_max - ns.alpha_min < sys.float_info.max):
         raise ValueError("bad alpha grid")
     grid = ns.alphas or np.linspace(ns.alpha_min, ns.alpha_max, ns.alpha_count).tolist()
     results = sweep_alpha(StateFamily(ns.family), params, grid, tmax, ns.steps, source, ns.cutoff)

@@ -261,13 +261,23 @@ def initial_state_vector(init: InitialState, cutoff: int) -> PureState:
     """Embed an initial state into the truncated product space.
 
     The named families place ``cos(alpha)`` / ``sin(alpha)`` on their two
-    basis elements with both cavities in vacuum.
+    basis elements with both cavities in vacuum.  A custom state may not hold
+    weight where an atom-cavity pair has more than ``cutoff`` excitations: there
+    |e, cutoff> lacks its partner |g, cutoff + 1>, so the truncated dynamics
+    would freeze it instead of failing visibly.
     """
     shape = basis_shape(cutoff)
     if init.family is StateFamily.CUSTOM:
-        if init.custom_amplitudes.shape != (math.prod(shape),):
+        amps = init.custom_amplitudes
+        if amps.shape != (math.prod(shape),):
             raise ValueError("custom amplitude vector length does not match cutoff")
-        return PureState(init.custom_amplitudes.copy(), cutoff)
+        atom_a, atom_b, n_a, n_b = np.indices(shape).reshape(4, -1)
+        for name, excitations in (("Aa", atom_a + n_a), ("Bb", atom_b + n_b)):
+            if np.any(amps[excitations > cutoff] != 0):
+                weight = float(np.sum(np.abs(amps[excitations > cutoff]) ** 2))
+                raise ValueError(f"custom state holds weight {weight:.3e} where pair {name} has more excitations "
+                                 f"than cutoff {cutoff} can hold")
+        return PureState(amps.copy(), cutoff)
 
     amps = np.zeros(shape, dtype=complex)
     if init.family is StateFamily.PSI_ALPHA:

@@ -113,19 +113,24 @@ def total_excitation(cutoff: int) -> np.ndarray:
     return np.diag(_basis_labels(cutoff).sum(axis=0).astype(float))
 
 
-def _blocks(link: np.ndarray) -> list:
-    """Connected components of a symmetric boolean pattern, as one (count x size) index array per size.
+@functools.lru_cache(maxsize=64)
+def _blocks(pattern: bytes, n: int) -> list:
+    """Connected components of a symmetric n x n boolean pattern (its bytes), one (count x size) index array per size.
 
     Each index takes the least label among its neighbours and then that label's own
     label, until no label changes; each component is then labelled by its least index.
+    The arrays are shared through the cache, so they are read-only.
     """
-    link = link | np.eye(len(link), dtype=bool)
-    labels = np.arange(len(link))
-    while not np.array_equal(least := np.where(link, labels, len(link)).min(axis=1), labels):
+    link = np.frombuffer(pattern, dtype=bool).reshape(n, n) | np.eye(n, dtype=bool)
+    labels = np.arange(n)
+    while not np.array_equal(least := np.where(link, labels, n).min(axis=1), labels):
         labels = least[least]
-    order = np.argsort(labels * len(labels) + np.arange(len(labels)))  # each component's indices together, ascending
-    sizes = np.bincount(labels, minlength=len(labels))[labels[order]]
-    return [order[sizes == size].reshape(-1, size) for size in dict.fromkeys(sizes.tolist())]
+    order = np.argsort(labels * n + np.arange(n))  # each component's indices together, ascending
+    sizes = np.bincount(labels, minlength=n)[labels[order]]
+    blocks = [order[sizes == size].reshape(-1, size) for size in dict.fromkeys(sizes.tolist())]
+    for index in blocks:
+        index.flags.writeable = False
+    return blocks
 
 
 class Propagator:
@@ -135,7 +140,7 @@ class Propagator:
     cheap; evolution is exact at any t, with no step-size error.  Each
     connected block of H's exact nonzero pattern (for :func:`build_hamiltonian`
     the (N_A, N_B) excitation sectors) is diagonalised on its own, about its
-    mean diagonal, in one batched ``eigh`` per block size, so amplitudes
+    mean diagonal, in one batched ``eigh`` per block size above 1, so amplitudes
     outside the blocks a state occupies stay exactly 0.
     """
 
@@ -146,10 +151,13 @@ class Propagator:
         if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("operator must be Hermitian")
         self.energies, self.modes = np.empty(len(h)), np.zeros_like(h)
-        for index in _blocks((h != 0) | (h.T != 0)):
+        for index in _blocks(((h != 0) | (h.T != 0)).tobytes(), len(h)):
+            count, size = index.shape
             rows, cols = index[:, :, None], index[:, None, :]
-            shift = h[index, index].real.mean(axis=1, keepdims=True)[..., None]
-            energies, self.modes[rows, cols] = np.linalg.eigh(h[rows, cols] - shift * np.eye(index.shape[1]))
+            shift = (h[index, index].real.sum(axis=1) / size)[:, None, None]  # the mean, as np.mean forms it
+            # a 1 x 1 block, less its shift, is [[0]]: eigh would give energy 0 and mode 1
+            energies, self.modes[rows, cols] = ((np.zeros((count, 1)), 1.0) if size == 1 else
+                                                np.linalg.eigh(h[rows, cols] - shift * np.eye(size)))
             self.energies[index] = energies + shift[..., 0]
         self.energies.flags.writeable = self.modes.flags.writeable = False  # shared through the analysis cache
 
@@ -157,16 +165,26 @@ class Propagator:
         """State at time t from ``state0`` at time 0."""
         return PureState(self.evolve_grid(state0, [t])[:, 0], state0.cutoff)
 
-    def evolve_grid(self, state0: PureState, times: np.ndarray) -> np.ndarray:
-        """Amplitudes at many finite, nonnegative times, one column per time point."""
+    def evolve_grid(self, states, times: np.ndarray) -> np.ndarray:
+        """Amplitudes at many finite, nonnegative times: dim x T for one state, dim x S x T for a sequence of S.
+
+        The phases exp(-iEt) are formed only for the eigenmodes that some state occupies:
+        the others have coefficient exactly 0 and would add exact zeros to every amplitude.
+        """
         _check_time(times)
+        times = np.asarray(times, dtype=float)
         if not math.isfinite(float(np.abs(self.energies).max()) * float(np.max(times, initial=0.0))):
             raise ValueError("propagation phase max|E| * max(t) is not finite")
-        if state0.dim != self.energies.size:
+        single = isinstance(states, PureState)
+        amplitudes = np.stack([state.amplitudes for state in ([states] if single else states)], axis=1)
+        if amplitudes.shape[0] != self.energies.size:
             raise ValueError("state dimension does not match operator")
-        coeffs = self.modes.conj().T @ state0.amplitudes
-        phases = np.exp(-1j * np.outer(self.energies, np.asarray(times, dtype=float)))
-        return self.modes @ (phases * coeffs[:, None])
+        coeffs = self.modes.conj().T @ amplitudes
+        occupied = np.flatnonzero(np.any(coeffs != 0, axis=1))
+        phases = np.exp(-1j * np.outer(self.energies[occupied], times))
+        weighted = (phases[:, None, :] * coeffs[occupied, :, None]).reshape(occupied.size, -1)
+        columns = self.modes[:, occupied] @ weighted
+        return columns if single else columns.reshape(len(columns), amplitudes.shape[1], times.size)
 
 
 @functools.lru_cache(maxsize=64)
@@ -182,9 +200,10 @@ def _gather_plan(cutoff: int, names: tuple) -> list:
 
 
 def _pair_blocks(columns: np.ndarray, cutoff: int, pairs) -> list:
-    """Factors B of the pairs' reduced states, rho = B B^dagger, as [(positions, T x g x 4 x k stack)].
+    """Factors B of the pairs' reduced states, rho = B B^dagger, as [(positions, g x 4 x k x T stack)].
 
-    ``columns`` holds one unit-norm amplitude vector per time point.  Rows of B are the
+    ``columns`` holds one unit-norm amplitude vector per time point (of one state or several), and
+    the stacks keep that axis last, so every elementwise step of the kernel runs along it.  Rows of B are the
     pair's |ee>,|eg>,|ge>,|gg> levels (a mode's ``e`` is one photon), columns the levels
     of the two traced subsystems; the g pairs of equal k, at ``positions`` in ``pairs``,
     share one gather.  Retained modes must behave as qubits: population above Fock level 1
@@ -205,11 +224,13 @@ def _pair_blocks(columns: np.ndarray, cutoff: int, pairs) -> list:
             raise QubitEquivalenceError(f"mode {sub} holds population {weight[np.argmax(over)]:.3e} above one photon")
     stacks = []
     for positions, index in _gather_plan(cutoff, tuple(pair.name for pair in pairs)):
-        blocks = columns.T[:, index]
+        blocks = columns[index]
         # mass discarded with the >1-photon tail (still below QUBIT_EQUIV_TOL)
-        trace = population.T[:, index].sum(axis=(2, 3))
+        trace = population[index].sum(axis=(1, 2))
         drifted = np.abs(trace - 1.0) > TRACE_TOL
-        stacks.append((positions, blocks / np.sqrt(np.where(drifted, trace, 1.0))[..., None, None]))
+        if drifted.any():
+            blocks = blocks / np.sqrt(np.where(drifted, trace, 1.0))[:, None, None, :]
+        stacks.append((positions, blocks))
     return stacks
 
 
@@ -219,35 +240,38 @@ def partial_trace_pair(state: PureState, pair: SubsystemPair) -> DensityMatrix:
     Retained cavity modes must behave as qubits: any population above Fock
     level 1 beyond ``QUBIT_EQUIV_TOL`` raises :class:`QubitEquivalenceError`.
     """
-    [(_, [[block]])] = _pair_blocks(state.amplitudes[:, None], state.cutoff, [pair])
+    [(_, blocks)] = _pair_blocks(state.amplitudes[:, None], state.cutoff, [pair])
+    block = blocks[0, :, :, 0]
     return DensityMatrix(block @ block.conj().T)
 
 
 def _svd2(m: np.ndarray) -> np.ndarray:
-    """Singular values, descending, of a stack of complex 2 x 2 matrices (... x 2 x 2).
+    """Singular values, descending, of a stack of complex 2 x 2 matrices: ... x 2 x 2 x T to ... x 2 x T.
 
+    The stack's axis T comes last, so every step runs along it.
     Each matrix is scaled by a power of two at or above its largest modulus (exact, and
-    1 for a zero matrix), so its products neither overflow nor underflow.  A unitary
+    1 for a zero matrix), so its products neither overflow nor underflow; the power is at
+    least 2^-1021, since numpy's complex division by it forms its reciprocal.  A unitary
     Givens rotation of its first column and two phases bring it to the real upper
     triangle [[f, g], [0, h]], whose singular values follow as in LAPACK's dlas2: the
     larger from two hypotenuses, the smaller as f h over the larger.
     """
     modulus = np.abs(m)
-    scale = np.ldexp(1.0, np.frexp(modulus.max(axis=(-2, -1)))[1])[..., None, None]
-    (a, b), (c, d) = np.moveaxis(m / scale, (-2, -1), (0, 1))
-    (abs_a, abs_b), (abs_c, abs_d) = np.moveaxis(modulus / scale, (-2, -1), (0, 1))
+    scale = np.ldexp(1.0, np.maximum(np.frexp(modulus.max(axis=(-3, -2)))[1], -1021))[..., None, None, :]
+    (a, b), (c, d) = np.moveaxis(m / scale, (-3, -2), (0, 1))
+    (abs_a, abs_b), (abs_c, abs_d) = np.moveaxis(modulus / scale, (-3, -2), (0, 1))
     f = np.hypot(abs_a, abs_c)
     rotated = f > 0  # else the first column is zero and [[0, b], [0, d]] needs no rotation
     over = np.where(rotated, f, 1.0)
     g = np.where(rotated, np.abs(a.conj() * b + c.conj() * d) / over, abs_b)
     h = np.where(rotated, np.abs(a * d - b * c) / over, abs_d)
     large = 0.5 * (np.hypot(f + h, g) + np.hypot(f - h, g))  # 0 only for a zero matrix
-    return np.stack([large, f * h / np.maximum(large, np.finfo(float).tiny)], -1) * scale[..., 0]
+    return np.stack([large, f * h / np.maximum(large, np.finfo(float).tiny)], -2) * scale[..., 0, :]
 
 
 @functools.lru_cache(maxsize=64)
 def _block_plan(pattern: bytes, pairs: int, k: int) -> list:
-    """[(g_s x s x s flat indices into a g x k x k stack, g_s s flat slots in g x k)], one per block size s.
+    """[(g_s x s x s flat indices into a g x k x k pattern, g_s s flat slots in g x k)], one per block size s.
 
     The blocks are the connected components of each k x k matrix's symmetric nonzero
     ``pattern``; each block's s singular values go to the slots of its own s indices.
@@ -255,7 +279,8 @@ def _block_plan(pattern: bytes, pairs: int, k: int) -> list:
     link = np.frombuffer(pattern, dtype=bool).reshape(pairs, k, k)
     # the g patterns as one block-diagonal (g k) x (g k) pattern: index p k + i is row i of matrix p
     whole = (np.eye(pairs, dtype=bool)[:, None, :, None] & link[:, :, None, :]).reshape(pairs * k, pairs * k)
-    return [(index[:, :, None] * k + index[:, None, :] % k, index.ravel()) for index in _blocks(whole)]
+    return [(index[:, :, None] * k + index[:, None, :] % k, index.ravel())
+            for index in _blocks(whole.tobytes(), pairs * k)]
 
 
 def _block_concurrences(stacks) -> list:
@@ -273,17 +298,18 @@ def _block_concurrences(stacks) -> list:
     """
     rows = {}
     for positions, blocks in stacks:
-        b0, b1, b2, b3 = (blocks[..., r, :] for r in range(4))
-        p = b1[..., :, None] * b2[..., None, :] - b0[..., :, None] * b3[..., None, :]
-        tau = p + np.swapaxes(p, -1, -2)
-        steps, pairs, k = tau.shape[:3]
-        flat, x = tau.reshape(steps, -1), np.empty((steps, pairs * k))
-        for gather, slots in _block_plan(np.any(tau != 0, axis=0).tobytes(), pairs, k):
-            part, size = flat[:, gather], gather.shape[-1]
-            x[:, slots] = (np.abs(part) if size == 1 else _svd2(part) if size == 2
-                           else np.linalg.svd(part, compute_uv=False)).reshape(steps, -1)
-        x = -np.sort(-x.reshape(steps, pairs, k), axis=-1)
-        rows.update(zip(positions, (x[..., 0] - x[..., 1] - x[..., 2] - x[..., 3]).T))
+        b0, b1, b2, b3 = (blocks[:, r] for r in range(4))
+        p = b1[:, :, None] * b2[:, None] - b0[:, :, None] * b3[:, None]
+        tau = p + np.swapaxes(p, 1, 2)
+        pairs, k, _, steps = tau.shape
+        flat, x = tau.reshape(-1, steps), np.empty((pairs * k, steps))
+        for gather, slots in _block_plan(np.any(tau != 0, axis=-1).tobytes(), pairs, k):
+            part, size = flat[gather], gather.shape[-1]
+            values = (np.abs(part) if size == 1 else _svd2(part) if size == 2 else
+                      np.moveaxis(np.linalg.svd(np.moveaxis(part, -1, 0), compute_uv=False), 0, -1))
+            x[slots] = values.reshape(-1, steps)
+        x = -np.sort(-x.reshape(pairs, k, steps), axis=1)
+        rows.update(zip(positions, x[:, 0] - x[:, 1] - x[:, 2] - x[:, 3]))
     return [rows[i] for i in range(len(rows))]
 
 
@@ -308,7 +334,7 @@ def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     evals, evecs = np.linalg.eigh(rho.entries)
-    block = (evecs * np.sqrt(np.maximum(evals, 0.0)))[None, None]
+    block = (evecs * np.sqrt(np.maximum(evals, 0.0)))[None, :, :, None]
     return float(np.clip(_block_concurrences([((0,), block)])[0][0], 0.0, 1.0))
 
 

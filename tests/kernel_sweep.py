@@ -16,7 +16,15 @@ closed formula for 2 x 2 blocks (``_svd2``).  This script checks both against
 * COUNT random custom states supported on random (N_A, N_B) excitation sectors
   at cutoffs 1 and 2, propagated over a short grid at random (delta, G): the
   signed lambda_1 - lambda_2 - lambda_3 - lambda_4 of every pair the state
-  allows, within ``SIGNED_TOL`` of the dense SVD of the same tau.
+  allows, within ``SIGNED_TOL`` of the dense SVD of the same tau;
+* COUNT such states again, within the cutoff and drawn in batches of 2 to 6,
+  each batch propagated and reduced in one ``doublejc.analysis._oracle_values``
+  call: every state's rows within ``SIGNED_TOL`` of the same call on that state
+  alone (a batch shares one block pattern, so a block may be larger than the
+  state's own).
+
+The kernel's stacks keep the time axis last (g x 4 x k x T, and 2 x 2 x T for
+``_svd2``), and so do the blocks here.
 
 The 2 x 2 formula rests on ``np.hypot`` and exact complex rounding, which a
 platform's numpy or libm could change: the test suite runs a small count, CI a
@@ -34,7 +42,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from doublejc import ALL_PAIRS, ModelParams, Propagator, PureState, basis_shape, build_hamiltonian  # noqa: E402
+from doublejc import (  # noqa: E402
+    ALL_PAIRS, InitialState, ModelParams, Propagator, PureState, basis_shape, build_hamiltonian,
+)
+from doublejc.analysis import _oracle_values  # noqa: E402
 from doublejc.numerics import _block_concurrences, _pair_blocks, _svd2  # noqa: E402
 
 #: allowed distance of the block kernel's signed Wootters value from the dense SVD's
@@ -48,7 +59,7 @@ def complex_normal(rng, *shape) -> np.ndarray:
 
 
 def hard_blocks(count: int, rng) -> dict:
-    """count x 2 x 2 complex blocks of each hard kind, by name, scaled over 310 decades."""
+    """2 x 2 x count complex blocks of each hard kind (one block per last index), by name, scaled over 310 decades."""
     unitary = np.linalg.qr(complex_normal(rng, count, 2, 2))[0]
     zeroed = complex_normal(rng, count, 2, 2)
     # zero one row, one column, both (one entry left) or everything, by the two mask bits
@@ -64,34 +75,39 @@ def hard_blocks(count: int, rng) -> dict:
         "complex-symmetric": symmetric,
         "random": complex_normal(rng, count, 2, 2),
     }
-    return {name: blocks * 10.0 ** rng.integers(-160, 151, (count, 1, 1)) for name, blocks in kinds.items()}
+    return {name: np.moveaxis(blocks * 10.0 ** rng.integers(-160, 151, (count, 1, 1)), 0, -1)
+            for name, blocks in kinds.items()}
 
 
 def block_mismatches(blocks: np.ndarray) -> list:
     """(block, singular values, dense SVD's) wherever they differ by more than BLOCK_ULPS eps ||B||_2."""
     got = _svd2(blocks)
-    want = np.linalg.svd(blocks, compute_uv=False)
-    bad = np.abs(got - want).max(axis=1) > BLOCK_ULPS * np.finfo(float).eps * want[:, 0]
-    return [(block.tolist(), g.tolist(), w.tolist()) for block, g, w in zip(blocks[bad], got[bad], want[bad])]
+    want = np.linalg.svd(np.moveaxis(blocks, -1, 0), compute_uv=False).T
+    bad = np.abs(got - want).max(axis=0) > BLOCK_ULPS * np.finfo(float).eps * want[0]
+    return [(block.tolist(), g.tolist(), w.tolist())
+            for block, g, w in zip(np.moveaxis(blocks[..., bad], -1, 0), got[:, bad].T, want[:, bad].T)]
 
 
 def dense_signed(stacks) -> list:
     """lambda_1 - lambda_2 - lambda_3 - lambda_4 from one dense SVD of each pair's tau, in pair order."""
     rows = {}
     for positions, blocks in stacks:
-        b0, b1, b2, b3 = (blocks[..., r, :] for r in range(4))
+        b0, b1, b2, b3 = (np.moveaxis(blocks[:, r], -1, 0) for r in range(4))  # T x g x k
         p = b1[..., :, None] * b2[..., None, :] - b0[..., :, None] * b3[..., None, :]
         x = np.linalg.svd(p + np.swapaxes(p, -1, -2), compute_uv=False)
         rows.update(zip(positions, (x[..., 0] - x[..., 1] - x[..., 2] - x[..., 3]).T))
     return [rows[i] for i in range(len(rows))]
 
 
-def sector_state(cutoff: int, rng) -> tuple:
-    """A random unit state on random (N_A, N_B) sectors, and the pairs it keeps within one photon per mode."""
+def sector_state(cutoff: int, rng, top: int | None = None) -> tuple:
+    """A random unit state on random (N_A, N_B) sectors up to ``top`` (cutoff + 1 by default), and the pairs
+    it keeps within one photon per mode."""
     atom_a, atom_b, n_a, n_b = np.indices(basis_shape(cutoff)).reshape(4, -1)
     sector_a, sector_b = atom_a + n_a, atom_b + n_b
-    chosen = rng.random((cutoff + 2, cutoff + 2)) < rng.uniform(0.2, 0.8)
-    chosen[rng.integers(cutoff + 2), rng.integers(cutoff + 2)] = True
+    sectors = cutoff + 2 if top is None else top + 1
+    chosen = np.zeros((cutoff + 2, cutoff + 2), dtype=bool)
+    chosen[:sectors, :sectors] = rng.random((sectors, sectors)) < rng.uniform(0.2, 0.8)
+    chosen[rng.integers(sectors), rng.integers(sectors)] = True
     support = chosen[sector_a, sector_b]
     amplitudes = np.where(support, complex_normal(rng, support.size), 0.0)
     # an excitation number above 1 fills the second photon level of that pair's mode
@@ -115,11 +131,32 @@ def kernel_mismatches(count: int, rng) -> list:
     return bad
 
 
+def batch_mismatches(count: int, rng) -> list:
+    """(cutoff, pair, state in batch, batched row, lone row) wherever a batched state's row differs by more than
+    SIGNED_TOL from its own, over about ``count`` states within the cutoff in batches of 2 to 6."""
+    bad = []
+    for _ in range(max(1, count // 4)):
+        cutoff = int(rng.integers(1, 3))
+        drawn = [sector_state(cutoff, rng, top=cutoff) for _ in range(int(rng.integers(2, 7)))]
+        inits = [InitialState.custom(state.amplitudes) for state, _ in drawn]
+        pairs = [pair for pair in ALL_PAIRS if all(pair in allowed for _, allowed in drawn)]
+        params = ModelParams.from_detuning(rng.uniform(-2, 2), rng.uniform(0.2, 3.0), rng.uniform(3.0, 20.0))
+        propagator, times = Propagator(build_hamiltonian(params, cutoff)), np.sort(rng.uniform(0, 20, 8))
+        batched = _oracle_values(inits, propagator, pairs, times, cutoff)
+        for j, init in enumerate(inits):
+            alone = _oracle_values([init], propagator, pairs, times, cutoff)[:, 0]
+            for pair, got, want in zip(pairs, batched[:, j], alone):
+                if np.abs(got - want).max() > SIGNED_TOL:
+                    bad.append((cutoff, pair.name, j, got.tolist(), want.tolist()))
+    return bad
+
+
 def sweep(count: int, seed: int = 0) -> dict:
-    """Mismatches per set: ``count`` hard blocks of each kind and ``count`` sector-supported states."""
+    """Mismatches per set: ``count`` hard blocks of each kind, ``count`` sector-supported states, and batches."""
     rng = np.random.default_rng(seed)
     found = {name: block_mismatches(blocks) for name, blocks in hard_blocks(count, rng).items()}
     found["sector-supported states"] = kernel_mismatches(count, rng)
+    found["batched states"] = batch_mismatches(count, rng)
     return found
 
 

@@ -603,17 +603,16 @@ OWN_CAVITY = SubsystemPair.from_name("Aa")
 
 
 def qubit_regime_state(rng, cutoff):
-    """Seeded random total state; above cutoff 1, at most one excitation per atom-cavity pair.
+    """Seeded random total state with at most one excitation per atom-cavity pair.
 
     Each pair conserves its own excitation number, so such a state never
-    puts a mode above one photon.
+    puts a mode above one photon, and no cutoff truncates it wrongly.
     """
     d = cutoff + 1
     amps = rng.normal(size=(2, 2, d, d)) + 1j * rng.normal(size=(2, 2, d, d))
-    if cutoff > 1:
-        for atom_a, atom_b, photons_a, photons_b in np.ndindex(2, 2, d, d):
-            if atom_a + photons_a > 1 or atom_b + photons_b > 1:
-                amps[atom_a, atom_b, photons_a, photons_b] = 0.0
+    for atom_a, atom_b, photons_a, photons_b in np.ndindex(2, 2, d, d):
+        if atom_a + photons_a > 1 or atom_b + photons_b > 1:
+            amps[atom_a, atom_b, photons_a, photons_b] = 0.0
     amps = amps.ravel()
     return InitialState.custom(amps / np.linalg.norm(amps))
 
@@ -720,6 +719,17 @@ def test_chunked_oracle_matches_unchunked(monkeypatch):
     again = validate(init, params, 10.0, 101)
     assert again.max_abs_error == pytest.approx(report.max_abs_error, abs=1e-15)
     assert again.samples == report.samples and again.passed == report.passed
+
+
+@pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
+@pytest.mark.parametrize("chunk", [3, 7, 40])
+def test_chunked_oracle_sweep_matches_unchunked(monkeypatch, family, chunk):
+    # GRID_CHUNK bounds angles x times: 3 splits the 7 angles into groups of 3, 3 and 1 (one, one and three time
+    # points a chunk), while 7 and 40 take all of them, one and five time points a chunk
+    params, alphas = ModelParams.from_detuning(0.5, 1.0), [0.0, 1e-13, 0.2, 0.5, math.pi / 4, 1.1, -0.3]
+    whole = sweep_alpha(family, params, alphas, 10.0, 101, Source.ORACLE)
+    monkeypatch.setattr(analysis, "GRID_CHUNK", chunk)
+    assert sweep_alpha(family, params, alphas, 10.0, 101, Source.ORACLE) == whole
 
 
 @pytest.mark.parametrize("alpha", [1e308, -1e308, np.nextafter(ALPHA_MAX, math.inf)])

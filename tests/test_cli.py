@@ -386,9 +386,17 @@ def test_sweep_bad_alphas(capsys):
 
 @pytest.mark.parametrize("grid", [["--alpha-count", "0"], ["--alpha-min", "0.5", "--alpha-max", "0.4"],
                                   ["--alpha-max", "inf"], ["--alpha-min=-inf"], ["--alpha-min", "nan"],
-                                  ["--alpha-max", "nan"]])
+                                  ["--alpha-max", "nan"],
+                                  # a span that overflows: "overflow encountered in subtract", then in multiply
+                                  ["--alpha-min=-1e308", "--alpha-max", "1e308", "--alpha-count", "3"],
+                                  # a span of exactly the largest float: linspace overflows at 4 points, not at 3
+                                  ["--alpha-min=-8.988465674311579e+307", "--alpha-max", "8.988465674311579e+307",
+                                   "--alpha-count", "4"],
+                                  # an end beyond ALPHA_MAX: linspace's last product may overflow
+                                  ["--alpha-min", "0", "--alpha-max", "1.7976931348623157e+308", "--alpha-count", "4"]])
 def test_sweep_bad_alpha_grid(capsys, grid):
-    # a non-finite end is refused before np.linspace, which printed "invalid value encountered in multiply"
+    # a non-finite end, or a span linspace cannot form, is refused before np.linspace, which printed
+    # "invalid value encountered in multiply" or "overflow encountered in subtract"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, out, err = run_cli(capsys, "sweep", "--steps", "11", *grid)

@@ -66,6 +66,9 @@ CASES = {
                               "--source", "oracle", "--steps", "201"],
     "sweep_phi_oracle.json": ["sweep", "--family", "phi", "--delta", "0.5", "--G", "1", "--source", "oracle",
                               "--alphas", "0.2,0.4,0.9", "--steps", "201"],
+    # one batched propagation at cutoff 2, with the product-state floor at 1e-13 and the Bell state pi/4
+    "sweep_psi_oracle.json": ["sweep", "--family", "psi", "--delta", "0.7", "--G", "1", "--source", "oracle",
+                              "--alphas", "1e-13,0.3,0.7853981633974483,1.2", "--cutoff", "2", "--steps", "161"],
 }
 
 

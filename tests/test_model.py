@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,10 +149,34 @@ def test_initial_state_rejects_bad_cutoff():
 
 def test_custom_state_roundtrip():
     rng = np.random.default_rng(3)
-    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-    amps /= np.linalg.norm(amps)
+    amps = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+    amps[1, :, 1, :] = amps[:, 1, :, 1] = 0.0  # no pair holds two excitations, which cutoff 1 would truncate
+    amps = amps.ravel() / np.linalg.norm(amps)
     state = initial_state_vector(InitialState.custom(amps), cutoff=1)
     assert np.allclose(state.amplitudes, amps)
+
+
+def test_custom_state_beyond_the_cutoff_is_refused():
+    # |e,1>_A |g,0>_B: pair Aa holds two excitations, and cutoff 1 has no |g,2> for |e,1> to reach
+    beyond = np.zeros(basis_shape(1), dtype=complex)
+    beyond[1, 0, 1, 0] = 1.0
+    message = "custom state holds weight 1.000e+00 where pair Aa has more excitations than cutoff 1 can hold"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        initial_state_vector(InitialState.custom(beyond.ravel()), cutoff=1)
+    # the same state at cutoff 2 is accepted as it is
+    wide = np.zeros(basis_shape(2), dtype=complex)
+    wide[1, 0, 1, 0] = 1.0
+    assert np.array_equal(initial_state_vector(InitialState.custom(wide.ravel()), cutoff=2).amplitudes, wide.ravel())
+    # part of the weight beyond, in pair Bb: |e,1>_B at cutoff 1
+    partial = np.zeros(basis_shape(1), dtype=complex)
+    partial[0, 0, 0, 0], partial[0, 1, 0, 1] = 0.6, 0.8
+    message = "custom state holds weight 6.400e-01 where pair Bb has more excitations than cutoff 1 can hold"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        initial_state_vector(InitialState.custom(partial.ravel()), cutoff=1)
+    # the named families hold at most one excitation per pair, so no cutoff refuses them
+    for cutoff in (1, 2, 3):
+        for init in (InitialState.psi(0.3), InitialState.phi(0.3)):
+            assert np.count_nonzero(initial_state_vector(init, cutoff).amplitudes) == 2
 
 
 def test_custom_state_validation():

@@ -422,8 +422,11 @@ def test_psi_oracle_signed_rows_are_never_negative():
 
 
 def within_ulps_of_norm(got, want, ulps) -> bool:
-    """Whether each singular value in ``got`` is within ``ulps`` eps ||block||_2 of ``want`` (sorted descending)."""
-    return bool(np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * want[:, :1]))
+    """Whether each singular value in ``got`` is within ``ulps`` eps ||block||_2 of ``want``.
+
+    Both are 2 x T, one block per column, sorted descending down each column.
+    """
+    return bool(np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * want[:1]))
 
 
 #: hard 2 x 2 blocks: rank one, equal singular values, zero rows and columns, complex-symmetric
@@ -439,10 +442,20 @@ HARD_BLOCKS = np.array([
 def test_svd2_matches_dense_svd_on_hard_blocks(scale):
     # scaling by a power of two keeps the products in range; unscaled, they underflow at 1e-160, where
     # the values are off by 1.2e-2 of the norm, and overflow above about 1e154
+    blocks = np.moveaxis(HARD_BLOCKS * scale, 0, -1)  # time-last: one block per last index
+    assert within_ulps_of_norm(_svd2(blocks), np.linalg.svd(HARD_BLOCKS * scale, compute_uv=False).T, 4)
+    assert _svd2(blocks[..., 7:8]).tolist() == [[0.0], [0.0]]
+    assert _svd2(blocks[..., 10:11]).tolist() == [[5 * scale], [0.0]]  # a single entry is exact
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-320, 4e-323])
+def test_svd2_of_blocks_whose_largest_modulus_is_subnormal(scale):
+    # numpy's complex division by the scale forms its reciprocal, which overflowed for a scale below 2^-1022:
+    # every singular value came out NaN, after overflow and invalid-value warnings
     blocks = HARD_BLOCKS * scale
-    assert within_ulps_of_norm(_svd2(blocks), np.linalg.svd(blocks, compute_uv=False), 4)
-    assert _svd2(blocks[7:8]).tolist() == [[0.0, 0.0]]
-    assert _svd2(blocks[10:11]).tolist() == [[5 * scale, 0.0]]  # a single entry is exact
+    got, want = _svd2(np.moveaxis(blocks, 0, -1)), np.linalg.svd(blocks, compute_uv=False).T
+    # subnormals are 2^-1074 apart, far more than 4 eps ||B||_2 here
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want[:1] + 2 * 2.0**-1074)
 
 
 def test_svd2_is_within_four_ulps_of_the_exact_singular_values():
@@ -450,7 +463,7 @@ def test_svd2_is_within_four_ulps_of_the_exact_singular_values():
     for name, blocks in kernel_sweep.hard_blocks(40, np.random.default_rng(67)).items():
         with mpmath.workdps(40):
             exact = np.array([sorted(map(float, mpmath.svd_c(mpmath.matrix(block.tolist()), compute_uv=False)),
-                                     reverse=True) for block in blocks])
+                                     reverse=True) for block in np.moveaxis(blocks, -1, 0)]).T
         assert within_ulps_of_norm(_svd2(blocks), exact, 4), name
 
 
@@ -459,6 +472,7 @@ def test_block_kernel_is_the_dense_svd_for_dense_states():
     rng = np.random.default_rng(71)
     amplitudes = rng.normal(size=(16, 50)) + 1j * rng.normal(size=(16, 50))
     stacks = _pair_blocks(amplitudes / np.linalg.norm(amplitudes, axis=0), 1, ALL_PAIRS)
+    assert all(blocks.shape[1:] == (4, 4, 50) for _, blocks in stacks)  # time-last: g x 4 x k x T
     for got, want in zip(_block_concurrences(stacks), kernel_sweep.dense_signed(stacks)):
         assert np.array_equal(got, want)
 

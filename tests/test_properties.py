@@ -18,6 +18,7 @@ from doublejc import (
     InitialState,
     ModelParams,
     Propagator,
+    PureState,
     Source,
     StateFamily,
     basis_shape,
@@ -263,11 +264,10 @@ def reference_signed_rows(init, params, cutoff, times):
     steps=st.integers(2, 60),
 )
 def test_scan_pairs_kernel_matches_the_explicit_spin_flip(amps, cutoff, delta, big_g, steps):
-    if cutoff > 1:
-        # at most one excitation per atom-cavity pair, which each pair conserves: no mode ever
-        # holds more than one photon, so every pair's block is exact on the larger space
-        amps = amps.copy()
-        amps[1, :, 1, :] = amps[:, 1, :, 1] = 0.0
+    # at most one excitation per atom-cavity pair, which each pair conserves: no mode ever holds more than
+    # one photon, so every pair's block is exact on the larger space, and cutoff 1 truncates no pair wrongly
+    amps = amps.copy()
+    amps[1, :, 1, :] = amps[:, 1, :, 1] = 0.0
     assume(np.linalg.norm(amps) > 1e-3)
     embedded = np.zeros(basis_shape(cutoff), dtype=complex)
     embedded[:, :, :2, :2] = amps / np.linalg.norm(amps)
@@ -276,3 +276,54 @@ def test_scan_pairs_kernel_matches_the_explicit_spin_flip(amps, cutoff, delta, b
     want = reference_signed_rows(init, params, cutoff, series["AB"].times)
     for pair in ALL_PAIRS:
         np.testing.assert_allclose(series[pair.name].signed, want[pair.name], rtol=0, atol=1e-13)
+
+
+@settings(bounded, max_examples=60)
+@given(
+    family=st.sampled_from([StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA]),
+    drawn=st.lists(st.floats(-2.0, 2.0), max_size=4),
+    delta=st.floats(-2.0, 2.0),
+    big_g=st.floats(0.3, 3.0),
+    cutoff=st.sampled_from([1, 2]),
+    periods=st.floats(0.3, 4.0),
+    steps=st.integers(2, 300),
+)
+def test_oracle_sweep_gives_each_angle_the_report_of_its_own_scan(family, drawn, delta, big_g, cutoff, periods, steps):
+    # the sweep propagates and reduces all its angles together; each angle's report is its lone scan's
+    params = ModelParams.from_detuning(delta, big_g)
+    alphas, t_max = [0.0, *drawn, 1e-13, math.pi / 4], periods * 2.0 * math.pi / derive_constants(params).rabi
+    for alpha, report in sweep_alpha(family, params, alphas, t_max, steps, Source.ORACLE, cutoff):
+        alone = detect_death(scan(InitialState(family, alpha), params, ATOM_PAIR, t_max, steps, Source.ORACLE, cutoff))
+        assert report.touch_points == alone.touch_points
+        assert len(report.dead_intervals) == len(alone.dead_intervals)
+        assert np.abs(np.subtract(report.dead_intervals, alone.dead_intervals)).max(initial=0.0) <= 1e-12
+        assert (report.period, report.initial_concurrence) == (alone.period, alone.initial_concurrence)
+
+
+@bounded
+@given(
+    cutoff=st.sampled_from([1, 2]),
+    draws=st.lists(st.tuples(complex_array((2, 2, 3, 3)), arrays(bool, (4, 4))), min_size=1, max_size=3),
+    delta=st.floats(-2.0, 2.0),
+    big_g=st.floats(0.2, 3.0),
+    times=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=20),
+)
+def test_evolve_grid_is_the_full_mode_product_and_keeps_unoccupied_sectors_zero(cutoff, draws, delta, big_g, times):
+    # random states on random (N_A, N_B) sectors: phases are formed only for the occupied eigenmodes
+    atom_a, atom_b, n_a, n_b = np.indices(basis_shape(cutoff))
+    states, supports = [], []
+    for amps, chosen in draws:
+        support = chosen[atom_a + n_a, atom_b + n_b]
+        amps = np.where(support, amps[:, :, : cutoff + 1, : cutoff + 1], 0.0)
+        assume(np.linalg.norm(amps) > 1e-3)
+        states.append(PureState((amps / np.linalg.norm(amps)).ravel(), cutoff))
+        supports.append(support.ravel())
+    propagator = Propagator(build_hamiltonian(ModelParams.from_detuning(delta, big_g), cutoff))
+    batch = propagator.evolve_grid(states, times)
+    assert batch.shape == (math.prod(basis_shape(cutoff)), len(states), len(times))
+    phases = np.exp(-1j * np.outer(propagator.energies, times))
+    for state, support, columns in zip(states, supports, np.moveaxis(batch, 1, 0)):
+        full = propagator.modes @ (phases * (propagator.modes.conj().T @ state.amplitudes)[:, None])
+        for got in (columns, propagator.evolve_grid(state, times)):
+            np.testing.assert_allclose(got, full, rtol=0, atol=1e-15)
+            assert np.all(got[~support] == 0.0)
