@@ -24,6 +24,7 @@ from .model import (
     InitialState,
     ModelParams,
     StateFamily,
+    _basis_labels,
     basis_shape,
     derive_constants,
     initial_state_vector,
@@ -169,14 +170,20 @@ def _grid(t_max: float, steps: int, what: str = "a scan") -> np.ndarray:
         raise ValueError(f"{what} needs at least two grid points")
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError("t_max must be positive and finite")
-    return np.linspace(0.0, t_max, steps)
+    times = np.linspace(0.0, t_max, steps)
+    if np.any(times[1:] <= times[:-1]):  # as for a subnormal t_max
+        raise ValueError("times must be strictly increasing")
+    return times
 
 
 @functools.lru_cache(maxsize=8)
 def _propagator(params: ModelParams, cutoff: int) -> Propagator:
     """The oracle's propagator, diagonalised once per (params, cutoff) while among the 8 most recent."""
     # module globals looked up at each miss, so rebinding them here (as a tracer or a test does) sees every one
-    return Propagator(build_hamiltonian(params, cutoff))
+    h = build_hamiltonian(params, cutoff)  # its finiteness guard and couplings
+    # the frame rotating at nu keeps every pair's concurrence: delta times excited atoms, not the rounded omega + nu n
+    np.fill_diagonal(h, (params.omega - params.nu) * _basis_labels(cutoff)[:2].sum(axis=0))
+    return Propagator(h)
 
 
 def _oracle_chunks(inits, propagator: Propagator, times: np.ndarray, cutoff: int):
@@ -341,10 +348,12 @@ def validate(
 ) -> ValidationReport:
     """Compare closed-form amplitudes, density matrices and concurrence to the oracle.
 
-    Amplitudes are compared as complex numbers, phases included, which pins
-    the energy convention and not just the populations.
+    Amplitudes are compared as complex numbers, phases included, in the oracle's frame rotating at nu (dressed
+    energies (delta +- rabi)/2), which pins the energy convention and not just the populations.
     """
-    form = closedform.for_state(init, derive_constants(params))
+    c = derive_constants(params)
+    form = closedform.for_state(init, replace(c, lambda_plus=(c.delta + c.rabi) / 2,
+                                              lambda_minus=(c.delta - c.rabi) / 2))
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError("tolerance must be finite and non-negative")
     times = _grid(t_max, steps, "validation")
@@ -400,8 +409,6 @@ def sweep_alpha(
         times, rows, signed = _checked(times, np.clip(signed, 0.0, 1.0), signed)
         return [(alpha, _classify(times, row, signs, None, constants)) for alpha, row, signs in zip(alphas, rows, signed)]
     forms = [closedform.for_state(init, constants) for init in inits]
-    if np.any(times[1:] <= times[:-1]):  # as a scan of this grid would
-        raise ValueError("times must be strictly increasing")
     t0, t1, size = float(times[0]), float(times[-1]), times.size
     deads = [form.dead_windows(t0, t1) for form in forms]
     # an angle's dead windows fill one window per peak over their span: a zone meets one iff it meets the span

@@ -263,7 +263,7 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
     if ns.plot_script and (ns.format == "json" or not ns.out):
         raise ValueError("--plot-script needs --format csv and --out")
 
-    pairs = ALL_PAIRS if ns.pair == "all" else (SubsystemPair.from_name(ns.pair),)
+    pairs = ALL_PAIRS if ns.pair == "all" else (SubsystemPair(ns.pair),)
     if ns.source == "oracle":
         series = scan_pairs(init, params, pairs, tmax, ns.steps, ns.cutoff)
     else:  # scan rejects every pair but AB
@@ -293,7 +293,7 @@ def _cmd_death(ns: argparse.Namespace) -> int:
     if ns.pair == "all":
         raise ValueError("death detection works on a single pair")
     source = Source(ns.source)
-    series = scan(init, params, SubsystemPair.from_name(ns.pair), tmax, ns.steps, source, ns.cutoff)
+    series = scan(init, params, SubsystemPair(ns.pair), tmax, ns.steps, source, ns.cutoff)
     payload = {"family": init.family.value, "alpha": init.alpha, "pair": ns.pair, "source": source.value,
                "tmax": tmax, "steps": ns.steps, **detect_death(series).to_dict()}
     _write_output(ns.out, [_json(payload), "\n"])

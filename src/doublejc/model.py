@@ -37,7 +37,6 @@ __all__ = [
     "InitialState",
     "PureState",
     "DensityMatrix",
-    "basis_dimension",
     "basis_shape",
     "derive_constants",
     "initial_state_vector",
@@ -164,9 +163,9 @@ def basis_shape(cutoff: int) -> tuple:
     return (2, 2, cutoff + 1, cutoff + 1)
 
 
-def basis_dimension(cutoff: int) -> int:
-    """Dimension of the truncated product space, 4 * (cutoff + 1)**2."""
-    return math.prod(basis_shape(cutoff))
+def _basis_labels(cutoff: int) -> np.ndarray:
+    """(atom_a, atom_b, n_a, n_b) of every flattened basis index; an excited atom is 1."""
+    return np.indices(basis_shape(cutoff)).reshape(4, -1)
 
 
 class StateFamily(Enum):
@@ -225,16 +224,12 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (basis_dimension(self.cutoff),):
+        if amps.shape != (math.prod(basis_shape(self.cutoff)),):
             raise ValueError("amplitude vector length does not match cutoff")
         if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise ValueError("state vector must have unit norm")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
 
 
 @dataclass(frozen=True)
@@ -271,7 +266,7 @@ def initial_state_vector(init: InitialState, cutoff: int) -> PureState:
         amps = init.custom_amplitudes
         if amps.shape != (math.prod(shape),):
             raise ValueError("custom amplitude vector length does not match cutoff")
-        atom_a, atom_b, n_a, n_b = np.indices(shape).reshape(4, -1)
+        atom_a, atom_b, n_a, n_b = _basis_labels(cutoff)
         for name, excitations in (("Aa", atom_a + n_a), ("Bb", atom_b + n_b)):
             if np.any(amps[excitations > cutoff] != 0):
                 weight = float(np.sum(np.abs(amps[excitations > cutoff]) ** 2))

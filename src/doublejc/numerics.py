@@ -24,6 +24,7 @@ from .model import (
     NORM_TOL,
     PureState,
     TRACE_TOL,
+    _basis_labels,
     _check_time,
     basis_shape,
 )
@@ -68,7 +69,7 @@ class SubsystemPair:
 
     @classmethod
     def from_name(cls, name: str) -> "SubsystemPair":
-        """Parse a two-letter pair name such as ``AB`` or ``Ba``."""
+        """Parse a pair name such as ``AB``; only perfbench/ calls it, the package uses the constructor."""
         return cls(name)
 
 
@@ -76,11 +77,6 @@ class SubsystemPair:
 ALL_PAIRS = tuple(SubsystemPair(n) for n in ("AB", "ab", "Aa", "Bb", "Ab", "Ba"))
 
 ATOM_PAIR = ALL_PAIRS[0]
-
-
-def _basis_labels(cutoff: int) -> np.ndarray:
-    """(atom_a, atom_b, n_a, n_b) of every flattened basis index; an excited atom is 1."""
-    return np.indices(basis_shape(cutoff)).reshape(4, -1)
 
 
 def build_hamiltonian(params: ModelParams, cutoff: int) -> np.ndarray:
@@ -113,24 +109,19 @@ def total_excitation(cutoff: int) -> np.ndarray:
     return np.diag(_basis_labels(cutoff).sum(axis=0).astype(float))
 
 
-@functools.lru_cache(maxsize=64)
-def _blocks(pattern: bytes, n: int) -> list:
-    """Connected components of a symmetric n x n boolean pattern (its bytes), one (count x size) index array per size.
+def _blocks(pattern: np.ndarray) -> list:
+    """Connected components of a symmetric n x n boolean pattern, one (count x size) index array per size.
 
     Each index takes the least label among its neighbours and then that label's own
     label, until no label changes; each component is then labelled by its least index.
-    The arrays are shared through the cache, so they are read-only.
     """
-    link = np.frombuffer(pattern, dtype=bool).reshape(n, n) | np.eye(n, dtype=bool)
+    link = pattern | np.eye(n := len(pattern), dtype=bool)
     labels = np.arange(n)
     while not np.array_equal(least := np.where(link, labels, n).min(axis=1), labels):
         labels = least[least]
     order = np.argsort(labels * n + np.arange(n))  # each component's indices together, ascending
     sizes = np.bincount(labels, minlength=n)[labels[order]]
-    blocks = [order[sizes == size].reshape(-1, size) for size in dict.fromkeys(sizes.tolist())]
-    for index in blocks:
-        index.flags.writeable = False
-    return blocks
+    return [order[sizes == size].reshape(-1, size) for size in dict.fromkeys(sizes.tolist())]
 
 
 class Propagator:
@@ -140,7 +131,7 @@ class Propagator:
     cheap; evolution is exact at any t, with no step-size error.  Each
     connected block of H's exact nonzero pattern (for :func:`build_hamiltonian`
     the (N_A, N_B) excitation sectors) is diagonalised on its own, about its
-    mean diagonal, in one batched ``eigh`` per block size above 1, so amplitudes
+    mean diagonal, in one batched ``eigh`` per block size, so amplitudes
     outside the blocks a state occupies stay exactly 0.
     """
 
@@ -151,13 +142,11 @@ class Propagator:
         if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("operator must be Hermitian")
         self.energies, self.modes = np.empty(len(h)), np.zeros_like(h)
-        for index in _blocks(((h != 0) | (h.T != 0)).tobytes(), len(h)):
-            count, size = index.shape
+        for index in _blocks((h != 0) | (h.T != 0)):
+            size = index.shape[1]
             rows, cols = index[:, :, None], index[:, None, :]
             shift = (h[index, index].real.sum(axis=1) / size)[:, None, None]  # the mean, as np.mean forms it
-            # a 1 x 1 block, less its shift, is [[0]]: eigh would give energy 0 and mode 1
-            energies, self.modes[rows, cols] = ((np.zeros((count, 1)), 1.0) if size == 1 else
-                                                np.linalg.eigh(h[rows, cols] - shift * np.eye(size)))
+            energies, self.modes[rows, cols] = np.linalg.eigh(h[rows, cols] - shift * np.eye(size))
             self.energies[index] = energies + shift[..., 0]
         self.energies.flags.writeable = self.modes.flags.writeable = False  # shared through the analysis cache
 
@@ -280,7 +269,7 @@ def _block_plan(pattern: bytes, pairs: int, k: int) -> list:
     # the g patterns as one block-diagonal (g k) x (g k) pattern: index p k + i is row i of matrix p
     whole = (np.eye(pairs, dtype=bool)[:, None, :, None] & link[:, :, None, :]).reshape(pairs * k, pairs * k)
     return [(index[:, :, None] * k + index[:, None, :] % k, index.ravel())
-            for index in _blocks(whole.tobytes(), pairs * k)]
+            for index in _blocks(whole)]
 
 
 def _block_concurrences(stacks) -> list:

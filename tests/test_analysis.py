@@ -200,6 +200,17 @@ def test_series_rejects_a_bad_grid():
             ConcurrenceSeries(np.array(times), np.full(3, 0.5), ATOM_PAIR, Source.ORACLE, init, RESONANT)
 
 
+def test_every_grid_is_strictly_increasing():
+    init, t_max = InitialState.phi(0.3), 5e-324  # linspace repeats 0 on a subnormal span
+    for call in (lambda: scan(init, RESONANT, ATOM_PAIR, t_max, 3, Source.CLOSED_FORM),
+                 lambda: scan_pairs(init, RESONANT, ALL_PAIRS, t_max, 3),
+                 lambda: validate(init, RESONANT, t_max, 3),
+                 lambda: sweep_alpha(StateFamily.PHI_ALPHA, RESONANT, [0.3], t_max, 3),
+                 lambda: sweep_alpha(StateFamily.PHI_ALPHA, RESONANT, [0.3], t_max, 3, Source.ORACLE)):
+        with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+            call()
+
+
 def loop_zero_runs(mask):
     """The per-element loop _zero_runs replaced."""
     runs, start = [], None

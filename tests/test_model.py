@@ -10,7 +10,6 @@ from doublejc import (
     ModelParams,
     PureState,
     StateFamily,
-    basis_dimension,
     basis_shape,
     derive_constants,
     initial_state_vector,
@@ -87,7 +86,7 @@ def test_from_detuning():
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
 def test_basis_roundtrip(cutoff):
-    dim = basis_dimension(cutoff)
+    dim = math.prod(basis_shape(cutoff))
     assert dim == 4 * (cutoff + 1) ** 2
     shape = basis_shape(cutoff)
     assert shape == (2, 2, cutoff + 1, cutoff + 1)
@@ -107,7 +106,7 @@ def test_basis_flatten_formula():
     with pytest.raises(ValueError):
         np.ravel_multi_index((2, 0, 0, 0), basis_shape(2))  # atom level 2
     with pytest.raises(ValueError):
-        np.unravel_index(basis_dimension(1), basis_shape(1))  # index = dim
+        np.unravel_index(16, basis_shape(1))  # index = dim
     with pytest.raises(ValueError, match="Fock cutoff must be at least 1"):
         basis_shape(0)
 
@@ -197,7 +196,7 @@ def test_pure_state_validation():
         PureState(np.eye(16)[0], cutoff=2)
     with pytest.raises(ValueError, match="state vector must have unit norm"):
         PureState(np.full(16, 0.5), cutoff=1)
-    assert PureState(np.full(16, 0.25), cutoff=1).dim == 16
+    assert PureState(np.full(16, 0.25), cutoff=1).amplitudes.shape == (16,)
 
 
 def test_density_matrix_validation():

@@ -270,7 +270,7 @@ def test_cutoff_exactness(family):
             state0 = initial_state_vector(family(alpha), cutoff)
             states[cutoff] = Propagator(build_hamiltonian(params, cutoff)).evolve(state0, t)
         small, large = states[1], states[3]
-        for index in range(small.dim):
+        for index in range(small.amplitudes.size):
             element = np.unravel_index(index, basis_shape(1))
             diff = abs(small.amplitudes[index] - large.amplitudes[np.ravel_multi_index(element, basis_shape(3))])
             assert diff <= 1e-12

@@ -33,6 +33,7 @@ from doublejc import (
     scan,
     scan_pairs,
     sweep_alpha,
+    validate,
     wootters_concurrence,
 )
 from doublejc.closedform import FEW_ULPS
@@ -99,6 +100,29 @@ def test_closed_form_matches_batched_oracle(family, alpha, delta, big_g, t):
     columns = Propagator(build_hamiltonian(params, 1)).evolve_grid(initial_state_vector(init, 1), [t])
     closed = psi_concurrence if family is StateFamily.PSI_ALPHA else phi_concurrence
     assert abs(pair_concurrences(columns, 1, ATOM_PAIR)[0] - closed(alpha, derive_constants(params), t)) <= 1e-9
+
+
+@bounded
+@given(
+    family=st.sampled_from([StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA]),
+    alpha=st.floats(0.0, 0.5 * math.pi),
+    delta=st.floats(-2.0, 2.0),
+    log_nu=st.floats(1.0, 12.0),
+)
+def test_oracle_does_not_drift_with_nu(family, alpha, delta, log_nu):
+    # the oracle's frame rotates at nu, so no phase carries nu t: in the lab frame the AB row missed the
+    # closed form by about eps nu t (1e-3 at nu = 1e12)
+    init, params = InitialState(family, alpha), ModelParams.from_detuning(delta, 1.0, 10.0**log_nu)
+    t_max, steps = 20.0, 201
+    constants = derive_constants(params)
+    reference = ModelParams.from_detuning(constants.delta, 1.0)  # nu = 10 G, at the same rounded delta
+    assert derive_constants(reference).delta == constants.delta
+    assert validate(init, params, t_max, steps).passed
+    rows, low = scan_pairs(init, params, ALL_PAIRS, t_max, steps), scan_pairs(init, reference, ALL_PAIRS, t_max, steps)
+    closed = psi_concurrence if family is StateFamily.PSI_ALPHA else phi_concurrence
+    assert np.abs(rows["AB"].values - closed(alpha, constants, rows["AB"].times)).max() <= 1e-12
+    for pair in ALL_PAIRS:
+        assert np.abs(rows[pair.name].values - low[pair.name].values).max() <= 1e-12
 
 
 #: product states, and the resonant threshold arctan(1/2) of the crossed pairs with a hair either side
