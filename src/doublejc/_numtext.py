@@ -47,7 +47,7 @@ def _tables():
 
 def _rounded(v, err, floor, drop: int):
     """(V + frac) / 10**drop rounded half-even, frac = err - floor compared as 2 * err, since it may be no double."""
-    q, rest = np.divmod(v, 10**drop)
+    q, rest = np.divmod(v, 10**drop) if drop else (v, 0)
     edge = 10**drop - 2 * rest + 2 * floor
     return q + ((2 * err > edge) | ((2 * err == edge) & ((q & 1) == 1)))
 

@@ -26,6 +26,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -187,14 +189,39 @@ def _resolve_run(ns: argparse.Namespace) -> tuple[ModelParams, float]:
     return params, tmax
 
 
-def _write_output(path, chunks) -> None:
-    """Write the text ``chunks`` to ``path`` (stdout if None) as they come, never holding a long scan whole."""
-    if not path:
-        sys.stdout.writelines(chunks)
-        return
+def _drop_stdout() -> None:
+    """Point stdout's descriptor, where it has one, at the null device, so that the text it still buffers after a
+    failed write (a closed pipe) cannot fail again when the interpreter flushes it at shutdown."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _write_output(path, chunks) -> None:
+    """Write the text ``chunks`` to ``path`` (stdout if None) as they come, never holding a long scan whole.
+
+    A file is rewritten in place and then cut to the length written: emptying it first costs the file system a
+    round of freeing and allocating its blocks.  Devices and pipes are never cut."""
+    try:
+        if not path:
+            try:
+                sys.stdout.writelines(chunks)
+                sys.stdout.flush()
+            except OSError:
+                _drop_stdout()
+                raise
+            return
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            try:
+                fh.writelines(chunks)
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()  # flushes, then cuts at the position written
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from None
 

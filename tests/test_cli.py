@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublejc import ATOM_PAIR, InitialState, ModelParams, QubitEquivalenceError, Source, scan
-from doublejc.cli import _build_parser, _csv_rows, _json, main
+from doublejc.cli import _build_parser, _csv_rows, _json, _write_output, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -617,6 +618,67 @@ def test_unwritable_plot_script_exits_2(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("doublejc: error: cannot write output:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("old_steps, new_steps", [(2001, 11), (11, 2001)])
+def test_out_over_an_existing_file_equals_a_fresh_write(tmp_path, capsys, old_steps, new_steps):
+    """An output rewritten in place is cut to its new length: shorter over longer and longer over shorter."""
+    argv = ["scan", "--family", "phi", "--delta", "0.3", "--G", "1", "--format", "csv"]
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    assert main(argv + ["--steps", str(old_steps), "--out", str(reused)]) == 0
+    assert main(argv + ["--steps", str(new_steps), "--out", str(reused)]) == 0
+    assert main(argv + ["--steps", str(new_steps), "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert reused.read_bytes().count(b"\n") == new_steps + 2
+
+
+def test_out_to_the_null_device_exits_0(capsys):
+    rc, out, err = run_cli(capsys, "scan", "--steps", "11", "--out", os.devnull)
+    assert (rc, out, err) == (0, "", "")
+
+
+def test_a_stream_that_fails_leaves_what_was_written(tmp_path):
+    """A chunk stream that raises part-way leaves exactly the chunks before it, not the old file's tail."""
+    path = tmp_path / "out.txt"
+    path.write_text("x" * 10000)
+
+    def chunks():
+        yield "first chunk\n"
+        raise ValueError("stream failed")
+
+    with pytest.raises(ValueError, match="stream failed"):
+        _write_output(str(path), chunks())
+    assert path.read_bytes() == b"first chunk\n"
+
+
+def test_a_new_output_gets_the_mode_open_gives(tmp_path, capsys):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    path = tmp_path / "new.txt"
+    assert main(["constants", "--out", str(path)]) == 0
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("argv, lines", [(["scan", "--steps", "200001"], 1), (["constants"], 0)])
+def test_a_closed_stdout_exits_2_with_one_line(argv, lines):
+    """Output piped into a reader that stops early: one error line and exit 2, no traceback.  A long scan meets
+    the closed pipe while it streams; a short report, which fits in the buffer, only when it is flushed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as a pipe is by default
+    proc = subprocess.Popen([sys.executable, "-m", "doublejc.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        for _ in range(lines):
+            assert proc.stdout.readline().endswith(b"\n")
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1].decode()
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2, err
+    assert err == f"doublejc: error: cannot write output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
 #: values whose formatting has edge cases: signed zero, the smallest subnormal, a tiny normal, a repeating
