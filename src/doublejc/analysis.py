@@ -165,11 +165,16 @@ class ValidationReport:
         }
 
 
-def _grid(t_max: float, steps: int, what: str = "a scan") -> np.ndarray:
+def _check_grid(t_max: float, steps: int, what: str = "a scan") -> None:
+    """ValueError unless the uniform grid over [0, t_max] has at least two points and t_max is positive and finite."""
     if steps < 2:
         raise ValueError(f"{what} needs at least two grid points")
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError("t_max must be positive and finite")
+
+
+def _grid(t_max: float, steps: int, what: str = "a scan") -> np.ndarray:
+    _check_grid(t_max, steps, what)
     times = np.linspace(0.0, t_max, steps)
     if np.any(times[1:] <= times[:-1]):  # as for a subnormal t_max
         raise ValueError("times must be strictly increasing")
@@ -241,11 +246,19 @@ def scan(
     basis_shape(cutoff)  # rejects a cutoff below 1 on both sources
     if source is Source.ORACLE:
         return scan_pairs(init, params, [pair], t_max, steps, cutoff)[pair.name]
-    form = closedform.for_state(init, derive_constants(params))
+    constants = derive_constants(params)
+    form = closedform.for_state(init, constants)
     if pair != ATOM_PAIR:
         raise ValueError("closed-form scans cover only the atom-atom pair")
     times = _grid(t_max, steps)
+    _check_phase(constants, t_max)
     return ConcurrenceSeries(times, form.concurrence(times), pair, Source.CLOSED_FORM, init, params)
+
+
+def _check_phase(constants, t_max: float) -> None:
+    """ValueError unless the closed forms' largest phase rabi t_max / 2, on a grid over [0, t_max], is finite."""
+    if not math.isfinite(0.5 * constants.rabi * t_max):
+        raise ValueError("closed-form phase rabi * t_max / 2 is not finite")
 
 
 def _zero_runs(mask: np.ndarray):
@@ -328,7 +341,9 @@ def _classify(times: np.ndarray, values: np.ndarray, signed: np.ndarray, form, c
 
 
 def _report(times: np.ndarray, values: np.ndarray, runs: list, dead: list, constants, initial: float) -> DeathReport:
-    """The touch rule (see :func:`detect_death`) on a row, or on samples that hold their zero runs' grid neighbours."""
+    """The touch rule (see :func:`detect_death`) on a row, or on samples that hold their zero runs' grid neighbours.
+
+    ``times`` and ``values`` are read only where there are ``runs``."""
     if runs and dead:  # windows come in time order: a bracket (lo, hi) may meet only the first one ending after lo
         (i0, i1), (a, b) = np.array(runs).T, np.array(dead).T
         lo, hi = times[np.maximum(i0 - 1, 0)], times[np.minimum(i1 + 1, len(times) - 1)]
@@ -392,48 +407,58 @@ def sweep_alpha(
 
     Returns (alpha, report) tuples in grid order, each ``detect_death(scan(...))`` at its angle, bit for bit.
     The oracle propagates all angles together from one diagonalisation, GRID_CHUNK angle x time columns at a time,
-    and classifies each angle's row.  The closed path has no row: zero runs lie in
-    the touch zones that ``zero_zones`` picks from the grid at 2 ``ZERO_TOL``.  A cluster of zones that no grid point
-    parts, each meeting a dead window, holds only runs the touch rule drops; the rest are sampled in one call, widened
-    by one grid index.  The cost grows with angles x peaks (3 per point at most), the dead windows and the samples, not
-    with angles x steps.
+    and classifies each angle's row.  The closed path has no row, and builds the grid only to sample it: zero runs lie
+    in the touch zones that ``zero_zones`` picks at 2 ``ZERO_TOL`` from the grid's ends and size.  A cluster of zones
+    that no grid point parts, each meeting a dead window, holds only runs the touch rule drops; the rest are sampled in
+    one call, widened by one grid index.  The cost grows with angles x peaks (3 per point at most), the dead windows
+    and the samples, not with angles x steps, and does not depend on ``steps`` unless a touch zone is sampled.
     """
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
         raise ValueError("alpha grid must be nonempty")
     basis_shape(cutoff)
     inits = [InitialState(family, alpha) for alpha in alphas]
-    constants, times = derive_constants(params), _grid(t_max, steps)
+    constants = derive_constants(params)
     if source is Source.ORACLE:
+        times = _grid(t_max, steps)
         signed = _oracle_values(inits, _propagator(params, cutoff), [ATOM_PAIR], times, cutoff)[0]
         times, rows, signed = _checked(times, np.clip(signed, 0.0, 1.0), signed)
         return [(alpha, _classify(times, row, signs, None, constants)) for alpha, row, signs in zip(alphas, rows, signed)]
+    _check_grid(t_max, steps)
+    t_max = float(t_max)  # linspace's ends are exactly 0.0 and t_max
+    grid = functools.cache(functools.partial(_grid, t_max, steps))
+    # each point fl(i h) of linspace lies below 2^50 h and rounds by at most h / 8, so such a grid strictly increases
+    if not (t_max / (steps - 1) >= 2.0**-1022 and steps <= 2**50):
+        grid()  # builds and checks it
+    _check_phase(constants, t_max)
     forms = [closedform.for_state(init, constants) for init in inits]
-    t0, t1, size = float(times[0]), float(times[-1]), times.size
-    deads = [form.dead_windows(t0, t1) for form in forms]
+    deads = [form.dead_windows(0.0, t_max) for form in forms]
     # an angle's dead windows fill one window per peak over their span: a zone meets one iff it meets the span
     zones = [(j, start, end, bool(dead) and end > dead[0][0] and start < dead[-1][1]) for j, (form, dead)
-             in enumerate(zip(forms, deads)) for start, end in form.zero_zones(times, 2 * ZERO_TOL)]
-    owner = index = samples = np.empty(0, dtype=int)
-    if not all(zone[3] for zone in zones):  # a zone that meets no dead window may hold a touch
-        # each zone's grid points lo..hi-1, widened by one index, as increasing keys angle * (size + 1) + index
-        owner, starts, ends, meets = np.array(zones).T
-        lo, hi = np.searchsorted(times, starts), np.searchsorted(times, ends, side="right")
-        base, held = owner.astype(int) * (size + 1), hi > lo
-        first, last = (base + np.maximum(lo - 1, 0))[held], (base + np.minimum(hi, size - 1))[held]
-        # a zero run may cross zones no grid point parts: sample such a cluster unless its zones all meet dead windows
-        cluster = np.cumsum(first >= np.concatenate(([-1], last[:-1])))
-        kept = np.bincount(cluster, meets[held] == 0)[cluster] > 0
-        first, last = first[kept], last[kept]
-        first[1:] = np.maximum(first[1:], last[:-1] + 1)  # each key once: zones come in order, and may overlap
-        width = np.maximum(last - first + 1, 0)  # the ranges first..last as one arange, shifted range by range
-        owner, index = np.divmod(np.repeat(first - np.cumsum(width) + width, width) + np.arange(width.sum()), size + 1)
+             in enumerate(zip(forms, deads)) for start, end in form.zero_zones(t_max, steps, 2 * ZERO_TOL, grid)]
+    # the initial value: at t = 0 the transfer weight is 0, and the row's first value is |sin 2a|, bit for bit
+    initials = [abs(math.sin(2.0 * alpha)) for alpha in alphas]
+    if all(zone[3] for zone in zones):  # no zone may hold a touch: nothing is sampled
+        return [(alpha, _report(None, None, [], dead, constants, initial))
+                for alpha, dead, initial in zip(alphas, deads, initials)]
+    # each zone's grid points lo..hi-1, widened by one index, as increasing keys angle * (steps + 1) + index
+    times, (owner, starts, ends, meets) = grid(), np.array(zones).T
+    lo, hi = np.searchsorted(times, starts), np.searchsorted(times, ends, side="right")
+    base, held = owner.astype(int) * (steps + 1), hi > lo
+    first, last = (base + np.maximum(lo - 1, 0))[held], (base + np.minimum(hi, steps - 1))[held]
+    # a zero run may cross zones no grid point parts: sample such a cluster unless its zones all meet dead windows
+    cluster = np.cumsum(first >= np.concatenate(([-1], last[:-1])))
+    kept = np.bincount(cluster, meets[held] == 0)[cluster] > 0
+    first, last = first[kept], last[kept]
+    first[1:] = np.maximum(first[1:], last[:-1] + 1)  # each key once: zones come in order, and may overlap
+    width = np.maximum(last - first + 1, 0)  # the ranges first..last as one arange, shifted range by range
+    owner, index = np.divmod(np.repeat(first - np.cumsum(width) + width, width) + np.arange(width.sum()), steps + 1)
+    samples = np.empty(0)
     if index.size:  # one call for all sampled angles, in the row's own elementwise arithmetic
         sampled, union = np.flatnonzero(np.bincount(owner)), np.flatnonzero(np.bincount(index))
         rows = replace(forms[0], alpha=[alphas[j] for j in sampled.tolist()]).concurrence(times[union])
         samples = rows[np.searchsorted(sampled, owner), np.searchsorted(union, index)]
     cuts = np.searchsorted(owner, np.arange(len(alphas) + 1)).tolist()
-    # the initial value: at t = 0 the transfer weight is 0, and the row's first value is |sin 2a|, bit for bit
     return [(alpha, _report(times[index[i:k]], samples[i:k], _zero_runs(samples[i:k] <= ZERO_TOL) if k > i else [],
-                            dead, constants, abs(math.sin(2.0 * alpha))))
-            for alpha, dead, i, k in zip(alphas, deads, cuts, cuts[1:])]
+                            dead, constants, initial))
+            for alpha, dead, initial, i, k in zip(alphas, deads, initials, cuts, cuts[1:])]

@@ -22,6 +22,7 @@ same flags; flags given on the command line override it.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -208,6 +209,8 @@ def _write_output(path, chunks) -> None:
     round of freeing and allocating its blocks.  Devices and pipes are never cut."""
     try:
         if not path:
+            if sys.stdout is None:  # the interpreter started with its stdout descriptor closed
+                raise OSError(errno.EBADF, "stdout is closed")
             try:
                 sys.stdout.writelines(chunks)
                 sys.stdout.flush()

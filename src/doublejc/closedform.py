@@ -289,33 +289,34 @@ class _StateForm:
             return []
         return self._around_peaks(t0, t1, math.asin(math.sqrt(s)))
 
-    def zero_zones(self, times: np.ndarray, level: float) -> list:
-        """Windows, clipped to the grid ``times``, holding every grid point where a row value can be at most ``level``.
+    def zero_zones(self, t_max: float, steps: int, level: float, grid) -> list:
+        """Windows, clipped to [0, t_max], holding every point of the uniform ``steps``-point grid over it where a row
+        value can be at most ``level``; ``grid()`` gives the grid's values, read only where it is coarse.
 
         A row value's phase rabi t / 2 rounds by an ulp of itself, so the level widens by FEW_ULPS rabi t_max; once
         it reaches 1 (rabi t_max about 2^50) every value lies within it, and the whole grid is one zone.  Otherwise the
         generator is convex in w and zero at w = 1 >= w: it is at most the level where w >= w_lo, around each peak.
         """
-        t0, t1 = float(times[0]), float(times[-1])
-        level += FEW_ULPS * self.constants.rabi * t1
+        level += FEW_ULPS * self.constants.rabi * t_max
         if level >= 1.0:
-            return [(t0, t1)]
+            return [(0.0, t_max)]
         s, b = abs(math.sin(2.0 * self.alpha)), 2.0 * math.cos(self.alpha) ** 2 if self.phi else 0.0
         # the smaller root of b w^2 - (s + b) w + s - level, free of cancellation; none above 0 if s <= level
         w_lo = 2.0 * (s - level) / (s + b + math.sqrt((b - s) ** 2 + 4.0 * b * level)) if s > level else 0.0
         peak = _peak_weight(self.constants)  # 0 where it underflows, and then w = 0 too
         if w_lo > peak:
             return []
-        return self._around_peaks(t0, t1, math.asin(math.sqrt(w_lo / peak)) if w_lo else 0.0, times)
+        return self._around_peaks(0.0, t_max, math.asin(math.sqrt(w_lo / peak)) if w_lo else 0.0, steps, grid)
 
-    def _around_peaks(self, t0: float, t1: float, theta: float, grid=None) -> list:
-        """Windows (2/rabi) (k pi + theta, (k + 1) pi - theta) that meet [t0, t1], clipped; k over every peak, or on
-        a ``grid`` with fewer points than periods, each point's floored peak and one either side (exact below 2^53)."""
+    def _around_peaks(self, t0: float, t1: float, theta: float, steps: int = 0, grid=None) -> list:
+        """Windows (2/rabi) (k pi + theta, (k + 1) pi - theta) that meet [t0, t1], clipped; k over every peak, or, on
+        a grid of ``steps`` points over [t0, t1] that are fewer than its periods, each of the values ``grid()`` gives
+        its floored peak and one either side (exact below 2^53)."""
         scale = 2.0 / self.constants.rabi
-        if grid is None or (t1 - t0) * self.constants.rabi < 2.0 * math.pi * grid.size:
+        if grid is None or (t1 - t0) * self.constants.rabi < 2.0 * math.pi * steps:
             peaks = range(math.floor(t0 / (scale * math.pi)), math.floor(t1 / (scale * math.pi)) + 3)
         else:
-            peaks = np.unique(np.floor(grid * self.constants.rabi / (2.0 * math.pi))[:, None] + (-1, 0, 1)).tolist()
+            peaks = np.unique(np.floor(grid() * self.constants.rabi / (2.0 * math.pi))[:, None] + (-1, 0, 1)).tolist()
         windows = []
         for k in peaks:
             if (start := scale * (k * math.pi + theta)) >= t1:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -558,6 +559,68 @@ def test_closed_sweep_is_detect_death_at_huge_phases_and_detunings(family, delta
     for alpha, report in sweep_alpha(family, params, alphas, t_max, 101):
         init = InitialState(family, alpha)
         assert report == detect_death(scan(init, params, ATOM_PAIR, t_max, 101, Source.CLOSED_FORM))
+
+
+def count_grids(monkeypatch):
+    """A list that gets one entry per time grid the analysis builds from here on."""
+    built, original = [], analysis._grid
+    monkeypatch.setattr(analysis, "_grid", lambda *args: built.append(args) or original(*args))
+    return built
+
+
+@pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_closed_sweep_builds_the_grid_only_to_sample_a_touch_zone(family, delta, monkeypatch):
+    # off resonance neither family touches zero: every zone meets a dead window, or there is none
+    params = ModelParams.from_detuning(delta, 1.0)
+    alpha_c = death_threshold_alpha(params)
+    alphas = [0.1, alpha_c - 0.05, alpha_c + 0.05, 1.4]
+    built = count_grids(monkeypatch)
+    for steps in (1001, 2_000_001):
+        results = sweep_alpha(family, params, alphas, 4 * math.pi, steps)
+        assert [report.has_death for _, report in results] == [family is StateFamily.PHI_ALPHA] * 2 + [False] * 2
+        assert all(not report.touch_points for _, report in results)
+    assert built == []
+
+
+def test_resonant_psi_sweep_builds_the_grid_once(monkeypatch):
+    built = count_grids(monkeypatch)
+    results = sweep_alpha(StateFamily.PSI_ALPHA, RESONANT, [0.3, 0.8, 1.2], 4 * math.pi, 1001)
+    assert built == [(4 * math.pi, 1001)]
+    assert all(report.touch_points == (math.pi, 3 * math.pi) for _, report in results)
+
+
+def test_closed_sweep_checks_a_spacing_below_the_normal_range_on_the_grid(monkeypatch):
+    # h = 2^-1023 is past the shortcut's proof, so the grid is built once, to check that it strictly increases
+    params, t_max = ModelParams.from_detuning(0.5, 1.0), 10 * 2.0**-1023
+    built = count_grids(monkeypatch)
+    [(_, report)] = sweep_alpha(StateFamily.PHI_ALPHA, params, [0.3], t_max, 11)
+    assert built == [(t_max, 11)]
+    assert report == detect_death(scan(InitialState.phi(0.3), params, ATOM_PAIR, t_max, 11, Source.CLOSED_FORM))
+
+
+def test_long_closed_sweep_is_small_and_equals_the_short_one():
+    # 2,000,001 steps made a 16 MB grid that no report read
+    params, alphas = ModelParams.from_detuning(0.5, 1.0), np.linspace(0.05, 0.5 * math.pi - 0.05, 25)
+    tracemalloc.start()
+    try:
+        results = sweep_alpha(StateFamily.PHI_ALPHA, params, alphas, 4 * math.pi, 2_000_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert results == sweep_alpha(StateFamily.PHI_ALPHA, params, alphas, 4 * math.pi, 2001)
+    assert any(report.has_death for _, report in results)
+
+
+@pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
+def test_closed_phase_that_overflows_is_refused(family):
+    # the sweep reported from NaN samples, and the scan raised "concurrence values must lie in [0, 1]"
+    params, message = ModelParams.from_detuning(1e300, 1.0), "^closed-form phase rabi \\* t_max / 2 is not finite$"
+    with pytest.raises(ValueError, match=message):
+        sweep_alpha(family, params, [0.3], 1e10, 11)
+    with pytest.raises(ValueError, match=message):
+        detect_death(scan(InitialState(family, 0.3), params, ATOM_PAIR, 1e10, 11, Source.CLOSED_FORM))
 
 
 # --------------------------------------------------------------- validate

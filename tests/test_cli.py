@@ -502,6 +502,18 @@ def test_overflowing_oracle_exits_2_without_warnings(capsys, argv, message):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("command", ["scan", "death", "sweep"])
+def test_overflowing_closed_phase_exits_2_without_warnings(capsys, command):
+    # rabi t_max / 2 overflowed in the closed forms: scan and death printed two RuntimeWarnings and exited 2 with
+    # "concurrence values must lie in [0, 1]", and sweep printed reports built from NaN samples
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, command, "--delta", "1e308", "--G", "1", "--steps", "5")
+    assert (rc, out) == (2, "")
+    assert err == "doublejc: error: closed-form phase rabi * t_max / 2 is not finite\n"
+    assert [str(w.message) for w in caught] == []
+
+
 def reject_constant(name):
     raise ValueError(f"non-finite number {name} in the output")
 
@@ -660,12 +672,17 @@ def test_a_new_output_gets_the_mode_open_gives(tmp_path, capsys):
     assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
+def source_env() -> dict:
+    """The environment of a subprocess that imports doublejc from this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("argv, lines", [(["scan", "--steps", "200001"], 1), (["constants"], 0)])
 def test_a_closed_stdout_exits_2_with_one_line(argv, lines):
     """Output piped into a reader that stops early: one error line and exit 2, no traceback.  A long scan meets
     the closed pipe while it streams; a short report, which fits in the buffer, only when it is flushed."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = source_env()
     env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as a pipe is by default
     proc = subprocess.Popen([sys.executable, "-m", "doublejc.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -679,6 +696,24 @@ def test_a_closed_stdout_exits_2_with_one_line(argv, lines):
         proc.wait()
     assert proc.returncode == 2, err
     assert err == f"doublejc: error: cannot write output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+NO_STDOUT = f"doublejc: error: cannot write output: [Errno {errno.EBADF}] stdout is closed\n"
+
+
+def test_no_stdout_exits_2_with_one_line(capsys, monkeypatch):
+    # an interpreter started with its stdout descriptor closed has sys.stdout None: writing to it raised
+    # AttributeError, a traceback and exit 1
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["constants"]) == 2
+    assert capsys.readouterr().err == NO_STDOUT
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="closes the descriptor with a POSIX shell")
+def test_a_closed_stdout_descriptor_exits_2_with_one_line():
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m doublejc.cli constants >&-', sys.executable],
+                          env=source_env(), stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (2, NO_STDOUT)
 
 
 #: values whose formatting has edge cases: signed zero, the smallest subnormal, a tiny normal, a repeating
@@ -754,8 +789,7 @@ def test_bulk_json_refuses_non_finite_values(bad):
 
 
 def test_module_entry_point_runs_main(capsys):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = source_env()
     module = [sys.executable, "-m", "doublejc.cli"]
     result = subprocess.run([*module, "constants"], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr

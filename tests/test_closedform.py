@@ -290,7 +290,7 @@ def test_zero_zones_hold_their_dead_windows_and_every_point_at_most_zero_tol(phi
         t0, t1 = float(times[0]), float(times[-1])
         for alpha in [*rng.uniform(0.0, 0.5 * math.pi, 4), 1e-13, 4e-12, math.pi / 4, 0.5 * math.pi - 1e-13]:
             form = closedform.for_state((InitialState.phi if phi else InitialState.psi)(alpha), constants)
-            a, b = np.reshape(form.zero_zones(times, 2e-12), (-1, 2)).T
+            a, b = np.reshape(form.zero_zones(t1, points, 2e-12, lambda: times), (-1, 2)).T
             inside = ((times >= a[:, None]) & (times <= b[:, None])).any(axis=0)
             assert np.all(form.concurrence(times)[~inside] > 1e-12)
             for lo, hi in form.dead_windows(t0, t1):

@@ -213,6 +213,18 @@ def test_closed_sweep_where_no_grid_point_parts_zones_equals_detect_death_of_eac
     alphas = [1e-13, 4e-13, 1e-12, 1.5e-12, 3e-12, 1e-11, 0.5 * math.pi - 4e-13]
     assert_sweep_equals_scans(family, params, alphas, periods * 2.0 * math.pi / derive_constants(params).rabi, 101)
 
+
+@bounded
+@given(steps=st.integers(2, 10**5), data=st.data())
+def test_linspace_strictly_increases_where_the_closed_sweep_does_not_check_it(steps, data):
+    # the closed sweep builds no grid where h = t_max / (steps - 1) >= 2^-1022 and steps <= 2^50: each point
+    # fl(i h) lies below 2^50 h and rounds by at most h / 8, and the ends are exactly 0 and t_max
+    low = (steps - 1) * 2.0**-1022
+    t_max = data.draw(st.one_of(st.just(low), st.floats(low, 1e6 * low), st.floats(low, 1e308)))
+    times = np.linspace(0.0, t_max, steps)
+    assert times[0] == 0.0 and times[-1] == t_max
+    assert np.all(times[1:] > times[:-1])
+
 @settings(bounded, max_examples=100)
 @given(
     fraction=st.floats(0.0, 1.0),
