@@ -8,9 +8,9 @@ death       sudden-death report (intervals, touch points, period) as JSON
 validate    closed-form versus oracle cross-check, exit code encodes pass/fail
 sweep       death reports across a grid of superposition angles
 
-Exit codes: 0 success/pass, 1 validation failure, 2 configuration error,
-3 physical-assumption violation (a retained cavity mode left the qubit
-regime).
+Exit codes: 0 success/pass, 1 validation failure, 2 configuration error
+(not enough memory included), 3 physical-assumption violation (a retained
+cavity mode left the qubit regime).
 
 Model parameters come either as physical frequencies (--omega --nu --g) or
 as detuning plus interaction strength (--delta --G, with --nu optional and
@@ -51,11 +51,6 @@ PAIR_NAMES = tuple(p.name for p in ALL_PAIRS)
 def _fmt(x: float) -> str:
     """17 significant digits: round-trip exact for doubles."""
     return format(float(x), ".17g")
-
-
-def _csv_rows(table) -> str:
-    """One CSV line per row of the 2-D ``table``, each number as ``_fmt`` writes it."""
-    return "".join(_numtext.chunks(table, [","] * (np.shape(table)[1] - 1) + ["\n"], shortest=False))
 
 
 def _json_chunks(obj, level: int = 0):
@@ -353,13 +348,13 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     if ns.format == "csv":
         rows = [(alpha, len(report.dead_intervals), *(report.dead_intervals or [(math.nan, math.nan)])[0],
                  report.total_dead_length(), report.initial_concurrence) for alpha, report in results]
-        text = ("alpha,dead_intervals,first_death_start,first_death_end,total_dead_length,initial_concurrence\n"
-                + _csv_rows(rows))
+        header = "alpha,dead_intervals,first_death_start,first_death_end,total_dead_length,initial_concurrence\n"
+        chunks = itertools.chain([header], _numtext.chunks(rows, [","] * header.count(",") + ["\n"], shortest=False))
     else:
         payload = {"family": ns.family, "source": source.value, "tmax": tmax, "steps": ns.steps,
                    "reports": [{"alpha": alpha, **report.to_dict()} for alpha, report in results]}
-        text = _json(payload) + "\n"
-    _write_output(ns.out, [text])
+        chunks = [_json(payload), "\n"]
+    _write_output(ns.out, chunks)
     return EXIT_OK
 
 
@@ -387,6 +382,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except ValueError as exc:
         print(f"doublejc: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # not a failed validation, which exit 1 would report
+        print(f"doublejc: error: not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except QubitEquivalenceError as exc:
         print(f"doublejc: physical assumption violated: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ amplitudes, concurrence and dead windows of one named initial state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +63,18 @@ def _pair_factors(constants: JCConstants, t):
     return f, h
 
 
+@functools.cache
+def _trace_terms(elements: tuple) -> tuple:
+    """((row, column), field pairs) of each entry of the atom-atom matrix on or above its diagonal: an element's atoms
+    give its excited-first row 3 - 2 atom_a - atom_b, and two elements cohere only where their mode labels agree."""
+    rows = sorted(((3 - 2 * a - b, x, modes) for x, (a, b, *modes) in elements), key=lambda row: row[0])
+    entries = {}  # a stable sort keeps each diagonal sum in element order
+    for i, (r, x, modes) in enumerate(rows):
+        for c, y, _ in (row for row in rows[i:] if row[2] == modes):
+            entries.setdefault((r, c), []).append((x, y))
+    return tuple(entries.items())
+
+
 class _Amplitudes:
     """Embedding shared by the amplitude records; ``t`` may be a time grid."""
 
@@ -75,6 +88,18 @@ class _Amplitudes:
             amps[element] = getattr(self, name)
         return amps.reshape((-1,) + np.shape(self.t))
 
+    def atom_density(self) -> np.ndarray:
+        """Atom-atom density matrix, stacked over a time grid: the modes traced out of the element table."""
+        rho = np.zeros(np.shape(self.t) + (4, 4), dtype=complex)
+        for (r, c), pairs in _trace_terms(self._ELEMENTS):
+            for k, (x, y) in enumerate(pairs):  # summed in element order
+                term = abs(getattr(self, x)) ** 2 if x == y else getattr(self, x) * np.conj(getattr(self, y))
+                value = value + term if k else term
+            rho[..., r, c] = value
+            if r != c:
+                rho[..., c, r] = np.conj(value)
+        return rho
+
     def to_state(self, cutoff: int = 1) -> PureState:
         """Embed the amplitudes at a scalar time into the truncated product space."""
         return PureState(self.columns(cutoff), cutoff)
@@ -84,9 +109,9 @@ class _Amplitudes:
 class PsiAmplitudes(_Amplitudes):
     """Amplitudes of the one-excitation family at time t (a scalar or a grid).
 
-    The state is x1|eg00> + x2|ge00> + x3|gg10> + x4|gg01>; x1, x3 carry
-    cos(alpha) and x2, x4 carry sin(alpha) of a common pair factor, so
-    x2/x1 = x4/x3 = tan(alpha) wherever defined.
+    The state is x1|eg00> + x2|ge00> + x3|gg10> + x4|gg01>; x1, x3 carry cos(alpha) and x2, x4 carry sin(alpha) of
+    a common pair factor, so x2/x1 = x4/x3 = tan(alpha) wherever defined.  Only the |eg>/|ge> coherence
+    rho_12 = x1 x2* survives the partial trace: |eg00> and |ge00> share the vacuum.
     """
 
     x1: complex
@@ -97,33 +122,14 @@ class PsiAmplitudes(_Amplitudes):
 
     _ELEMENTS = (("x1", (1, 0, 0, 0)), ("x2", (0, 1, 0, 0)), ("x3", (0, 0, 1, 0)), ("x4", (0, 0, 0, 1)))
 
-    def atom_density(self) -> np.ndarray:
-        """Atom-atom density matrix, stacked over a time grid.
-
-        Tracing the modes out of the evolved state leaves a single-excitation
-        block plus |gg><gg| population:
-
-            [[0, 0,      0,      0],
-             [0, |x1|^2, x1 x2*, 0],
-             [0, x1* x2, |x2|^2, 0],
-             [0, 0,      0,      |x3|^2 + |x4|^2]]
-        """
-        rho = np.zeros(np.shape(self.t) + (4, 4), dtype=complex)
-        rho[..., 1, 1] = abs(self.x1) ** 2
-        rho[..., 2, 2] = abs(self.x2) ** 2
-        rho[..., 1, 2] = self.x1 * np.conj(self.x2)
-        rho[..., 2, 1] = np.conj(rho[..., 1, 2])
-        rho[..., 3, 3] = abs(self.x3) ** 2 + abs(self.x4) ** 2
-        return rho
-
 
 @dataclass(frozen=True)
 class PhiAmplitudes(_Amplitudes):
     """Amplitudes of the zero/two-excitation family at time t (a scalar or a grid).
 
-    The state is x1|ee00> + x2|gg11> + x3|eg01> + x4|ge10> + x5|gg00>.
-    By symmetry of the two pairs x3 == x4 exactly, and x5 = sin(alpha) is
-    constant because |gg00> has zero energy.
+    The state is x1|ee00> + x2|gg11> + x3|eg01> + x4|ge10> + x5|gg00>.  By symmetry of the two pairs x3 == x4
+    exactly, and x5 = sin(alpha) is constant because |gg00> has zero energy.  Only the |ee>/|gg> coherence
+    rho_03 = x1 x5* survives the partial trace: |eg01> and |ge10> differ in their modes.
     """
 
     x1: complex
@@ -135,26 +141,6 @@ class PhiAmplitudes(_Amplitudes):
 
     _ELEMENTS = (("x1", (1, 1, 0, 0)), ("x2", (0, 0, 1, 1)), ("x3", (1, 0, 0, 1)), ("x4", (0, 1, 1, 0)),
                  ("x5", (0, 0, 0, 0)))
-
-    def atom_density(self) -> np.ndarray:
-        """Atom-atom density matrix, stacked over a time grid.
-
-            [[|x1|^2, 0,      0,      x1 x5*],
-             [0,      |x3|^2, 0,      0],
-             [0,      0,      |x4|^2, 0],
-             [x1* x5, 0,      0,      |x2|^2 + |x5|^2]]
-
-        Only the |ee>/|gg> coherence survives the partial trace: the one-photon
-        sectors |eg01> and |ge10> are orthogonal in the mode factor.
-        """
-        rho = np.zeros(np.shape(self.t) + (4, 4), dtype=complex)
-        rho[..., 0, 0] = abs(self.x1) ** 2
-        rho[..., 1, 1] = abs(self.x3) ** 2
-        rho[..., 2, 2] = abs(self.x4) ** 2
-        rho[..., 3, 3] = abs(self.x2) ** 2 + abs(self.x5) ** 2
-        rho[..., 0, 3] = self.x1 * np.conj(self.x5)
-        rho[..., 3, 0] = np.conj(rho[..., 0, 3])
-        return rho
 
 
 def psi_amplitudes(alpha: float, constants: JCConstants, t) -> PsiAmplitudes:
@@ -170,23 +156,16 @@ def phi_amplitudes(alpha: float, constants: JCConstants, t) -> PhiAmplitudes:
     _check_time(t)
     f, h = _pair_factors(constants, t)
     ca, sa = math.cos(_check_alpha(alpha)), math.sin(alpha)
-    return PhiAmplitudes(
-        x1=f * f * ca,
-        x2=h * h * ca,
-        x3=f * h * ca,
-        x4=f * h * ca,
-        x5=complex(sa),
-        t=t,
-    )
+    return PhiAmplitudes(x1=f * f * ca, x2=h * h * ca, x3=f * h * ca, x4=f * h * ca, x5=complex(sa), t=t)
 
 
 def psi_reduced_density(alpha: float, constants: JCConstants, t: float) -> DensityMatrix:
-    """Atom-atom density matrix of the one-excitation family (see :meth:`PsiAmplitudes.atom_density`)."""
+    """Atom-atom density matrix of the one-excitation family (see :class:`PsiAmplitudes`)."""
     return DensityMatrix(psi_amplitudes(alpha, constants, t).atom_density())
 
 
 def phi_reduced_density(alpha: float, constants: JCConstants, t: float) -> DensityMatrix:
-    """Atom-atom density matrix of the zero/two-excitation family (see :meth:`PhiAmplitudes.atom_density`)."""
+    """Atom-atom density matrix of the zero/two-excitation family (see :class:`PhiAmplitudes`)."""
     return DensityMatrix(phi_amplitudes(alpha, constants, t).atom_density())
 
 

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublejc import ATOM_PAIR, InitialState, ModelParams, QubitEquivalenceError, Source, scan
-from doublejc.cli import _build_parser, _csv_rows, _json, _write_output, main
+from doublejc import _numtext, cli
+from doublejc.cli import _build_parser, _json, _write_output, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -360,6 +361,21 @@ def test_a_grid_with_repeated_times_exits_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv, "--tmax", "5e-324", "--steps", "3")
     assert (rc, out) == (2, "")
     assert err == "doublejc: error: times must be strictly increasing\n"
+
+
+def test_not_enough_memory_exits_2_with_one_line(capsys, monkeypatch):
+    # the basis labels of cutoff 1e7 would take 11.4 PiB, beyond any address space, so the allocation fails at
+    # once and nothing is paged in; exit 1 would read as a failed validation
+    rc, out, err = run_cli(capsys, "scan", "--source", "oracle", "--cutoff", "10000000", "--steps", "3")
+    assert (rc, out) == (2, "")
+    assert err.startswith("doublejc: error: not enough memory: Unable to allocate ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+    def out_of_memory(ns):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "constants", ("", out_of_memory))
+    assert run_cli(capsys, "constants") == (2, "", "doublejc: error: not enough memory: allocation failed\n")
 
 
 def test_validate_failure_exit_code(capsys):
@@ -734,6 +750,11 @@ def reference_json(header: dict, columns) -> str:
     return json.dumps(payload, indent=2)
 
 
+def bulk_csv_rows(table) -> str:
+    """The CSV rows ``scan`` and ``sweep`` stream: the bulk writer with a comma after each cell but a row's last."""
+    return "".join(_numtext.chunks(table, [","] * (np.shape(table)[1] - 1) + ["\n"], shortest=False))
+
+
 def bulk_json(header: dict, columns) -> str:
     times, *rows = (np.array(column, dtype=float) for column in columns)
     return _json({**header, "times": times, "concurrence": {f"P{i}": row for i, row in enumerate(rows)}})
@@ -754,8 +775,8 @@ writers = settings(max_examples=60, deadline=None, derandomize=True, database=No
 @given(tables(st.floats()))
 def test_bulk_csv_matches_per_number_formatting(columns):
     table = np.column_stack(columns)
-    assert _csv_rows(table) == reference_csv_rows(table)
-    assert _csv_rows([list(row) for row in table]) == reference_csv_rows(table)
+    assert bulk_csv_rows(table) == reference_csv_rows(table)
+    assert bulk_csv_rows([list(row) for row in table]) == reference_csv_rows(table)
 
 
 finite = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))

@@ -296,3 +296,23 @@ def test_zero_zones_hold_their_dead_windows_and_every_point_at_most_zero_tol(phi
             for lo, hi in form.dead_windows(t0, t1):
                 meets = (a < hi) & (b > lo)
                 assert meets.any() and np.all((a[meets] <= lo) & (b[meets] >= hi))
+
+
+@pytest.mark.parametrize("amplitudes, coherence", [(psi_amplitudes, (1, 2)), (phi_amplitudes, (0, 3))])
+def test_atom_density_is_the_partial_trace_of_its_own_state(amplitudes, coherence):
+    # the matrix derived from the element table against the modes traced out of the embedded state by einsum,
+    # excited-first (atom level 1 is excited, so both atom axes run backwards); its only coherence is the
+    # documented one: rho_12 for psi, rho_03 for phi
+    rng = np.random.default_rng(29)
+    documented = np.zeros((4, 4), dtype=bool)
+    documented[coherence] = documented[coherence[::-1]] = True
+    for k in range(60):
+        t = rng.uniform(0.0, 25.0) if k % 2 else np.sort(rng.uniform(0.0, 25.0, 33))
+        record = amplitudes(rng.uniform(0.05, math.pi / 2 - 0.05), random_constants(rng), t)
+        state = record.columns(1).reshape((2, 2, 2, 2) + np.shape(t))
+        traced = np.einsum("ABab...,CDab...->...ABCD", state, state.conj())[..., ::-1, ::-1, ::-1, ::-1]
+        rho = record.atom_density()
+        assert rho.shape == np.shape(t) + (4, 4)
+        np.testing.assert_allclose(rho, traced.reshape(np.shape(t) + (4, 4)), rtol=0, atol=4 * np.finfo(float).eps)
+        coherent = (rho != 0) & ~np.eye(4, dtype=bool)
+        assert (coherent == documented).all()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import numtext_sweep
 from doublejc import _numtext
-from doublejc.cli import _csv_rows, _json, main
+from doublejc.cli import _json, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -47,6 +47,11 @@ def test_any_doubles_match_python(values, shortest):
     assert written(values, shortest) == python_text(values, shortest)
 
 
+def csv_rows(table) -> str:
+    """The CSV rows the CLI streams: a comma after each number but a row's last, which ends the line."""
+    return "".join(_numtext.chunks(table, [","] * (np.shape(table)[1] - 1) + ["\n"], shortest=False))
+
+
 def reference_csv(table) -> str:
     return "".join(",".join(python_text(row, False)) + "\n" for row in table)
 
@@ -65,7 +70,7 @@ def edge_mix(count: int, rng) -> np.ndarray:
 def test_tables_across_chunk_boundaries(numbers, cols):
     rng = np.random.default_rng(numbers * 10 + cols)
     table = edge_mix(-(-numbers // cols) * cols, rng).reshape(-1, cols)
-    assert _csv_rows(table) == reference_csv(table)
+    assert csv_rows(table) == reference_csv(table)
     column = edge_mix(numbers, rng)
     assert _json({"times": column}) == json.dumps({"times": column.tolist()}, indent=2)
 
