@@ -205,11 +205,11 @@ def _oracle_chunks(inits, propagator: Propagator, times: np.ndarray, cutoff: int
 
 
 def _oracle_values(inits, propagator: Propagator, pairs, times: np.ndarray, cutoff: int) -> np.ndarray:
-    """Oracle signed Wootters rows, pairs x states x times; a chunk's pairs and states go through one kernel call."""
+    """Oracle signed Wootters rows, pairs x states x times; one kernel call per chunk and run of equal-k pairs."""
     rows = np.empty((len(pairs), len(inits), times.size))
     for states, part, columns in _oracle_chunks(inits, propagator, times, cutoff):
-        signed = _block_concurrences(_pair_blocks(columns.reshape(len(columns), -1), cutoff, pairs))
-        rows[:, states, part] = np.reshape(signed, (len(pairs),) + columns.shape[1:])
+        signed = map(_block_concurrences, _pair_blocks(columns.reshape(len(columns), -1), cutoff, pairs))
+        rows[:, states, part] = np.concatenate(list(signed)).reshape((len(pairs),) + columns.shape[1:])
     return rows
 
 
@@ -376,12 +376,12 @@ def validate(
     errors = np.empty(steps)
     for _, part, columns in _oracle_chunks([init], _propagator(params, cutoff), times, cutoff):
         columns, closed = columns[:, 0], form.amplitudes(times[part])
-        [(_, blocks)] = stacks = _pair_blocks(columns, cutoff, [ATOM_PAIR])
+        [blocks] = _pair_blocks(columns, cutoff, [ATOM_PAIR])
         rho = np.einsum("gikt,gjkt->tij", blocks, blocks.conj())
         errors[part] = np.maximum.reduce([
             np.abs(closed.columns(cutoff) - columns).max(axis=0),
             np.abs(closed.atom_density() - rho).max(axis=(1, 2)),
-            np.abs(form.concurrence(times[part]) - np.clip(_block_concurrences(stacks)[0], 0.0, 1.0)),
+            np.abs(form.concurrence(times[part]) - np.clip(_block_concurrences(blocks)[0], 0.0, 1.0)),
         ])
 
     worst = int(np.argmax(errors))  # the first of equal maxima

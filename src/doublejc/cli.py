@@ -267,8 +267,9 @@ def _cmd_constants(ns: argparse.Namespace) -> int:
 
 
 def _gnuplot_script(csv_path: str, pairs) -> str:
+    quoted = csv_path.replace("'", "''")  # gnuplot's escape inside a single-quoted string
     plots = ", ".join(
-        f"'{csv_path}' using 1:{i + 2} with lines title '{name}'"
+        f"'{quoted}' using 1:{i + 2} with lines title '{name}'"
         for i, name in enumerate(pairs)
     )
     return (

@@ -225,7 +225,7 @@ def phi_f(alpha: float, constants: JCConstants, t):
 
 def phi_concurrence(alpha: float, constants: JCConstants, t):
     """Atom-atom concurrence of the zero/two-excitation family, max{0, f(t)}."""
-    value = np.clip(phi_f(alpha, constants, t), 0.0, 1.0)
+    value = np.clip(phi_f(alpha, constants, t), 0.0, 1.0) + 0.0  # a -0.0 at a resonant peak becomes +0.0
     return value if np.ndim(value) else float(value)
 
 

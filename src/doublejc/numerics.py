@@ -12,6 +12,7 @@ on the analytic formulas.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -178,24 +179,22 @@ class Propagator:
 
 @functools.lru_cache(maxsize=64)
 def _gather_plan(cutoff: int, names: tuple) -> list:
-    """[(positions, g x 4 x k flat basis indices)] of the named pairs' blocks B, one entry per k (see _pair_blocks)."""
+    """[g x 4 x k flat basis indices] of the named pairs' blocks B, one per run of equal k (see _pair_blocks)."""
     flat = np.arange(math.prod(basis_shape(cutoff))).reshape(basis_shape(cutoff))
     # excited-first ordering for both atoms (g,e) and modes (0,1)
     indices = [np.moveaxis(flat, [_AXES.index(sub) for sub in name], (0, 1))[1::-1, 1::-1].reshape(4, -1)
                for name in names]
-    ks = [index.shape[1] for index in indices]
-    groups = [tuple(i for i, k in enumerate(ks) if k == key) for key in dict.fromkeys(ks)]
-    return [(same, np.stack([indices[i] for i in same])) for same in groups]
+    return [np.stack(list(run)) for _, run in itertools.groupby(indices, lambda index: index.shape[1])]
 
 
 def _pair_blocks(columns: np.ndarray, cutoff: int, pairs) -> list:
-    """Factors B of the pairs' reduced states, rho = B B^dagger, as [(positions, g x 4 x k x T stack)].
+    """Factors B of the pairs' reduced states, rho = B B^dagger, as g x 4 x k x T stacks in pair order.
 
     ``columns`` holds one unit-norm amplitude vector per time point (of one state or several), and
     the stacks keep that axis last, so every elementwise step of the kernel runs along it.  Rows of B are the
     pair's |ee>,|eg>,|ge>,|gg> levels (a mode's ``e`` is one photon), columns the levels
-    of the two traced subsystems; the g pairs of equal k, at ``positions`` in ``pairs``,
-    share one gather.  Retained modes must behave as qubits: population above Fock level 1
+    of the two traced subsystems; each run of g consecutive pairs of equal k shares one gather
+    and one stack.  Retained modes must behave as qubits: population above Fock level 1
     beyond ``QUBIT_EQUIV_TOL`` at any time raises :class:`QubitEquivalenceError` for the first such pair.
     """
     shape = basis_shape(cutoff)
@@ -212,14 +211,14 @@ def _pair_blocks(columns: np.ndarray, cutoff: int, pairs) -> list:
         if over.any():
             raise QubitEquivalenceError(f"mode {sub} holds population {weight[np.argmax(over)]:.3e} above one photon")
     stacks = []
-    for positions, index in _gather_plan(cutoff, tuple(pair.name for pair in pairs)):
+    for index in _gather_plan(cutoff, tuple(pair.name for pair in pairs)):
         blocks = columns[index]
         # mass discarded with the >1-photon tail (still below QUBIT_EQUIV_TOL)
         trace = population[index].sum(axis=(1, 2))
         drifted = np.abs(trace - 1.0) > TRACE_TOL
         if drifted.any():
             blocks = blocks / np.sqrt(np.where(drifted, trace, 1.0))[:, None, None, :]
-        stacks.append((positions, blocks))
+        stacks.append(blocks)
     return stacks
 
 
@@ -229,7 +228,7 @@ def partial_trace_pair(state: PureState, pair: SubsystemPair) -> DensityMatrix:
     Retained cavity modes must behave as qubits: any population above Fock
     level 1 beyond ``QUBIT_EQUIV_TOL`` raises :class:`QubitEquivalenceError`.
     """
-    [(_, blocks)] = _pair_blocks(state.amplitudes[:, None], state.cutoff, [pair])
+    [blocks] = _pair_blocks(state.amplitudes[:, None], state.cutoff, [pair])
     block = blocks[0, :, :, 0]
     return DensityMatrix(block @ block.conj().T)
 
@@ -272,8 +271,8 @@ def _block_plan(pattern: bytes, pairs: int, k: int) -> list:
             for index in _blocks(whole)]
 
 
-def _block_concurrences(stacks) -> list:
-    """Signed lambda_1 - lambda_2 - lambda_3 - lambda_4 of each pair, in pair order, from :func:`_pair_blocks` stacks.
+def _block_concurrences(blocks: np.ndarray) -> np.ndarray:
+    """Signed lambda_1 - lambda_2 - lambda_3 - lambda_4, g x T, of one g x 4 x k x T :func:`_pair_blocks` stack.
 
     For any decomposition rho = B B^dagger the Wootters lambda_i are the singular
     values of tau = B^T (sy x sy) B (Wootters, PRL 80, 2245, 1998), with neither
@@ -285,21 +284,18 @@ def _block_concurrences(stacks) -> list:
     block, :func:`_svd2` for a 2 x 2 one and a batched SVD for larger ones.
     Clipped into [0, 1] the value is the concurrence, and below zero it marks sudden death.
     """
-    rows = {}
-    for positions, blocks in stacks:
-        b0, b1, b2, b3 = (blocks[:, r] for r in range(4))
-        p = b1[:, :, None] * b2[:, None] - b0[:, :, None] * b3[:, None]
-        tau = p + np.swapaxes(p, 1, 2)
-        pairs, k, _, steps = tau.shape
-        flat, x = tau.reshape(-1, steps), np.empty((pairs * k, steps))
-        for gather, slots in _block_plan(np.any(tau != 0, axis=-1).tobytes(), pairs, k):
-            part, size = flat[gather], gather.shape[-1]
-            values = (np.abs(part) if size == 1 else _svd2(part) if size == 2 else
-                      np.moveaxis(np.linalg.svd(np.moveaxis(part, -1, 0), compute_uv=False), 0, -1))
-            x[slots] = values.reshape(-1, steps)
-        x = -np.sort(-x.reshape(pairs, k, steps), axis=1)
-        rows.update(zip(positions, x[:, 0] - x[:, 1] - x[:, 2] - x[:, 3]))
-    return [rows[i] for i in range(len(rows))]
+    b0, b1, b2, b3 = (blocks[:, r] for r in range(4))
+    p = b1[:, :, None] * b2[:, None] - b0[:, :, None] * b3[:, None]
+    tau = p + np.swapaxes(p, 1, 2)
+    pairs, k, _, steps = tau.shape
+    flat, x = tau.reshape(-1, steps), np.empty((pairs * k, steps))
+    for gather, slots in _block_plan(np.any(tau != 0, axis=-1).tobytes(), pairs, k):
+        part, size = flat[gather], gather.shape[-1]
+        values = (np.abs(part) if size == 1 else _svd2(part) if size == 2 else
+                  np.moveaxis(np.linalg.svd(np.moveaxis(part, -1, 0), compute_uv=False), 0, -1))
+        x[slots] = values.reshape(-1, steps)
+    x = -np.sort(-x.reshape(pairs, k, steps), axis=1)
+    return x[:, 0] - x[:, 1] - x[:, 2] - x[:, 3]
 
 
 def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.ndarray:
@@ -307,7 +303,8 @@ def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> 
 
     ``columns`` is the dim x T amplitude array that :meth:`Propagator.evolve_grid` returns.
     """
-    return np.clip(_block_concurrences(_pair_blocks(columns, cutoff, [pair]))[0], 0.0, 1.0)
+    [blocks] = _pair_blocks(columns, cutoff, [pair])
+    return np.clip(_block_concurrences(blocks)[0], 0.0, 1.0)
 
 
 def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
@@ -324,7 +321,7 @@ def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
         rho = DensityMatrix(rho)
     evals, evecs = np.linalg.eigh(rho.entries)
     block = (evecs * np.sqrt(np.maximum(evals, 0.0)))[None, :, :, None]
-    return float(np.clip(_block_concurrences([((0,), block)])[0][0], 0.0, 1.0))
+    return float(np.clip(_block_concurrences(block)[0, 0], 0.0, 1.0))
 
 
 def pair_concurrence(state: PureState, pair: SubsystemPair) -> float:

@@ -712,6 +712,23 @@ def test_scan_pairs_matches_per_point_path(cutoff, seed):
         np.testing.assert_allclose(series[pair.name].values, expected, rtol=0, atol=1e-9)
 
 
+INTERLEAVED = [SubsystemPair(name) for name in ("AB", "Aa", "ab", "Bb", "Ba", "Ab")]
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+@pytest.mark.parametrize("family", ["psi", "phi"])
+@pytest.mark.parametrize("pairs", [ALL_PAIRS, INTERLEAVED], ids=["conventional", "interleaved"])
+def test_scan_pairs_gives_each_pair_its_own_scans_row_bit_for_bit(cutoff, family, pairs):
+    # at cutoff 2 ALL_PAIRS goes through the kernel in three stacks, and the interleaved order in four
+    init, params = InitialState(StateFamily(family), 0.4), ModelParams.from_detuning(0.3, 1.0)
+    together = scan_pairs(init, params, pairs, 12.0, 301, cutoff)
+    for pair in pairs:
+        [alone] = scan_pairs(init, params, [pair], 12.0, 301, cutoff).values()
+        for field in ("values", "signed"):
+            got, want = getattr(together[pair.name], field), getattr(alone, field)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (pair.name, field)
+
+
 def test_scan_pairs_rejects_mode_overflow():
     with pytest.raises(QubitEquivalenceError, match="mode a holds population .* above one photon"):
         scan_pairs(overflow_state(), RESONANT, [OWN_CAVITY], 5.0, 11, cutoff=2)

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -183,6 +184,18 @@ def test_scan_json_output(capsys):
     assert payload["cutoff"] == 1
 
 
+def test_phi_scan_prints_no_negative_zero(capsys):
+    # the resonant peaks t = pi and 3 pi lie on this grid, where phi_f is -0.0
+    argv = ["scan", "--family", "phi", "--alpha", "0.3", "--delta", "0", "--G", "1", "--steps", "201"]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert "3.1415926535897936,0\n" in out and "9.4247779607693793,0\n" in out
+    assert not re.search(r"(^|,)-0(\.0)?$", out, re.M)
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0
+    assert not any(math.copysign(1.0, value) < 0 for value in json.loads(out)["concurrence"]["AB"])
+
+
 def test_scan_plot_script(tmp_path, capsys):
     csv_path = tmp_path / "curve.csv"
     script_path = tmp_path / "curve.gp"
@@ -194,6 +207,24 @@ def test_scan_plot_script(tmp_path, capsys):
     script = script_path.read_text()
     assert str(csv_path) in script
     assert "plot" in script
+
+
+def test_scan_plot_script_doubles_quotes_in_the_csv_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("it's", "curve"):
+        rc, _, _ = run_cli(capsys, "scan", "--steps", "11", "--out", f"{name}.csv", "--plot-script", f"{name}.gp")
+        assert rc == 0
+    # '' is gnuplot's escape for ' inside a single-quoted string
+    assert (tmp_path / "it's.gp").read_text().splitlines()[-1] == "plot 'it''s.csv' using 1:2 with lines title 'AB'"
+    assert (tmp_path / "curve.gp").read_text() == (
+        "# gnuplot script generated by doublejc scan\n"
+        "set datafile separator ','\n"
+        "set xlabel 't (units of 1/G)'\n"
+        "set ylabel 'concurrence'\n"
+        "set yrange [-0.02:1.05]\n"
+        "set key outside\n"
+        "plot 'curve.csv' using 1:2 with lines title 'AB'\n"
+    )
 
 
 def test_scan_plot_script_needs_out(capsys):

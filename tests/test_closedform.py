@@ -215,6 +215,15 @@ def test_phi_concurrence_dead_zone_and_revival():
     assert phi_concurrence(math.pi / 4, RESONANT, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_phi_concurrence_at_a_resonant_peak_is_positive_zero():
+    # (1 - w) is +0 at the peak and times a negative bracket gives -0.0 in phi_f, which keeps its sign
+    peaks = np.array([math.pi, 3 * math.pi])
+    assert math.copysign(1.0, phi_f(0.3, RESONANT, math.pi)) == -1.0
+    assert math.copysign(1.0, phi_concurrence(0.3, RESONANT, math.pi)) == 1.0
+    assert not np.signbit(phi_concurrence(0.3, RESONANT, peaks)).any()
+    assert not np.signbit(phi_concurrence([0.1, 0.3], RESONANT, np.linspace(0.0, 20.0, 2001))).any()
+
+
 def test_concurrence_periodicity():
     rng = np.random.default_rng(41)
     for _ in range(100):

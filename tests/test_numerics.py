@@ -467,14 +467,26 @@ def test_svd2_is_within_four_ulps_of_the_exact_singular_values():
         assert within_ulps_of_norm(_svd2(blocks), exact, 4), name
 
 
+def test_pair_blocks_stack_each_run_of_equal_traced_size_in_pair_order():
+    # at cutoff 2 a pair of atoms traces 9 levels away, a pair of modes 4, and a mixed pair 6
+    columns = initial_state_vector(InitialState.phi(0.4), 2).amplitudes[:, None]
+    interleaved = [SubsystemPair(name) for name in ("AB", "Aa", "ab", "Bb", "Ba", "Ab")]
+    for pairs, shapes in ((ALL_PAIRS, [(1, 4, 9, 1), (1, 4, 4, 1), (4, 4, 6, 1)]),
+                          (interleaved, [(1, 4, 9, 1), (1, 4, 6, 1), (1, 4, 4, 1), (3, 4, 6, 1)])):
+        stacks = _pair_blocks(columns, 2, pairs)
+        assert [blocks.shape for blocks in stacks] == shapes
+        lone = [_pair_blocks(columns, 2, [pair])[0][0] for pair in pairs]
+        assert all(np.array_equal(got, want) for got, want in zip((b for blocks in stacks for b in blocks), lone))
+
+
 def test_block_kernel_is_the_dense_svd_for_dense_states():
     # a tau with no zero is one block, and goes to the batched SVD whole
     rng = np.random.default_rng(71)
     amplitudes = rng.normal(size=(16, 50)) + 1j * rng.normal(size=(16, 50))
     stacks = _pair_blocks(amplitudes / np.linalg.norm(amplitudes, axis=0), 1, ALL_PAIRS)
-    assert all(blocks.shape[1:] == (4, 4, 50) for _, blocks in stacks)  # time-last: g x 4 x k x T
-    for got, want in zip(_block_concurrences(stacks), kernel_sweep.dense_signed(stacks)):
-        assert np.array_equal(got, want)
+    assert all(blocks.shape[1:] == (4, 4, 50) for blocks in stacks)  # time-last: g x 4 x k x T
+    for blocks in stacks:
+        assert np.array_equal(_block_concurrences(blocks), kernel_sweep.dense_signed(blocks))
 
 
 def test_block_kernel_matches_the_dense_svd_on_hard_blocks_and_sector_supported_states():
