@@ -3,9 +3,9 @@
 A scan produces a :class:`ConcurrenceSeries` either from the closed-form
 atom-atom expressions or from the numerical oracle (any subsystem pair).
 :func:`detect_death` classifies the zeros of a series into isolated touch
-points and finite dead intervals; closed-form dead intervals are the
-analytic windows from :mod:`closedform`, oracle ones the sign of the Wootters
-value.  :func:`sweep_alpha` gives the same reports for many angles from one grid.
+points and finite dead intervals: on the closed form both are analytic, from
+:mod:`closedform` whatever the grid, and on the oracle grid samples, dead by the
+sign of the Wootters value.  :func:`sweep_alpha` gives the same reports for many angles.
 :func:`validate` cross-checks the closed forms against the oracle at
 amplitude, density-matrix and concurrence level on a common time grid.
 """
@@ -119,9 +119,9 @@ def _checked(times, rows, signed=None):
 class DeathReport:
     """Zeros of one concurrence series, classified.
 
-    ``dead_intervals`` are maximal windows with identically zero concurrence
-    (sudden death); ``touch_points`` are isolated zeros.  ``period`` is the
-    fundamental recurrence time 2*pi/rabi of the underlying dynamics.
+    ``dead_intervals`` are maximal windows with identically zero concurrence (sudden death); ``touch_points`` are
+    isolated zeros, exact times on the closed form (a peak or an end of the series) and grid samples on the oracle.
+    ``period`` is the fundamental recurrence time 2*pi/rabi of the underlying dynamics.
     """
 
     dead_intervals: tuple
@@ -318,39 +318,38 @@ def bisect(f, lo: float, hi: float, xtol: float) -> float:
 def detect_death(series: ConcurrenceSeries) -> DeathReport:
     """Classify the zeros of a concurrence series.
 
-    A zero run is a maximal run of grid values <= ``ZERO_TOL``, on both
-    sources.  Closed-form dead intervals are analytic (the family's
-    ``closedform.for_state(...).dead_windows``); oracle ones are read off the
-    sign of ``series.signed`` (see ``_signed_window``).  On both sources a
-    zero run whose bracketing grid cells meet no dead interval is an isolated
-    touch point.  :func:`sweep_alpha` applies the same touch rule (``_report``).
+    A closed-form series is read from its closed form over its first to last time, whatever its grid: the analytic
+    windows and, at ``ZERO_TOL``, the exact touch points (see ``closedform._StateForm.touch_points``).  On the oracle,
+    a zero run of grid values <= ``ZERO_TOL`` is dead by the sign of ``series.signed`` (see ``_signed_window``), or,
+    if its bracketing grid cells meet no dead interval, a touch point at its smallest value.
     """
     if series.times.size == 0:
         raise ValueError("empty series")
     constants = derive_constants(series.params)
-    form = closedform.for_state(series.init, constants) if series.source is Source.CLOSED_FORM else None
-    return _classify(series.times, series.values, series.signed, form, constants)
+    if series.source is Source.CLOSED_FORM:
+        t0, t1 = float(series.times[0]), float(series.times[-1])
+        return _closed_report(closedform.for_state(series.init, constants), t0, t1, float(series.values[0]))
+    return _classify(series.times, series.values, series.signed, constants)
 
 
-def _classify(times: np.ndarray, values: np.ndarray, signed: np.ndarray, form, constants) -> DeathReport:
-    """The death report of one checked row and its signed row (see :func:`detect_death`); no form on the oracle."""
+def _closed_report(form, t0: float, t1: float, initial: float) -> DeathReport:
+    """The death report of a closed form over [t0, t1] (see :func:`detect_death`)."""
+    dead = form.dead_windows(t0, t1)
+    touches = form.touch_points(t0, t1, ZERO_TOL, dead)
+    return DeathReport(tuple(dead), tuple(touches), 2.0 * math.pi / form.constants.rabi, initial)
+
+
+def _classify(times: np.ndarray, values: np.ndarray, signed: np.ndarray, constants) -> DeathReport:
+    """The death report of one checked oracle row and its signed row (see :func:`detect_death`)."""
     runs = _zero_runs(values <= ZERO_TOL)
-    dead = (form.dead_windows(float(times[0]), float(times[-1])) if form is not None else
-            [window for i0, i1 in runs if (window := _signed_window(times, signed, i0, i1))])
-    return _report(times, values, runs, dead, constants, float(values[0]))
-
-
-def _report(times: np.ndarray, values: np.ndarray, runs: list, dead: list, constants, initial: float) -> DeathReport:
-    """The touch rule (see :func:`detect_death`) on a row, or on samples that hold their zero runs' grid neighbours.
-
-    ``times`` and ``values`` are read only where there are ``runs``."""
-    if runs and dead:  # windows come in time order: a bracket (lo, hi) may meet only the first one ending after lo
+    dead = [window for i0, i1 in runs if (window := _signed_window(times, signed, i0, i1))]
+    if dead:  # windows come in time order: a bracket (lo, hi) may meet only the first one ending after lo
         (i0, i1), (a, b) = np.array(runs).T, np.array(dead).T
         lo, hi = times[np.maximum(i0 - 1, 0)], times[np.minimum(i1 + 1, len(times) - 1)]
         k = np.searchsorted(b[:-1], lo, side="right")  # the last window where none ends after lo
         runs = [run for run, met in zip(runs, ((a[k] < hi) & (b[k] > lo)).tolist()) if not met]
     touches = [float(times[i0 + int(np.argmin(values[i0 : i1 + 1]))]) for i0, i1 in runs]
-    return DeathReport(tuple(dead), tuple(touches), period=2.0 * math.pi / constants.rabi, initial_concurrence=initial)
+    return DeathReport(tuple(dead), tuple(touches), 2.0 * math.pi / constants.rabi, float(values[0]))
 
 
 def validate(
@@ -407,11 +406,9 @@ def sweep_alpha(
 
     Returns (alpha, report) tuples in grid order, each ``detect_death(scan(...))`` at its angle, bit for bit.
     The oracle propagates all angles together from one diagonalisation, GRID_CHUNK angle x time columns at a time,
-    and classifies each angle's row.  The closed path has no row, and builds the grid only to sample it: zero runs lie
-    in the touch zones that ``zero_zones`` picks at 2 ``ZERO_TOL`` from the grid's ends and size.  A cluster of zones
-    that no grid point parts, each meeting a dead window, holds only runs the touch rule drops; the rest are sampled in
-    one call, widened by one grid index.  The cost grows with angles x peaks (3 per point at most), the dead windows
-    and the samples, not with angles x steps, and does not depend on ``steps`` unless a touch zone is sampled.
+    and classifies each angle's row.  The closed path reads each angle's report from its closed form over
+    [0, t_max] and builds no grid, except to check that one past the proof below strictly increases: its cost grows
+    with the angles, the dead windows and the touch points, and does not depend on ``steps``.
     """
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
@@ -423,42 +420,13 @@ def sweep_alpha(
         times = _grid(t_max, steps)
         signed = _oracle_values(inits, _propagator(params, cutoff), [ATOM_PAIR], times, cutoff)[0]
         times, rows, signed = _checked(times, np.clip(signed, 0.0, 1.0), signed)
-        return [(alpha, _classify(times, row, signs, None, constants)) for alpha, row, signs in zip(alphas, rows, signed)]
+        return [(alpha, _classify(times, row, signs, constants)) for alpha, row, signs in zip(alphas, rows, signed)]
     _check_grid(t_max, steps)
     t_max = float(t_max)  # linspace's ends are exactly 0.0 and t_max
-    grid = functools.cache(functools.partial(_grid, t_max, steps))
     # each point fl(i h) of linspace lies below 2^50 h and rounds by at most h / 8, so such a grid strictly increases
     if not (t_max / (steps - 1) >= 2.0**-1022 and steps <= 2**50):
-        grid()  # builds and checks it
+        _grid(t_max, steps)  # builds and checks it
     _check_phase(constants, t_max)
-    forms = [closedform.for_state(init, constants) for init in inits]
-    deads = [form.dead_windows(0.0, t_max) for form in forms]
-    # an angle's dead windows fill one window per peak over their span: a zone meets one iff it meets the span
-    zones = [(j, start, end, bool(dead) and end > dead[0][0] and start < dead[-1][1]) for j, (form, dead)
-             in enumerate(zip(forms, deads)) for start, end in form.zero_zones(t_max, steps, 2 * ZERO_TOL, grid)]
     # the initial value: at t = 0 the transfer weight is 0, and the row's first value is |sin 2a|, bit for bit
-    initials = [abs(math.sin(2.0 * alpha)) for alpha in alphas]
-    if all(zone[3] for zone in zones):  # no zone may hold a touch: nothing is sampled
-        return [(alpha, _report(None, None, [], dead, constants, initial))
-                for alpha, dead, initial in zip(alphas, deads, initials)]
-    # each zone's grid points lo..hi-1, widened by one index, as increasing keys angle * (steps + 1) + index
-    times, (owner, starts, ends, meets) = grid(), np.array(zones).T
-    lo, hi = np.searchsorted(times, starts), np.searchsorted(times, ends, side="right")
-    base, held = owner.astype(int) * (steps + 1), hi > lo
-    first, last = (base + np.maximum(lo - 1, 0))[held], (base + np.minimum(hi, steps - 1))[held]
-    # a zero run may cross zones no grid point parts: sample such a cluster unless its zones all meet dead windows
-    cluster = np.cumsum(first >= np.concatenate(([-1], last[:-1])))
-    kept = np.bincount(cluster, meets[held] == 0)[cluster] > 0
-    first, last = first[kept], last[kept]
-    first[1:] = np.maximum(first[1:], last[:-1] + 1)  # each key once: zones come in order, and may overlap
-    width = np.maximum(last - first + 1, 0)  # the ranges first..last as one arange, shifted range by range
-    owner, index = np.divmod(np.repeat(first - np.cumsum(width) + width, width) + np.arange(width.sum()), steps + 1)
-    samples = np.empty(0)
-    if index.size:  # one call for all sampled angles, in the row's own elementwise arithmetic
-        sampled, union = np.flatnonzero(np.bincount(owner)), np.flatnonzero(np.bincount(index))
-        rows = replace(forms[0], alpha=[alphas[j] for j in sampled.tolist()]).concurrence(times[union])
-        samples = rows[np.searchsorted(sampled, owner), np.searchsorted(union, index)]
-    cuts = np.searchsorted(owner, np.arange(len(alphas) + 1)).tolist()
-    return [(alpha, _report(times[index[i:k]], samples[i:k], _zero_runs(samples[i:k] <= ZERO_TOL) if k > i else [],
-                            dead, constants, initial))
-            for alpha, dead, initial, i, k in zip(alphas, deads, initials, cuts, cuts[1:])]
+    return [(alpha, _closed_report(closedform.for_state(init, constants), 0.0, t_max, abs(math.sin(2.0 * alpha))))
+            for alpha, init in zip(alphas, inits)]

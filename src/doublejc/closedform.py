@@ -12,7 +12,7 @@ pair state |g,0> is stationary with zero energy.
 
 All reduced density matrices are written in the standard excited-first
 two-qubit ordering |ee>, |eg>, |ge>, |gg>.  :func:`for_state` gives the
-amplitudes, concurrence and dead windows of one named initial state.
+amplitudes, concurrence, dead windows and touch points of one named initial state.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ __all__ = [
 
 #: a few ulps of one: the rounding in a generator or Wootters value of order one, within which its sign is noise
 FEW_ULPS = 4 * math.ulp(1.0)
+#: most peaks whose windows one closed report may list (a dying or touching one lists a window a period)
+MAX_WINDOWS = 2**20
 
 
 def _pair_factors(constants: JCConstants, t):
@@ -182,17 +184,11 @@ def death_threshold_alpha(params: ModelParams | None = None) -> float:
     return math.atan(1.0 if params is None else _peak_weight(derive_constants(params)))
 
 
-def _generator(alpha, phi: bool, constants: JCConstants, t):
-    """Signed generator (1 - w)(|sin 2a| - b w), w the transfer weight: b = 0 for psi, 2 cos^2 a for phi.
-
-    A sequence of angles gives one row per angle, each bit for bit its scalar call.
-    """
+def _generator(alpha: float, phi: bool, constants: JCConstants, t):
+    """Signed generator (1 - w)(|sin 2a| - b w), w the transfer weight: b = 0 for psi, 2 cos^2 a for phi."""
     _check_time(t)
     w = _peak_weight(constants) * np.sin(0.5 * constants.rabi * np.asarray(t, dtype=float)) ** 2  # |h|^2
-    alphas = [_check_alpha(a) for a in np.ravel(alpha).tolist()]
-    rows = (-1,) + (1,) * np.ndim(w) if np.ndim(alpha) else ()
-    s = np.array([abs(math.sin(2.0 * a)) for a in alphas]).reshape(rows)
-    b = np.array([2.0 * math.cos(a) ** 2 if phi else 0.0 for a in alphas]).reshape(rows)
+    s, b = abs(math.sin(2.0 * _check_alpha(alpha))), 2.0 * math.cos(alpha) ** 2 if phi else 0.0
     value = (1.0 - w) * (s - b * w)
     return value if np.ndim(value) else float(value)
 
@@ -200,9 +196,9 @@ def _generator(alpha, phi: bool, constants: JCConstants, t):
 def psi_concurrence(alpha: float, constants: JCConstants, t):
     """Atom-atom concurrence of the one-excitation family.
 
-    C(t) = |sin 2a| * (1 - 4 N^2 sin^2(rabi t / 2)), at scalar or array times and
-    for one angle or a sequence (a row each).  At zero detuning |sin 2a| cos^2(G t / 2);
-    for nonzero detuning it never reaches zero (floor |sin 2a| delta^2/rabi^2).
+    C(t) = |sin 2a| * (1 - 4 N^2 sin^2(rabi t / 2)), at scalar or array times.
+    At zero detuning |sin 2a| cos^2(G t / 2); for nonzero detuning it never
+    reaches zero (floor |sin 2a| delta^2/rabi^2).
     """
     value = np.clip(_generator(alpha, False, constants, t), 0.0, 1.0)
     return value if np.ndim(value) else float(value)
@@ -217,8 +213,7 @@ def phi_f(alpha: float, constants: JCConstants, t):
     The sign is kept so root finding can separate isolated zero touches from
     finite dead intervals.  At zero detuning this reduces to
     cos^2(Gt/2) (|sin 2a| - 2 sin^2(Gt/2) cos^2 a), which turns negative on a
-    finite window each period whenever tan(a) < 1.  Accepts scalar or array
-    times, and a sequence of angles for one row each.
+    finite window each period whenever tan(a) < 1.  Accepts scalar or array times.
     """
     return _generator(alpha, True, constants, t)
 
@@ -237,7 +232,7 @@ class _StateForm:
     rebinding them on this module (as a tracer or a test does) reaches every call.
     """
 
-    alpha: float  # or a sequence of angles, whose concurrence comes as one row per angle
+    alpha: float
     constants: JCConstants
     phi: bool
 
@@ -268,46 +263,69 @@ class _StateForm:
             return []
         return self._around_peaks(t0, t1, math.asin(math.sqrt(s)))
 
-    def zero_zones(self, t_max: float, steps: int, level: float, grid) -> list:
-        """Windows, clipped to [0, t_max], holding every point of the uniform ``steps``-point grid over it where a row
-        value can be at most ``level``; ``grid()`` gives the grid's values, read only where it is coarse.
+    def _zone_angle(self, t1: float, level: float):
+        """theta of the zones (2/rabi) (k pi + theta, (k + 1) pi - theta): None where there is none, 0 where they abut.
 
-        A row value's phase rabi t / 2 rounds by an ulp of itself, so the level widens by FEW_ULPS rabi t_max; once
-        it reaches 1 (rabi t_max about 2^50) every value lies within it, and the whole grid is one zone.  Otherwise the
-        generator is convex in w and zero at w = 1 >= w: it is at most the level where w >= w_lo, around each peak.
-        """
-        level += FEW_ULPS * self.constants.rabi * t_max
-        if level >= 1.0:
-            return [(0.0, t_max)]
+        Where none dies, no value lies below the one at w = 4 N^2: no zone if that one is above the level.  A value's
+        phase rabi t / 2 rounds by an ulp of itself, so the level widens by FEW_ULPS rabi t1; once it reaches 1 (rabi
+        t1 about 2^50) every value lies within it.  Otherwise the generator is convex in w and zero at w = 1 >= w: it
+        is at most the level where w >= w_lo, around each peak, and everywhere if w_lo = 0."""
         s, b = abs(math.sin(2.0 * self.alpha)), 2.0 * math.cos(self.alpha) ** 2 if self.phi else 0.0
+        peak = _peak_weight(self.constants)  # 0 where it underflows, and then w = 0 too
+        if (1.0 - peak) * (s - b * peak) > level:  # as the generator rounds it
+            return None
+        level += FEW_ULPS * self.constants.rabi * t1
+        if level >= 1.0:
+            return 0.0
         # the smaller root of b w^2 - (s + b) w + s - level, free of cancellation; none above 0 if s <= level
         w_lo = 2.0 * (s - level) / (s + b + math.sqrt((b - s) ** 2 + 4.0 * b * level)) if s > level else 0.0
-        peak = _peak_weight(self.constants)  # 0 where it underflows, and then w = 0 too
-        if w_lo > peak:
-            return []
-        return self._around_peaks(0.0, t_max, math.asin(math.sqrt(w_lo / peak)) if w_lo else 0.0, steps, grid)
+        return None if w_lo > peak else math.asin(math.sqrt(w_lo / peak)) if w_lo else 0.0
 
-    def _around_peaks(self, t0: float, t1: float, theta: float, steps: int = 0, grid=None) -> list:
-        """Windows (2/rabi) (k pi + theta, (k + 1) pi - theta) that meet [t0, t1], clipped; k over every peak, or, on
-        a grid of ``steps`` points over [t0, t1] that are fewer than its periods, each of the values ``grid()`` gives
-        its floored peak and one either side (exact below 2^53)."""
+    def touch_points(self, t0: float, t1: float, level: float, dead: list) -> list:
+        """Isolated zeros over [t0, t1] beside its ``dead`` windows.  A zero run is a zone of :meth:`_around_peaks` at
+        :meth:`_zone_angle` that meets no dead window; its touch is the lowest-valued of its start, first peak
+        (2k + 1) pi / rabi and end (the first of equal values), where that value is at most ``level``.  A dead window
+        lies in the zone around its peak, so zones that abut meet one, and with one a zone meets none only by an end
+        of [t0, t1]."""
+        theta = self._zone_angle(t1, level)
+        if theta is None or (dead and theta == 0.0):
+            return []
+        # a zone clipped at the first dead window's start, or at the last one's end, holds that window
+        runs = ([run for run in self._around_peaks(t0, dead[0][0], theta) if run[1] < dead[0][0]] +
+                [run for run in self._around_peaks(dead[-1][1], t1, theta) if run[0] > dead[-1][1]]
+                if dead else self._around_peaks(t0, t1, theta))
+        if not runs:
+            return []
+        starts, ends = np.array(runs).T
+        rabi = self.constants.rabi
+        k = np.floor(starts * rabi / (2.0 * math.pi))
+        k += (2.0 * k + 1.0) * math.pi / rabi < starts
+        peaks = (2.0 * k + 1.0) * math.pi / rabi
+        times = np.stack((starts, np.where(peaks <= ends, peaks, starts), ends))
+        values = self.concurrence(times)
+        best, each = np.argmin(values, axis=0), np.arange(times.shape[1])  # the first of equal values
+        return times[best, each][values[best, each] <= level].tolist()
+
+    def _around_peaks(self, t0: float, t1: float, theta: float) -> list:
+        """Windows (2/rabi) (k pi + theta, (k + 1) pi - theta) that meet [t0, t1], clipped; k over every peak.  At
+        theta = 0 they abut, into [t0, t1].  Past MAX_WINDOWS peaks the report they make is refused (ValueError)."""
+        if not theta:
+            return [(t0, t1)]
         scale = 2.0 / self.constants.rabi
-        if grid is None or (t1 - t0) * self.constants.rabi < 2.0 * math.pi * steps:
-            peaks = range(math.floor(t0 / (scale * math.pi)), math.floor(t1 / (scale * math.pi)) + 3)
-        else:
-            peaks = np.unique(np.floor(grid() * self.constants.rabi / (2.0 * math.pi))[:, None] + (-1, 0, 1)).tolist()
-        windows = []
-        for k in peaks:
-            if (start := scale * (k * math.pi + theta)) >= t1:
-                break
-            end = scale * ((k + 1) * math.pi - theta)
-            if end > t0:
-                windows.append((max(start, t0), min(end, t1)))
+        first, last = math.floor(t0 / (scale * math.pi)), math.floor(t1 / (scale * math.pi)) + 3
+        if last - first > MAX_WINDOWS:
+            raise ValueError(f"a closed-form report over [{t0!r}, {t1!r}] would list a window for each of about "
+                             f"{last - first - 3} periods, past the {MAX_WINDOWS} it may list")
+        windows = [(start, end) for k in range(first, last)
+                   if (start := scale * (k * math.pi + theta)) < t1 and (end := scale * ((k + 1) * math.pi - theta)) > t0]
+        if windows:  # they increase, so only the first can start before t0 and only the last end past t1
+            windows[0] = (max(windows[0][0], t0), windows[0][1])
+            windows[-1] = (windows[-1][0], min(windows[-1][1], t1))
         return windows
 
 
 def for_state(init: InitialState, constants: JCConstants) -> _StateForm:
-    """Amplitudes, concurrence and dead windows of a named initial state; a custom one raises ValueError."""
+    """Amplitudes, concurrence, dead windows and touch points of a named state; a custom one raises ValueError."""
     if init.family is StateFamily.CUSTOM:
         raise ValueError("closed forms require a named family")
     return _StateForm(init.alpha, constants, init.family is StateFamily.PHI_ALPHA)

@@ -523,7 +523,7 @@ def test_scan_and_sweep_reject_cutoff_zero(source):
 @pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
 def test_closed_sweep_cost_does_not_grow_with_alpha(family, monkeypatch):
     # the counting of test_detect_death_closed_cost_does_not_grow_with_the_grid, over the angles and the grid:
-    # the closed sweep computes no row, and samples the touch zones of all its angles in one call
+    # the closed sweep computes no row, and evaluates the closed form once for each angle with a touch run
     calls = []
     for name in closedform.__all__:
         original = getattr(closedform, name)
@@ -535,18 +535,29 @@ def test_closed_sweep_cost_does_not_grow_with_alpha(family, monkeypatch):
         monkeypatch.setattr(closedform, name, counted)
     generator = ["phi_f"] if family is StateFamily.PHI_ALPHA else []
     for count in (1, 12):
+        alphas = np.linspace(1.4, 0.1, count)
+        touching = sum(family is StateFamily.PSI_ALPHA or alpha >= math.pi / 4 for alpha in alphas)
+        reports = []
         for steps in (201, 20001):
             calls.clear()
             # above the threshold from 1.4 down, so the first angle has touch points at pi and 3 pi on both grids
-            results = sweep_alpha(family, RESONANT, np.linspace(1.4, 0.1, count), 4 * math.pi, steps)
-            assert len(results) == count
-            assert calls == [f"{family.value}_concurrence"] + generator
+            results = sweep_alpha(family, RESONANT, alphas, 4 * math.pi, steps)
+            assert results[0][1].touch_points == (math.pi, 3 * math.pi)
+            assert calls == ([f"{family.value}_concurrence"] + generator) * touching
+            reports.append(results)
+        assert reports[0] == reports[1]
     if family is StateFamily.PHI_ALPHA:
-        # every angle dies: every zone meets a dead window, and nothing is sampled
+        # every angle dies: every zone meets a dead window, and nothing is evaluated
         calls.clear()
         results = sweep_alpha(family, RESONANT, np.linspace(0.1, 0.7, 12), 4 * math.pi, 201)
         assert all(report.has_death and not report.touch_points for _, report in results)
         assert calls == []
+    # zones that the phase rounding widens by 5.6e-9 over a million periods, where the peak value 5e-10 is above
+    # ZERO_TOL: nothing is evaluated, and no array of a million zones is made
+    calls.clear()
+    params = ModelParams.from_detuning(3e-5, 1.0)
+    [(_, report)] = sweep_alpha(family, params, [1.2], 2e6 * math.pi / derive_constants(params).rabi, 101)
+    assert report.touch_points == () and calls == []
 
 
 @pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
@@ -561,42 +572,76 @@ def test_closed_sweep_is_detect_death_at_huge_phases_and_detunings(family, delta
         assert report == detect_death(scan(init, params, ATOM_PAIR, t_max, 101, Source.CLOSED_FORM))
 
 
-def count_grids(monkeypatch):
-    """A list that gets one entry per time grid the analysis builds from here on."""
-    built, original = [], analysis._grid
-    monkeypatch.setattr(analysis, "_grid", lambda *args: built.append(args) or original(*args))
-    return built
+@pytest.mark.parametrize("family, alpha", [(StateFamily.PSI_ALPHA, 0.3), (StateFamily.PHI_ALPHA, 0.9),
+                                           (StateFamily.PHI_ALPHA, math.pi / 4)])
+def test_closed_report_does_not_depend_on_the_grid(family, alpha):
+    # the touch points are the peaks G t = pi and 3 pi, on grids that hold them (401, 4001) and grids that do not
+    # (2, 400), where the grid samples reported none
+    for steps in (2, 400, 401, 4001):
+        report = detect_death(scan(InitialState(family, alpha), RESONANT, ATOM_PAIR, 4 * math.pi, steps,
+                                   Source.CLOSED_FORM))
+        assert report.dead_intervals == ()
+        assert report.touch_points == (math.pi, 3 * math.pi)
+
+
+def test_closed_touch_of_a_zero_run_over_several_periods_is_its_first_peak():
+    # psi at 1e-13 never reaches ZERO_TOL's bound from above, so [0, 40] is one zero run over six periods at
+    # delta = 0.3; its touch is the run's first peak pi / rabi on every grid, where the oracle takes its smallest
+    # grid sample, which can be a later peak
+    params, init = ModelParams.from_detuning(0.3, 1.0), InitialState.psi(1e-13)
+    for steps in (2, 401, 4001):
+        report = detect_death(scan(init, params, ATOM_PAIR, 40.0, steps, Source.CLOSED_FORM))
+        assert report.dead_intervals == ()
+        assert report.touch_points == (math.pi / derive_constants(params).rabi,)
+
+
+def test_closed_touch_past_the_resolved_phase_is_one_run():
+    # once the phase rounding FEW_ULPS rabi t1 reaches 1 (rabi t1 about 1.1e15), every value lies within the widened
+    # level, so [0, t1] is one zero run: resonant psi at 0.3 reports the one touch pi, not one a period
+    for steps in (2, 101):
+        report = detect_death(scan(InitialState.psi(0.3), RESONANT, ATOM_PAIR, 1e16, steps, Source.CLOSED_FORM))
+        assert (report.dead_intervals, report.touch_points) == ((), (math.pi,))
+    assert sweep_alpha(StateFamily.PSI_ALPHA, RESONANT, [0.3], 1e16, 101) == [(0.3, report)]
 
 
 @pytest.mark.parametrize("family", [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA])
-@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
-def test_closed_sweep_builds_the_grid_only_to_sample_a_touch_zone(family, delta, monkeypatch):
-    # off resonance neither family touches zero: every zone meets a dead window, or there is none
-    params = ModelParams.from_detuning(delta, 1.0)
-    alpha_c = death_threshold_alpha(params)
-    alphas = [0.1, alpha_c - 0.05, alpha_c + 0.05, 1.4]
-    built = count_grids(monkeypatch)
-    for steps in (1001, 2_000_001):
-        results = sweep_alpha(family, params, alphas, 4 * math.pi, steps)
-        assert [report.has_death for _, report in results] == [family is StateFamily.PHI_ALPHA] * 2 + [False] * 2
-        assert all(not report.touch_points for _, report in results)
-    assert built == []
+def test_closed_report_past_max_windows_is_refused(family, monkeypatch):
+    # resonant psi touches zero and phi at 0.3 dies once a period, so a report lists a window a period; past
+    # MAX_WINDOWS periods it is refused before any is listed, at 1.6e9 periods at once
+    message = "^a closed-form report over \\[0.0, 10000000000.0\\] would list a window for each of about 1591549430 "
+    with pytest.raises(ValueError, match=message):
+        sweep_alpha(family, RESONANT, [0.3], 1e10, 101)
+    monkeypatch.setattr(closedform, "MAX_WINDOWS", 8)  # 5 periods and the 3 peaks the walk looks past t1
+    [(_, report)] = sweep_alpha(family, RESONANT, [0.3], 10 * math.pi, 101)
+    assert len(report.touch_points if family is StateFamily.PSI_ALPHA else report.dead_intervals) == 5
+    with pytest.raises(ValueError, match="for each of about 6 periods, past the 8 it may list$"):
+        detect_death(scan(InitialState(family, 0.3), RESONANT, ATOM_PAIR, 12 * math.pi, 101, Source.CLOSED_FORM))
 
 
-def test_resonant_psi_sweep_builds_the_grid_once(monkeypatch):
-    built = count_grids(monkeypatch)
-    results = sweep_alpha(StateFamily.PSI_ALPHA, RESONANT, [0.3, 0.8, 1.2], 4 * math.pi, 1001)
-    assert built == [(4 * math.pi, 1001)]
-    assert all(report.touch_points == (math.pi, 3 * math.pi) for _, report in results)
+#: resonant phi at 0.3: the generator's edges 2 (k pi +- theta) of its dead windows, by a hair past them
+THETA = math.asin(math.sqrt(math.tan(0.3)))
 
 
-def test_closed_sweep_checks_a_spacing_below_the_normal_range_on_the_grid(monkeypatch):
-    # h = 2^-1023 is past the shortcut's proof, so the grid is built once, to check that it strictly increases
-    params, t_max = ModelParams.from_detuning(0.5, 1.0), 10 * 2.0**-1023
-    built = count_grids(monkeypatch)
-    [(_, report)] = sweep_alpha(StateFamily.PHI_ALPHA, params, [0.3], t_max, 11)
-    assert built == [(t_max, 11)]
-    assert report == detect_death(scan(InitialState.phi(0.3), params, ATOM_PAIR, t_max, 11, Source.CLOSED_FORM))
+@pytest.mark.parametrize("family, t0, t1, touch", [
+    # an end that cuts a zone before its peak, with no dead window, and after a whole dead window
+    (StateFamily.PSI_ALPHA, 0.0, math.pi - 1e-7, "end"),
+    (StateFamily.PHI_ALPHA, 0.0, 2.0 * (math.pi + THETA) - 1e-13, "end"),
+    # a start just past a dead window, with the next one out of reach and inside the span
+    (StateFamily.PHI_ALPHA, 2.0 * (math.pi - THETA) + 1e-13, 2.0 * (math.pi - THETA) + 1.0, "start"),
+    (StateFamily.PHI_ALPHA, 2.0 * (math.pi - THETA) + 1e-13, 2.0 * (math.pi - THETA) + 4.0, "start"),
+])
+def test_closed_touch_at_an_end_that_cuts_a_zero_run(family, t0, t1, touch):
+    # the run that an end cuts off holds no peak and meets no dead window: its touch is that end, where the
+    # value lies below ZERO_TOL, and every other zone that the span holds meets a dead window
+    init = InitialState(family, 0.3)
+    times = np.linspace(t0, t1, 11)
+    values = closedform.for_state(init, derive_constants(RESONANT)).concurrence(times)
+    assert values[0 if touch == "start" else -1] <= analysis.ZERO_TOL
+    report = detect_death(ConcurrenceSeries(times, values, ATOM_PAIR, Source.CLOSED_FORM, init, RESONANT))
+    assert report.touch_points == ((t0,) if touch == "start" else (t1,))
+    expected = [window for window in (dead_window(0.3), (dead_window(0.3)[0] + 2 * math.pi, math.inf))
+                if family is StateFamily.PHI_ALPHA and window[0] < t1 and window[1] > t0]
+    assert len(report.dead_intervals) == len(expected)
 
 
 def test_long_closed_sweep_is_small_and_equals_the_short_one():

@@ -409,6 +409,17 @@ def test_not_enough_memory_exits_2_with_one_line(capsys, monkeypatch):
     assert run_cli(capsys, "constants") == (2, "", "doublejc: error: not enough memory: allocation failed\n")
 
 
+def test_closed_report_past_max_windows_exits_2_with_one_line(capsys):
+    # resonant psi lists a touch a period: 1.6e9 of them are refused before any is listed, not built until the
+    # memory runs out
+    for command in (("death", "--alpha", "0.3"), ("sweep", "--alphas", "1e-13,0.3,1.2")):
+        rc, out, err = run_cli(capsys, *command, "--family", "psi", "--delta", "0", "--G", "1", "--tmax", "1e10",
+                               "--steps", "101")
+        assert (rc, out) == (2, "")
+        assert err.startswith("doublejc: error: a closed-form report over [0.0, 10000000000.0] would list a window ")
+        assert err.count("\n") == 1
+
+
 def test_validate_failure_exit_code(capsys):
     rc, out, _ = run_cli(capsys, "validate", "--tolerance", "1e-30", "--steps", "101")
     assert rc == 1

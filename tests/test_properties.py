@@ -36,6 +36,7 @@ from doublejc import (
     validate,
     wootters_concurrence,
 )
+from doublejc.analysis import ZERO_TOL, _zero_runs
 from doublejc.closedform import FEW_ULPS
 
 bounded = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -214,6 +215,48 @@ def test_closed_sweep_where_no_grid_point_parts_zones_equals_detect_death_of_eac
     assert_sweep_equals_scans(family, params, alphas, periods * 2.0 * math.pi / derive_constants(params).rabi, 101)
 
 
+@st.composite
+def touch_alphas(draw, params):
+    """An angle by alpha_c or pi/4, or any angle at least 1e-6 from a product state.
+
+    Closer to a product state the zones abut into one run with one touch, at its first peak, where a grid over
+    several periods has a zero run at every peak, and its smallest value at any of them.
+    """
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    edge = draw(st.sampled_from([death_threshold_alpha(params), math.pi / 4]))
+    return draw(st.one_of(st.just(edge), st.floats(-14.0, -2.0).map(lambda e: edge + sign * 10.0**e),
+                          st.floats(1e-6, 0.5 * math.pi - 1e-6)))
+
+
+@settings(bounded, max_examples=100)
+@given(
+    data=st.data(),
+    family=st.sampled_from([StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA]),
+    delta=st.one_of(st.sampled_from([0.0, 1e-8, -1e-8]), st.floats(-2.0, 2.0)),
+    big_g=st.floats(0.3, 3.0),
+    periods=st.integers(1, 4),
+    quarters=st.integers(1, 60),
+)
+def test_every_closed_touch_is_a_zero_run_of_a_grid_on_the_peaks(data, family, delta, big_g, periods, quarters):
+    # 4 k + 1 points over whole periods put grid points on the peaks: every analytic touch lies within dt of the
+    # smallest value of a zero run whose bracketing cells meet no dead window, and each such run holds one touch
+    params = ModelParams.from_detuning(delta, big_g)
+    init = InitialState(family, data.draw(touch_alphas(params)))
+    t_max, steps = periods * 2.0 * math.pi / derive_constants(params).rabi, 4 * periods * quarters + 1
+    series = scan(init, params, ATOM_PAIR, t_max, steps, Source.CLOSED_FORM)
+    report, times, dt = detect_death(series), series.times, t_max / (steps - 1)
+    minima = []
+    for i0, i1 in _zero_runs(series.values <= ZERO_TOL):
+        lo, hi = times[max(i0 - 1, 0)], times[min(i1 + 1, steps - 1)]
+        if not any(a < hi and b > lo for a, b in report.dead_intervals):
+            held = [t for t in report.touch_points if times[i0] - 0.5 * dt <= t <= times[i1] + 0.5 * dt]
+            assert len(held) == 1
+            minima.append(times[i0 + np.argmin(series.values[i0 : i1 + 1])])
+    assert len(minima) == len(report.touch_points)
+    for touch in report.touch_points:
+        assert min(abs(touch - t) for t in minima) <= dt
+
+
 @bounded
 @given(steps=st.integers(2, 10**5), data=st.data())
 def test_linspace_strictly_increases_where_the_closed_sweep_does_not_check_it(steps, data):
@@ -259,18 +302,24 @@ def test_oracle_death_windows_match_the_closed_form(fraction, delta, big_g, peri
     delta=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
     t_max=st.floats(0.5, 30.0),
     steps=st.integers(2, 400),
+    periods=st.one_of(st.just(0), st.integers(1, 4)),
 )
-def test_oracle_psi_never_dies(exponent, mirrored, delta, t_max, steps):
-    # psi's Wootters value never turns negative, down to |sin 2 alpha| of about 1e-9: the oracle
-    # reports no death and finds the closed form's touch points, each within one grid step
+def test_oracle_psi_never_dies(exponent, mirrored, delta, t_max, steps, periods):
+    # psi's Wootters value never turns negative, down to |sin 2 alpha| of about 1e-9: the oracle reports no death,
+    # and each of its touch points, a grid sample, lies within one grid step of an exact closed-form one; a grid
+    # of 4 k + 1 points over whole periods holds the peaks, and there the oracle finds every one of them
     alpha = 10.0**exponent
     init = InitialState.psi(math.pi / 2 - alpha if mirrored else alpha)
     params = ModelParams.from_detuning(delta, 1.0)
+    if periods:
+        t_max, steps = periods * 2.0 * math.pi / derive_constants(params).rabi, 4 * periods * (1 + steps // 16) + 1
     closed, oracle = (detect_death(scan(init, params, ATOM_PAIR, t_max, steps, source))
                       for source in (Source.CLOSED_FORM, Source.ORACLE))
     assert oracle.dead_intervals == ()
-    assert len(oracle.touch_points) == len(closed.touch_points)
-    assert np.abs(np.subtract(oracle.touch_points, closed.touch_points)).max(initial=0.0) <= t_max / (steps - 1)
+    for touch in oracle.touch_points:
+        assert min((abs(touch - t) for t in closed.touch_points), default=math.inf) <= t_max / (steps - 1)
+    if periods:
+        assert len(oracle.touch_points) == len(closed.touch_points)
 
 
 #: sigma_y (x) sigma_y on the |ee>,|eg>,|ge>,|gg> levels, with sigma_y = [[0, -i], [i, 0]] on (excited, ground)
