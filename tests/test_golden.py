@@ -51,6 +51,10 @@ CASES = {
     # touch points at pi and 3pi; at alpha = 1e-13 the whole grid is one zero run
     "sweep_psi_closed.json": ["sweep", "--family", "psi", "--delta", "0", "--G", "1",
                               "--alphas", "1e-13,0.3,1.2", "--steps", "401"],
+    # 101 touch points each, one a period; the last is the clipped end 631.4601227, since the 101st peak 201 pi
+    # lies 6.7e-7 past it inside its zero run
+    "sweep_psi_many_touches_closed.json": ["sweep", "--family", "psi", "--delta", "0", "--G", "1",
+                                           "--alphas", "0.3,1.2", "--tmax", "631.4601227", "--steps", "101"],
     # the threshold pi/4, touch points above it, and the narrow live gaps of alpha = 1e-13
     "sweep_phi_touch_closed.json": ["sweep", "--family", "phi", "--delta", "0", "--G", "1",
                                     "--alphas", "0.7853981633974483,0.9,1e-13", "--steps", "401"],
