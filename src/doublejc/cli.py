@@ -55,6 +55,9 @@ def _fmt(x: float) -> str:
 
 def _json_chunks(obj, level: int = 0):
     """``json.dumps(obj, indent=2)`` of a CLI document in pieces; a finite 1-D float array streams in chunks."""
+    if type(obj) is float and math.isfinite(obj):  # json.dumps writes exactly its repr
+        yield float.__repr__(obj)
+        return
     pad = "\n" + "  " * level
     if isinstance(obj, np.ndarray):
         if not np.isfinite(obj).all():

@@ -200,7 +200,7 @@ def psi_concurrence(alpha: float, constants: JCConstants, t):
     At zero detuning |sin 2a| cos^2(G t / 2); for nonzero detuning it never
     reaches zero (floor |sin 2a| delta^2/rabi^2).
     """
-    value = np.clip(_generator(alpha, False, constants, t), 0.0, 1.0)
+    value = np.minimum(np.maximum(_generator(alpha, False, constants, t), 0.0), 1.0)
     return value if np.ndim(value) else float(value)
 
 
@@ -220,7 +220,8 @@ def phi_f(alpha: float, constants: JCConstants, t):
 
 def phi_concurrence(alpha: float, constants: JCConstants, t):
     """Atom-atom concurrence of the zero/two-excitation family, max{0, f(t)}."""
-    value = np.clip(phi_f(alpha, constants, t), 0.0, 1.0) + 0.0  # a -0.0 at a resonant peak becomes +0.0
+    # + 0.0 turns a -0.0 at a resonant peak into +0.0
+    value = np.minimum(np.maximum(phi_f(alpha, constants, t), 0.0), 1.0) + 0.0
     return value if np.ndim(value) else float(value)
 
 
@@ -296,15 +297,24 @@ class _StateForm:
                 if dead else self._around_peaks(t0, t1, theta))
         if not runs:
             return []
-        starts, ends = np.array(runs).T
-        rabi = self.constants.rabi
-        k = np.floor(starts * rabi / (2.0 * math.pi))
-        k += (2.0 * k + 1.0) * math.pi / rabi < starts
-        peaks = (2.0 * k + 1.0) * math.pi / rabi
-        times = np.stack((starts, np.where(peaks <= ends, peaks, starts), ends))
-        values = self.concurrence(times)
-        best, each = np.argmin(values, axis=0), np.arange(times.shape[1])  # the first of equal values
-        return times[best, each][values[best, each] <= level].tolist()
+        rabi, pi, two_pi, peaks = self.constants.rabi, math.pi, 2.0 * math.pi, []
+        for start, end in runs:
+            k = start * rabi / two_pi // 1.0  # its floor, or nan where the product overflows: no peak
+            peak = (2.0 * k + 1.0) * pi / rabi
+            if peak < start:
+                peak = (2.0 * (k + 1.0) + 1.0) * pi / rabi
+            peaks.append(peak if peak <= end else start)
+        starts, ends = [start for start, _ in runs], [end for _, end in runs]
+        values = self.concurrence(np.array((starts, peaks, ends))).tolist()  # one call for every run
+        touches = []
+        for best, peak, end, lowest, at_peak, at_end in zip(starts, peaks, ends, *values):
+            if at_peak < lowest:  # only a strictly lower value moves it: the first of equal values
+                best, lowest = peak, at_peak
+            if at_end < lowest:
+                best, lowest = end, at_end
+            if lowest <= level:
+                touches.append(best)
+        return touches
 
     def _around_peaks(self, t0: float, t1: float, theta: float) -> list:
         """Windows (2/rabi) (k pi + theta, (k + 1) pi - theta) that meet [t0, t1], clipped; k over every peak.  At

@@ -60,8 +60,10 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _check_time(t) -> None:
-    """ValueError unless every time in t (a scalar or a grid) is finite and nonnegative; a NaN fails it."""
-    if not ((np.asarray(t, dtype=float) >= 0) & np.isfinite(t)).all():
+    """ValueError unless every time in t (a scalar or a grid) is finite and nonnegative; a NaN fails it, as the
+    extremes of a grid that holds one are NaN."""
+    times = np.asarray(t, dtype=float)
+    if times.size and not (times.min() >= 0.0 and times.max() < math.inf):
         raise ValueError("time must be finite and nonnegative")
 
 

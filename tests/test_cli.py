@@ -845,6 +845,16 @@ def test_bulk_json_matches_json_dumps(columns, family, alpha, steps, passed, rep
     assert _json(header) == json.dumps(header, indent=2)
 
 
+def test_json_scalars_match_json_dumps():
+    # a finite float is written as its repr without a json.dumps call; everything else still goes through it, numpy
+    # scalars too, whose repr (np.float64(0.1)) is no JSON
+    scalars = [0.1, -0.0, 5e-324, 1e16, 1.7976931348623157e308, math.nan, math.inf, -math.inf, np.float64(0.1),
+               np.float64(math.nan), True, False, 0, -7, 2**70, None, "pi"]
+    assert _json(scalars) == json.dumps(scalars, indent=2)
+    for scalar in scalars:
+        assert _json(scalar) == json.dumps(scalar)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_bulk_json_refuses_non_finite_values(bad):
     with pytest.raises(ValueError, match="not JSON compliant"):

@@ -7,6 +7,7 @@ import pytest
 from doublejc import (
     InitialState,
     ModelParams,
+    death_threshold_alpha,
     derive_constants,
     phi_amplitudes,
     phi_concurrence,
@@ -304,6 +305,66 @@ def test_zero_zones_hold_their_dead_windows_and_every_point_at_most_zero_tol(phi
             for lo, hi in form.dead_windows(t0, t1):
                 meets = (a < hi) & (b > lo)
                 assert meets.any() and np.all((a[meets] <= lo) & (b[meets] >= hi))
+
+
+def _vectorised_touch_points(form, t0, t1, level, dead):
+    """``touch_points`` with the touch rule's tail as one numpy pass over all runs: the reference of its walk."""
+    theta = form._zone_angle(t1, level)
+    if theta is None or (dead and theta == 0.0):
+        return []
+    runs = ([run for run in form._around_peaks(t0, dead[0][0], theta) if run[1] < dead[0][0]] +
+            [run for run in form._around_peaks(dead[-1][1], t1, theta) if run[0] > dead[-1][1]]
+            if dead else form._around_peaks(t0, t1, theta))
+    if not runs:
+        return []
+    starts, ends = np.array(runs).T
+    rabi = form.constants.rabi
+    k = np.floor(starts * rabi / (2.0 * math.pi))
+    k += (2.0 * k + 1.0) * math.pi / rabi < starts
+    peaks = (2.0 * k + 1.0) * math.pi / rabi
+    times = np.stack((starts, np.where(peaks <= ends, peaks, starts), ends))
+    values = form.concurrence(times)
+    best, each = np.argmin(values, axis=0), np.arange(times.shape[1])  # the first of equal values
+    return times[best, each][values[best, each] <= level].tolist()
+
+
+@pytest.mark.parametrize("phi", [False, True])
+def test_touch_walk_matches_the_vectorised_reference(phi):
+    # the walk forms each run's start, first peak and end in the reference's operation order and takes the first of
+    # equal values, so the lists agree exactly: at and within hairs of the phi threshold, near product states, past
+    # pi/2, from t0 = 0 and t0 > 0, over up to 60 periods, at three levels, beside the report's own dead windows
+    rng = np.random.default_rng(27)
+    touching = ends = 0
+    for _ in range(700):
+        big_g = rng.uniform(0.1, 3.0)
+        params = ModelParams.from_detuning(rng.uniform(-3.0, 3.0), big_g, 10.0 * big_g + 5.0)
+        constants, threshold = derive_constants(params), death_threshold_alpha(params)
+        period = 2.0 * math.pi / constants.rabi
+        alpha = [rng.uniform(0.0, 0.5 * math.pi), threshold, threshold * (1.0 + rng.uniform(-1e-9, 1e-9)), 1e-13,
+                 1e-10, 0.5 * math.pi - 1e-12, rng.choice([-1.0, 1.0]) * rng.uniform(0.5 * math.pi, 3.0)][_ % 7]
+        t0 = rng.choice([0.0, rng.uniform(0.0, 30.0) * period])
+        t1 = t0 + rng.uniform(0.0, 60.0) * period
+        form = closedform.for_state((InitialState.phi if phi else InitialState.psi)(alpha), constants)
+        dead = form.dead_windows(t0, t1)
+        for level in (1e-14, 1e-12, 1e-9):
+            touches = form.touch_points(t0, t1, level, dead)
+            assert touches == _vectorised_touch_points(form, t0, t1, level, dead), (alpha, t0, t1, level)
+            touching += bool(touches)
+            ends += t1 in touches
+    assert touching > 300 and ends > 0  # the draws reach the walk, and its clipped ends
+
+
+@pytest.mark.parametrize("function", [psi_concurrence, phi_concurrence, phi_f, psi_amplitudes, phi_amplitudes])
+def test_time_check_on_scalars_lists_and_arrays(function):
+    # one min and one max decide it: a NaN anywhere makes both NaN, so it fails wherever it stands
+    for bad in (math.nan, math.inf, -math.inf, -1e-300):
+        for t in ([bad], [bad, 1.0, 2.0], [0.0, bad, 2.0], [0.0, 1.0, bad], [[0.5, 1.0], [bad, 0.0]]):
+            for grid in (t, np.array(t)):
+                with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+                    function(0.3, RESONANT, grid)
+    for empty in ([], np.array([]), np.empty((0, 3))):  # an empty grid holds no bad time
+        function(0.3, RESONANT, empty)
+    function(0.3, RESONANT, [-0.0, 0, 1.5])  # negative zero and ints pass
 
 
 @pytest.mark.parametrize("amplitudes, coherence", [(psi_amplitudes, (1, 2)), (phi_amplitudes, (0, 3))])
