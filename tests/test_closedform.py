@@ -105,10 +105,18 @@ def test_negative_time_rejected():
 @pytest.mark.parametrize("function", [psi_concurrence, phi_concurrence, phi_f, psi_amplitudes, phi_amplitudes])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
 def test_non_finite_or_negative_time_rejected(function, bad):
-    # a NaN or an infinity used to come back as NaN values without complaint
-    for t in (bad, np.array([0.0, 1.0, bad]), np.array([[0.5], [bad]])):
+    # a NaN or an infinity used to come back as NaN values without complaint; the check takes one min and one max,
+    # and a NaN makes both NaN, so it fails first, last or inside a scalar, a list or an array
+    for t in (bad, [bad, 1.0, 2.0], [0.0, bad, 2.0], [[0.5, 1.0], [bad, 0.0]], np.array([bad, 1.0]),
+              np.array([0.0, 1.0, bad]), np.array([[0.5], [bad]])):
         with pytest.raises(ValueError, match="time must be finite and nonnegative"):
             function(0.3, RESONANT, t)
+
+
+@pytest.mark.parametrize("function", [psi_concurrence, phi_concurrence, phi_f, psi_amplitudes, phi_amplitudes])
+def test_empty_grids_and_edge_times_pass_the_time_check(function):
+    for t in ([], np.array([]), np.empty((0, 3)), [-0.0, 0, 1.5], 0):  # an empty grid holds no bad time
+        function(0.3, RESONANT, t)
 
 
 def test_psi_reduced_density_bell_at_t0():
@@ -352,19 +360,6 @@ def test_touch_walk_matches_the_vectorised_reference(phi):
             touching += bool(touches)
             ends += t1 in touches
     assert touching > 300 and ends > 0  # the draws reach the walk, and its clipped ends
-
-
-@pytest.mark.parametrize("function", [psi_concurrence, phi_concurrence, phi_f, psi_amplitudes, phi_amplitudes])
-def test_time_check_on_scalars_lists_and_arrays(function):
-    # one min and one max decide it: a NaN anywhere makes both NaN, so it fails wherever it stands
-    for bad in (math.nan, math.inf, -math.inf, -1e-300):
-        for t in ([bad], [bad, 1.0, 2.0], [0.0, bad, 2.0], [0.0, 1.0, bad], [[0.5, 1.0], [bad, 0.0]]):
-            for grid in (t, np.array(t)):
-                with pytest.raises(ValueError, match="time must be finite and nonnegative"):
-                    function(0.3, RESONANT, grid)
-    for empty in ([], np.array([]), np.empty((0, 3))):  # an empty grid holds no bad time
-        function(0.3, RESONANT, empty)
-    function(0.3, RESONANT, [-0.0, 0, 1.5])  # negative zero and ints pass
 
 
 @pytest.mark.parametrize("amplitudes, coherence", [(psi_amplitudes, (1, 2)), (phi_amplitudes, (0, 3))])
