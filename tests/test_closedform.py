@@ -343,14 +343,14 @@ def test_touch_walk_matches_the_vectorised_reference(phi):
     # pi/2, from t0 = 0 and t0 > 0, over up to 60 periods, at three levels, beside the report's own dead windows
     rng = np.random.default_rng(27)
     touching = ends = 0
-    for _ in range(700):
+    for draw in range(700):
         big_g = rng.uniform(0.1, 3.0)
         params = ModelParams.from_detuning(rng.uniform(-3.0, 3.0), big_g, 10.0 * big_g + 5.0)
         constants, threshold = derive_constants(params), death_threshold_alpha(params)
         period = 2.0 * math.pi / constants.rabi
         alpha = [rng.uniform(0.0, 0.5 * math.pi), threshold, threshold * (1.0 + rng.uniform(-1e-9, 1e-9)), 1e-13,
-                 1e-10, 0.5 * math.pi - 1e-12, rng.choice([-1.0, 1.0]) * rng.uniform(0.5 * math.pi, 3.0)][_ % 7]
-        t0 = rng.choice([0.0, rng.uniform(0.0, 30.0) * period])
+                 1e-10, 0.5 * math.pi - 1e-12, rng.choice([-1.0, 1.0]) * rng.uniform(0.5 * math.pi, 3.0)][draw % 7]
+        t0 = float(rng.choice([0.0, rng.uniform(0.0, 30.0) * period]))
         t1 = t0 + rng.uniform(0.0, 60.0) * period
         form = closedform.for_state((InitialState.phi if phi else InitialState.psi)(alpha), constants)
         dead = form.dead_windows(t0, t1)
