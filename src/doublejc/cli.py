@@ -68,6 +68,9 @@ def _json_chunks(obj, level: int = 0):
     if isinstance(obj, dict):
         items, ends = ((json.dumps(key) + ": ", value) for key, value in obj.items()), "{}"
     elif isinstance(obj, (list, tuple)):
+        if obj and all(type(x) is float and math.isfinite(x) for x in obj):  # one join, no generator per float
+            yield "[" + pad + "  " + ("," + pad + "  ").join(map(float.__repr__, obj)) + pad + "]"
+            return
         items, ends = (("", value) for value in obj), "[]"
     else:
         yield json.dumps(obj)

@@ -1,23 +1,22 @@
 """Analytic time evolution of the two named initial-state families.
 
-Each atom-cavity pair evolves independently.  Within a pair the single
-excitation oscillates between |e,0> and |g,1> with transition amplitudes
+The two atom-cavity pairs never interact.  With its cavity in vacuum, each pair acts on its own atom as a fixed
+isometry, V|g> = |g,0> and V|e> = f(t)|e,0> + h(t)|g,1>, with the stay and transfer amplitudes
 
-    f(t) = L e^{-i lambda_plus t} + M e^{-i lambda_minus t}     (stay)
-    h(t) = N (e^{-i lambda_plus t} - e^{-i lambda_minus t})     (transfer)
+    f(t) = L e^{-i lambda_plus t} + M e^{-i lambda_minus t}
+    h(t) = N (e^{-i lambda_plus t} - e^{-i lambda_minus t})
 
-so |f|^2 = 1 - 4N^2 sin^2(rabi t / 2) and |h|^2 = 4N^2 sin^2(rabi t / 2).
-Everything below is assembled from these two factors; the zero-excitation
-pair state |g,0> is stationary with zero energy.
+so |f|^2 = 1 - 4N^2 sin^2(rabi t / 2) and |h|^2 = 4N^2 sin^2(rabi t / 2); the pair state |g,0> is stationary with
+zero energy.  Every amplitude is a term of (V (x) V)|atoms>.  V's photon slices K0 = diag(f, 1) and K1 = h|g><e|
+(excited first) are the Kraus operators of each pair's channel on its atom, so the atom-atom matrix is
+sum_ij (K_i (x) K_j) rho_0 (K_i (x) K_j)^dagger: two terms cohere only where their photon labels agree.
 
-All reduced density matrices are written in the standard excited-first
-two-qubit ordering |ee>, |eg>, |ge>, |gg>.  :func:`for_state` gives the
-amplitudes, concurrence, dead windows and touch points of one named initial state.
+All reduced density matrices are written in the standard excited-first two-qubit ordering |ee>, |eg>, |ge>, |gg>.
+:func:`for_state` gives the amplitudes, concurrence, dead windows and touch points of one named initial state.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +36,7 @@ from .model import (
 )
 
 __all__ = [
-    "PsiAmplitudes",
-    "PhiAmplitudes",
+    "Amplitudes",
     "psi_amplitudes",
     "phi_amplitudes",
     "psi_reduced_density",
@@ -60,43 +58,42 @@ def _pair_factors(constants: JCConstants, t):
     times = np.asarray(t, dtype=float)
     ep = np.exp(-1j * constants.lambda_plus * times)
     em = np.exp(-1j * constants.lambda_minus * times)
-    f = constants.l_coef * ep + constants.m_coef * em
-    h = constants.n_coef * (ep - em)
-    return f, h
+    return constants.l_coef * ep + constants.m_coef * em, constants.n_coef * (ep - em)
 
 
-@functools.cache
-def _trace_terms(elements: tuple) -> tuple:
-    """((row, column), field pairs) of each entry of the atom-atom matrix on or above its diagonal: an element's atoms
-    give its excited-first row 3 - 2 atom_a - atom_b, and two elements cohere only where their mode labels agree."""
-    rows = sorted(((3 - 2 * a - b, x, modes) for x, (a, b, *modes) in elements), key=lambda row: row[0])
-    entries = {}  # a stable sort keeps each diagonal sum in element order
-    for i, (r, x, modes) in enumerate(rows):
-        for c, y, _ in (row for row in rows[i:] if row[2] == modes):
-            entries.setdefault((r, c), []).append((x, y))
-    return tuple(entries.items())
+#: the nonzero entries of V, as (atom level in, photons out, atom level out, index into the factors (1, f, h))
+_ISOMETRY = ((0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 0, 2))
 
 
-class _Amplitudes:
-    """Embedding shared by the amplitude records; ``t`` may be a time grid."""
+@dataclass(frozen=True)
+class Amplitudes:
+    """The nonzero amplitudes of (V (x) V)|atoms> at time t (a scalar or a grid), as (element, amplitude) terms, an
+    element (atom A, atom B, photons a, photons b) with atom level 1 excited.  Only psi's |eg>/|ge> coherence rho_12
+    and phi's |ee>/|gg> coherence rho_03 survive the partial trace: |eg01> and |ge10> differ in their modes."""
 
-    #: (field, basis element) of every nonzero amplitude
-    _ELEMENTS: tuple = ()
+    terms: tuple
+    t: float
 
     def columns(self, cutoff: int = 1) -> np.ndarray:
         """Amplitudes over the flattened basis, one column per time point (a vector for scalar t)."""
         amps = np.zeros(basis_shape(cutoff) + np.shape(self.t), dtype=complex)
-        for name, element in self._ELEMENTS:
-            amps[element] = getattr(self, name)
+        for element, value in self.terms:
+            amps[element] = value
         return amps.reshape((-1,) + np.shape(self.t))
 
     def atom_density(self) -> np.ndarray:
-        """Atom-atom density matrix, stacked over a time grid: the modes traced out of the element table."""
+        """Atom-atom density matrix over the grid, the modes traced out: terms cohere where their photon labels agree,
+        an entry on or above the diagonal is summed in term order and mirrored conjugated; row 3 - 2 atom_A - atom_B."""
+        rows = [(3 - 2 * a - b, (m, n), x) for (a, b, m, n), x in self.terms]
+        upper = {}
+        for i, (r, photons, x) in enumerate(rows):
+            for c, other, y in rows[i:]:
+                if other == photons:  # the term of the smaller row stays unconjugated
+                    key = (r, c) if r <= c else (c, r)
+                    term = abs(x) ** 2 if r == c else x * np.conj(y) if r < c else y * np.conj(x)
+                    upper[key] = upper[key] + term if key in upper else term
         rho = np.zeros(np.shape(self.t) + (4, 4), dtype=complex)
-        for (r, c), pairs in _trace_terms(self._ELEMENTS):
-            for k, (x, y) in enumerate(pairs):  # summed in element order
-                term = abs(getattr(self, x)) ** 2 if x == y else getattr(self, x) * np.conj(getattr(self, y))
-                value = value + term if k else term
+        for (r, c), value in upper.items():
             rho[..., r, c] = value
             if r != c:
                 rho[..., c, r] = np.conj(value)
@@ -107,67 +104,34 @@ class _Amplitudes:
         return PureState(self.columns(cutoff), cutoff)
 
 
-@dataclass(frozen=True)
-class PsiAmplitudes(_Amplitudes):
-    """Amplitudes of the one-excitation family at time t (a scalar or a grid).
-
-    The state is x1|eg00> + x2|ge00> + x3|gg10> + x4|gg01>; x1, x3 carry cos(alpha) and x2, x4 carry sin(alpha) of
-    a common pair factor, so x2/x1 = x4/x3 = tan(alpha) wherever defined.  Only the |eg>/|ge> coherence
-    rho_12 = x1 x2* survives the partial trace: |eg00> and |ge00> share the vacuum.
-    """
-
-    x1: complex
-    x2: complex
-    x3: complex
-    x4: complex
-    t: float
-
-    _ELEMENTS = (("x1", (1, 0, 0, 0)), ("x2", (0, 1, 0, 0)), ("x3", (0, 0, 1, 0)), ("x4", (0, 0, 0, 1)))
+def _evolved(weights, constants: JCConstants, t) -> Amplitudes:
+    """(V (x) V) sum_uv weights[u][v] |u v> at times t, zero weights dropped.  Each term is formed once, with no
+    product by 1, and as f h, never h f (vectorised, they can differ in the last bit), so phi's |eg01> == |ge10>."""
+    factors = (1, *_pair_factors(constants, t))
+    return Amplitudes(tuple(((a, b, m, n), (factors[min(u, v)] * factors[max(u, v)] if u and v else factors[u + v])
+                             * weight) for level_a, m, a, u in _ISOMETRY for level_b, n, b, v in _ISOMETRY
+                            if (weight := weights[level_a][level_b])), t)
 
 
-@dataclass(frozen=True)
-class PhiAmplitudes(_Amplitudes):
-    """Amplitudes of the zero/two-excitation family at time t (a scalar or a grid).
-
-    The state is x1|ee00> + x2|gg11> + x3|eg01> + x4|ge10> + x5|gg00>.  By symmetry of the two pairs x3 == x4
-    exactly, and x5 = sin(alpha) is constant because |gg00> has zero energy.  Only the |ee>/|gg> coherence
-    rho_03 = x1 x5* survives the partial trace: |eg01> and |ge10> differ in their modes.
-    """
-
-    x1: complex
-    x2: complex
-    x3: complex
-    x4: complex
-    x5: complex
-    t: float
-
-    _ELEMENTS = (("x1", (1, 1, 0, 0)), ("x2", (0, 0, 1, 1)), ("x3", (1, 0, 0, 1)), ("x4", (0, 1, 1, 0)),
-                 ("x5", (0, 0, 0, 0)))
-
-
-def psi_amplitudes(alpha: float, constants: JCConstants, t) -> PsiAmplitudes:
+def psi_amplitudes(alpha: float, constants: JCConstants, t) -> Amplitudes:
     """Evolved amplitudes for cos(a)|eg00> + sin(a)|ge00>, at scalar or array times."""
     _check_time(t)
-    f, h = _pair_factors(constants, t)
-    ca, sa = math.cos(_check_alpha(alpha)), math.sin(alpha)
-    return PsiAmplitudes(x1=f * ca, x2=f * sa, x3=h * ca, x4=h * sa, t=t)
+    return _evolved(((0, math.sin(_check_alpha(alpha))), (math.cos(alpha), 0)), constants, t)
 
 
-def phi_amplitudes(alpha: float, constants: JCConstants, t) -> PhiAmplitudes:
+def phi_amplitudes(alpha: float, constants: JCConstants, t) -> Amplitudes:
     """Evolved amplitudes for cos(a)|ee00> + sin(a)|gg00>, at scalar or array times."""
     _check_time(t)
-    f, h = _pair_factors(constants, t)
-    ca, sa = math.cos(_check_alpha(alpha)), math.sin(alpha)
-    return PhiAmplitudes(x1=f * f * ca, x2=h * h * ca, x3=f * h * ca, x4=f * h * ca, x5=complex(sa), t=t)
+    return _evolved(((math.sin(_check_alpha(alpha)), 0), (0, math.cos(alpha))), constants, t)
 
 
 def psi_reduced_density(alpha: float, constants: JCConstants, t: float) -> DensityMatrix:
-    """Atom-atom density matrix of the one-excitation family (see :class:`PsiAmplitudes`)."""
+    """Atom-atom density matrix of the one-excitation family (see :class:`Amplitudes`)."""
     return DensityMatrix(psi_amplitudes(alpha, constants, t).atom_density())
 
 
 def phi_reduced_density(alpha: float, constants: JCConstants, t: float) -> DensityMatrix:
-    """Atom-atom density matrix of the zero/two-excitation family (see :class:`PhiAmplitudes`)."""
+    """Atom-atom density matrix of the zero/two-excitation family (see :class:`Amplitudes`)."""
     return DensityMatrix(phi_amplitudes(alpha, constants, t).atom_density())
 
 
@@ -208,7 +172,7 @@ def psi_concurrence(alpha: float, constants: JCConstants, t):
 def phi_f(alpha: float, constants: JCConstants, t):
     """Signed pre-concurrence of the zero/two-excitation family.
 
-    f(t) = 2|x1||x5| - 2|x3||x4|
+    f(t) = 2|<ee00>||<gg00>| - 2|<eg01>||<ge10>|
          = (1 - 4 N^2 sin^2(rabi t/2)) (|sin 2a| - 8 N^2 sin^2(rabi t/2) cos^2 a)
 
     The sign is kept so root finding can separate isolated zero touches from

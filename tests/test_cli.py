@@ -853,6 +853,14 @@ def test_json_scalars_match_json_dumps():
     assert _json(scalars) == json.dumps(scalars, indent=2)
     for scalar in scalars:
         assert _json(scalar) == json.dumps(scalar)
+    # a list or tuple of finite floats only is written in one join; one holding anything else keeps the item path
+    floats = np.random.default_rng(3).normal(size=100_000).tolist()
+    lists = [[], [0.5], (-0.0, 5e-324), floats[:10], floats, [0.1, math.nan], [1.0, math.inf], [-math.inf],
+             [1.0, 2], [0.1, np.float64(0.2)], [0.1, [0.2, 0.3]], [[0.1], 0.2], ([],)]
+    for value in lists:
+        document = {"touches": value, "nested": [value, {"deeper": value}], "last": 1.5}
+        assert _json(document) == json.dumps(document, indent=2)
+        assert _json(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,14 +1,19 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from doublejc import (
+    ATOM_PAIR,
     InitialState,
     ModelParams,
+    PureState,
     death_threshold_alpha,
     derive_constants,
+    initial_state_vector,
+    partial_trace_pair,
     phi_amplitudes,
     phi_concurrence,
     phi_f,
@@ -18,9 +23,20 @@ from doublejc import (
     psi_reduced_density,
 )
 from doublejc import closedform
-from doublejc.model import ALPHA_MAX
+from doublejc.analysis import _propagator
+from doublejc.model import ALPHA_MAX, basis_shape
 
 RESONANT = derive_constants(ModelParams.from_detuning(0.0, 1.0))
+#: the basis elements (atom A, atom B, photons a, photons b) of each family's amplitudes, atom level 1 excited:
+#: |eg00>, |ge00>, |gg10>, |gg01> for psi and |ee00>, |gg11>, |eg01>, |ge10>, |gg00> for phi
+PSI_ELEMENTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+PHI_ELEMENTS = ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 0, 0))
+
+
+def amplitudes_at(record, elements):
+    """The amplitudes of ``record`` at the named basis elements, read from its cutoff-1 columns."""
+    state = record.columns(1).reshape(basis_shape(1) + np.shape(record.t))
+    return [state[element] for element in elements]
 
 
 def random_constants(rng):
@@ -30,28 +46,29 @@ def random_constants(rng):
 
 
 def test_psi_amplitudes_at_t0():
-    a = psi_amplitudes(math.pi / 4, RESONANT, 0.0)
+    x1, x2, x3, x4 = amplitudes_at(psi_amplitudes(math.pi / 4, RESONANT, 0.0), PSI_ELEMENTS)
     root_half = 1 / math.sqrt(2)
-    assert a.x1 == pytest.approx(root_half, abs=1e-15)
-    assert a.x2 == pytest.approx(root_half, abs=1e-15)
-    assert a.x3 == 0 and a.x4 == 0
+    assert x1 == pytest.approx(root_half, abs=1e-15)
+    assert x2 == pytest.approx(root_half, abs=1e-15)
+    assert x3 == 0 and x4 == 0
 
 
 def test_psi_amplitudes_full_transfer():
     # at rabi*t = pi the excitation sits entirely in the cavities
-    a = psi_amplitudes(math.pi / 4, RESONANT, math.pi)
-    assert abs(a.x1) == pytest.approx(0.0, abs=5e-15)
-    assert abs(a.x2) == pytest.approx(0.0, abs=5e-15)
-    assert abs(a.x3) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
-    assert abs(a.x4) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+    x1, x2, x3, x4 = amplitudes_at(psi_amplitudes(math.pi / 4, RESONANT, math.pi), PSI_ELEMENTS)
+    assert abs(x1) == pytest.approx(0.0, abs=5e-15)
+    assert abs(x2) == pytest.approx(0.0, abs=5e-15)
+    assert abs(x3) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+    assert abs(x4) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
 
 def test_psi_normalization_random():
     rng = np.random.default_rng(21)
     for _ in range(200):
         c = random_constants(rng)
-        a = psi_amplitudes(rng.uniform(0, math.pi / 2), c, rng.uniform(0, 20))
-        total = abs(a.x1) ** 2 + abs(a.x2) ** 2 + abs(a.x3) ** 2 + abs(a.x4) ** 2
+        x1, x2, x3, x4 = amplitudes_at(psi_amplitudes(rng.uniform(0, math.pi / 2), c, rng.uniform(0, 20)),
+                                       PSI_ELEMENTS)
+        total = abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2 + abs(x4) ** 2
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -60,26 +77,26 @@ def test_psi_amplitude_ratios():
     for _ in range(50):
         alpha = rng.uniform(0.1, 1.4)
         c = random_constants(rng)
-        a = psi_amplitudes(alpha, c, rng.uniform(0.1, 15))
-        if abs(a.x1) > 1e-12:
-            assert a.x2 / a.x1 == pytest.approx(math.tan(alpha), rel=1e-10)
-        if abs(a.x3) > 1e-12:
-            assert a.x4 / a.x3 == pytest.approx(math.tan(alpha), rel=1e-10)
+        x1, x2, x3, x4 = amplitudes_at(psi_amplitudes(alpha, c, rng.uniform(0.1, 15)), PSI_ELEMENTS)
+        if abs(x1) > 1e-12:
+            assert x2 / x1 == pytest.approx(math.tan(alpha), rel=1e-10)
+        if abs(x3) > 1e-12:
+            assert x4 / x3 == pytest.approx(math.tan(alpha), rel=1e-10)
 
 
 def test_phi_amplitudes_at_t0():
-    a = phi_amplitudes(math.pi / 4, RESONANT, 0.0)
+    x1, x2, x3, x4, x5 = amplitudes_at(phi_amplitudes(math.pi / 4, RESONANT, 0.0), PHI_ELEMENTS)
     root_half = 1 / math.sqrt(2)
-    assert a.x1 == pytest.approx(root_half, abs=1e-15)
-    assert a.x2 == 0 and a.x3 == 0 and a.x4 == 0
-    assert a.x5 == pytest.approx(root_half, abs=1e-15)
+    assert x1 == pytest.approx(root_half, abs=1e-15)
+    assert x2 == 0 and x3 == 0 and x4 == 0
+    assert x5 == pytest.approx(root_half, abs=1e-15)
 
 
 def test_phi_amplitudes_double_transfer():
     # alpha = 0: both excitations fully transferred at rabi*t = pi
-    a = phi_amplitudes(0.0, RESONANT, math.pi)
-    assert abs(a.x2) == pytest.approx(1.0, rel=1e-12)
-    for x in (a.x1, a.x3, a.x4, a.x5):
+    x1, x2, x3, x4, x5 = amplitudes_at(phi_amplitudes(0.0, RESONANT, math.pi), PHI_ELEMENTS)
+    assert abs(x2) == pytest.approx(1.0, rel=1e-12)
+    for x in (x1, x3, x4, x5):
         assert abs(x) == pytest.approx(0.0, abs=5e-15)
 
 
@@ -88,11 +105,15 @@ def test_phi_structure():
     for _ in range(200):
         alpha = rng.uniform(0, math.pi / 2)
         c = random_constants(rng)
-        a = phi_amplitudes(alpha, c, rng.uniform(0, 20))
-        assert a.x3 == a.x4
-        assert a.x5 == complex(math.sin(alpha))
-        total = sum(abs(x) ** 2 for x in (a.x1, a.x2, a.x3, a.x4, a.x5))
+        x1, x2, x3, x4, x5 = amplitudes_at(phi_amplitudes(alpha, c, rng.uniform(0, 20)), PHI_ELEMENTS)
+        assert x3 == x4
+        assert x5 == complex(math.sin(alpha))
+        total = sum(abs(x) ** 2 for x in (x1, x2, x3, x4, x5))
         assert total == pytest.approx(1.0, abs=1e-12)
+    # on a time grid too, where numpy's vectorised complex h * f can differ from f * h in the last bit
+    _, _, x3, x4, _ = amplitudes_at(phi_amplitudes(0.3, random_constants(rng), np.linspace(0.0, 20.0, 101)),
+                                    PHI_ELEMENTS)
+    assert np.array_equal(x3, x4)
 
 
 def test_negative_time_rejected():
@@ -173,9 +194,9 @@ def test_psi_concurrence_is_twice_x1_x2():
         alpha = rng.uniform(0, math.pi)
         c = random_constants(rng)
         t = rng.uniform(0, 20)
-        a = psi_amplitudes(alpha, c, t)
+        x1, x2, _, _ = amplitudes_at(psi_amplitudes(alpha, c, t), PSI_ELEMENTS)
         assert psi_concurrence(alpha, c, t) == pytest.approx(
-            2 * abs(a.x1) * abs(a.x2), abs=1e-12
+            2 * abs(x1) * abs(x2), abs=1e-12
         )
 
 
@@ -185,8 +206,8 @@ def test_phi_f_matches_amplitude_form():
         alpha = rng.uniform(0, math.pi / 2)
         c = random_constants(rng)
         t = rng.uniform(0, 20)
-        a = phi_amplitudes(alpha, c, t)
-        expected = 2 * abs(a.x1) * abs(a.x5) - 2 * abs(a.x3) * abs(a.x4)
+        x1, _, x3, x4, x5 = amplitudes_at(phi_amplitudes(alpha, c, t), PHI_ELEMENTS)
+        expected = 2 * abs(x1) * abs(x5) - 2 * abs(x3) * abs(x4)
         assert phi_f(alpha, c, t) == pytest.approx(expected, abs=1e-12)
 
 
@@ -364,7 +385,7 @@ def test_touch_walk_matches_the_vectorised_reference(phi):
 
 @pytest.mark.parametrize("amplitudes, coherence", [(psi_amplitudes, (1, 2)), (phi_amplitudes, (0, 3))])
 def test_atom_density_is_the_partial_trace_of_its_own_state(amplitudes, coherence):
-    # the matrix derived from the element table against the modes traced out of the embedded state by einsum,
+    # the matrix traced from the terms against the modes traced out of the embedded state by einsum,
     # excited-first (atom level 1 is excited, so both atom axes run backwards); its only coherence is the
     # documented one: rho_12 for psi, rho_03 for phi
     rng = np.random.default_rng(29)
@@ -380,3 +401,28 @@ def test_atom_density_is_the_partial_trace_of_its_own_state(amplitudes, coherenc
         np.testing.assert_allclose(rho, traced.reshape(np.shape(t) + (4, 4)), rtol=0, atol=4 * np.finfo(float).eps)
         coherent = (rho != 0) & ~np.eye(4, dtype=bool)
         assert (coherent == documented).all()
+
+
+def test_isometry_terms_match_the_oracle_on_any_atom_state():
+    # the named families reach only 4 or 5 of the 9 products of (V (x) V); random complex atom weights reach all of
+    # them, checked against the oracle's propagation of that custom state in validate's frame rotating at nu
+    rng = np.random.default_rng(43)
+    for k in range(24):
+        params = ModelParams.from_detuning(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0))
+        c = derive_constants(params)
+        frame = replace(c, lambda_plus=(c.delta + c.rabi) / 2, lambda_minus=(c.delta - c.rabi) / 2)
+        weights = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        weights /= np.linalg.norm(weights)
+        times = np.sort(rng.uniform(0.0, 20.0, 9)) if k % 2 else rng.uniform(0.0, 20.0, 1)
+        record = closedform._evolved(weights, frame, times if k % 2 else float(times[0]))
+        assert len(record.terms) == 9
+        for cutoff in (1, 2):
+            atoms = np.zeros(basis_shape(cutoff), dtype=complex)
+            atoms[:, :, 0, 0] = weights
+            state0 = initial_state_vector(InitialState.custom(atoms.ravel()), cutoff)
+            oracle = _propagator(params, cutoff).evolve_grid(state0, times)
+            rho = np.array([partial_trace_pair(PureState(column, cutoff), ATOM_PAIR).entries for column in oracle.T])
+            if not k % 2:  # a scalar time: one column, one matrix
+                oracle, rho = oracle[:, 0], rho[0]
+            np.testing.assert_allclose(record.columns(cutoff), oracle, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(record.atom_density(), rho, rtol=0, atol=1e-12)
