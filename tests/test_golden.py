@@ -68,6 +68,10 @@ CASES = {
                              "--format", "json"],
     "death_phi_oracle.json": ["death", "--family", "phi", "--alpha", "0.3", "--delta", "0", "--G", "1",
                               "--source", "oracle", "--steps", "201"],
+    # an atom-mode pair dies 14 times and touches zero at t = 0 (Ab starts as a product): dead windows and a touch
+    # point in one oracle report
+    "death_phi_Ab_oracle.json": ["death", "--family", "phi", "--alpha", "0.3", "--delta", "0.3", "--G", "1",
+                                 "--pair", "Ab", "--source", "oracle", "--steps", "201", "--tmax", "40"],
     "sweep_phi_oracle.json": ["sweep", "--family", "phi", "--delta", "0.5", "--G", "1", "--source", "oracle",
                               "--alphas", "0.2,0.4,0.9", "--steps", "201"],
     # one batched propagation at cutoff 2, with the product-state floor at 1e-13 and the Bell state pi/4
