@@ -120,7 +120,8 @@ class DeathReport:
     """Zeros of one concurrence series, classified.
 
     ``dead_intervals`` are maximal windows with identically zero concurrence (sudden death); ``touch_points`` are
-    isolated zeros, exact times on the closed form (a peak or an end of the series) and grid samples on the oracle.
+    isolated zeros, exact times on the closed form (a peak or an end of the series) and on the oracle the smallest
+    grid sample of each zero run that its own signed samples do not make dead (see :func:`detect_death`).
     ``period`` is the fundamental recurrence time 2*pi/rabi of the underlying dynamics.
     """
 
@@ -222,6 +223,8 @@ def scan_pairs(
     cutoff: int = 1,
 ) -> dict:
     """Oracle concurrence series for several pairs from one shared propagation."""
+    if not pairs:
+        raise ValueError("pair list must be nonempty")
     times = _grid(t_max, steps)
     signed = _oracle_values([init], _propagator(params, cutoff), pairs, times, cutoff)[:, 0]
     times, values, signed = _checked(times, np.clip(signed, 0.0, 1.0), signed)
@@ -267,25 +270,6 @@ def _zero_runs(mask: np.ndarray):
     return list(zip(flips[0::2].tolist(), (flips[1::2] - 1).tolist()))
 
 
-def _signed_window(times: np.ndarray, signed: np.ndarray, i0: int, i1: int):
-    """Dead window (start, end) of the oracle zero run i0..i1, or None where the run only touches zero.
-
-    The run is dead where its signed row drops below -FEW_ULPS, from the sign
-    change before its first negative sample to the one after its last: the linear
-    root across each bracketing cell, live side clamped at >= 0, or the grid end.
-    Two or more samples within FEW_ULPS of zero are a product state, dead over the run.
-    """
-    run, few_ulps = signed[i0 : i1 + 1], closedform.FEW_ULPS
-    negative = i0 + np.flatnonzero(run < -few_ulps)
-    if negative.size == 0:
-        product = i1 > i0 and np.all(np.abs(run) <= few_ulps)
-        return (float(times[i0]), float(times[i1])) if product else None
-    first, last = int(negative[0]), int(negative[-1])
-    cells = ((first, max(first - 1, 0)), (last, min(last + 1, len(times) - 1)))  # (dead, live) sample pairs
-    roots = (times[d] + (times[n] - times[d]) * signed[d] / (signed[d] - max(signed[n], 0.0)) for d, n in cells)
-    return tuple(map(float, roots))
-
-
 def bisect(f, lo: float, hi: float, xtol: float) -> float:
     """Root of f in [lo, hi], step for step as scipy.optimize.bisect.
 
@@ -320,8 +304,10 @@ def detect_death(series: ConcurrenceSeries) -> DeathReport:
 
     A closed-form series is read from its closed form over its first to last time, whatever its grid: the analytic
     windows and, at ``ZERO_TOL``, the exact touch points (see ``closedform._StateForm.touch_points``).  On the oracle,
-    a zero run of grid values <= ``ZERO_TOL`` is dead by the sign of ``series.signed`` (see ``_signed_window``), or,
-    if its bracketing grid cells meet no dead interval, a touch point at its smallest value.
+    each zero run of grid values <= ``ZERO_TOL`` is decided once, by its own samples of ``series.signed``: dead where
+    one drops below -``closedform.FEW_ULPS``, from the linear root across the cell before its first such sample to the
+    one after its last (live side clamped at >= 0; at a grid end, the end); a product state, dead over the run, where
+    two or more lie within FEW_ULPS of zero; otherwise a touch point at its smallest value.
     """
     if series.times.size == 0:
         raise ValueError("empty series")
@@ -341,14 +327,19 @@ def _closed_report(form, t0: float, t1: float, initial: float) -> DeathReport:
 
 def _classify(times: np.ndarray, values: np.ndarray, signed: np.ndarray, constants) -> DeathReport:
     """The death report of one checked oracle row and its signed row (see :func:`detect_death`)."""
-    runs = _zero_runs(values <= ZERO_TOL)
-    dead = [window for i0, i1 in runs if (window := _signed_window(times, signed, i0, i1))]
-    if dead:  # windows come in time order: a bracket (lo, hi) may meet only the first one ending after lo
-        (i0, i1), (a, b) = np.array(runs).T, np.array(dead).T
-        lo, hi = times[np.maximum(i0 - 1, 0)], times[np.minimum(i1 + 1, len(times) - 1)]
-        k = np.searchsorted(b[:-1], lo, side="right")  # the last window where none ends after lo
-        runs = [run for run, met in zip(runs, ((a[k] < hi) & (b[k] > lo)).tolist()) if not met]
-    touches = [float(times[i0 + int(np.argmin(values[i0 : i1 + 1]))]) for i0, i1 in runs]
+    dead, touches, few_ulps, end = [], [], closedform.FEW_ULPS, len(times) - 1
+    for i0, i1 in _zero_runs(values <= ZERO_TOL):
+        run = signed[i0 : i1 + 1]
+        negative = np.flatnonzero(run < -few_ulps)
+        if negative.size:
+            first, last = i0 + int(negative[0]), i0 + int(negative[-1])
+            cells = ((first, max(first - 1, 0)), (last, min(last + 1, end)))  # (dead, live) sample pairs
+            roots = (times[d] + (times[n] - times[d]) * signed[d] / (signed[d] - max(signed[n], 0.0)) for d, n in cells)
+            dead.append(tuple(map(float, roots)))
+        elif i1 > i0 and np.all(np.abs(run) <= few_ulps):  # a product state
+            dead.append((float(times[i0]), float(times[i1])))
+        else:
+            touches.append(float(times[i0 + int(np.argmin(values[i0 : i1 + 1]))]))
     return DeathReport(tuple(dead), tuple(touches), 2.0 * math.pi / constants.rabi, float(values[0]))
 
 

@@ -254,9 +254,9 @@ class _StateForm:
         lies in the zone around its peak, so zones that abut meet one, and with one a zone meets none only by an end
         of [t0, t1]."""
         theta = self._zone_angle(t1, level)
-        if theta is None or (dead and theta == 0.0):
+        if theta is None:
             return []
-        # a zone clipped at the first dead window's start, or at the last one's end, holds that window
+        # a zone clipped at the first dead window's start, or at the last one's end, holds it (at theta = 0, both do)
         runs = ([run for run in self._around_peaks(t0, dead[0][0], theta) if run[1] < dead[0][0]] +
                 [run for run in self._around_peaks(dead[-1][1], t1, theta) if run[0] > dead[-1][1]]
                 if dead else self._around_peaks(t0, t1, theta))

@@ -354,6 +354,89 @@ def test_oracle_series_carries_the_signed_wootters_value():
     assert not series.signed.flags.writeable
 
 
+def _two_pass_classify(series):
+    """The oracle report by the two-pass bracket rule ``detect_death`` replaced: the reference of its one pass.
+
+    Each zero run gives its signed window, and a run is then a touch point only if the grid cells bracketing it
+    meet no dead window, found by one binary search of the windows' ends.
+    """
+    times, values, signed, few_ulps = series.times, series.values, series.signed, closedform.FEW_ULPS
+
+    def signed_window(i0, i1):
+        run = signed[i0 : i1 + 1]
+        negative = i0 + np.flatnonzero(run < -few_ulps)
+        if negative.size == 0:
+            product = i1 > i0 and np.all(np.abs(run) <= few_ulps)
+            return (float(times[i0]), float(times[i1])) if product else None
+        first, last = int(negative[0]), int(negative[-1])
+        cells = ((first, max(first - 1, 0)), (last, min(last + 1, len(times) - 1)))
+        return tuple(float(times[d] + (times[n] - times[d]) * signed[d] / (signed[d] - max(signed[n], 0.0)))
+                     for d, n in cells)
+
+    runs = analysis._zero_runs(values <= analysis.ZERO_TOL)
+    dead = [window for i0, i1 in runs if (window := signed_window(i0, i1))]
+    if dead:
+        (i0, i1), (a, b) = np.array(runs).T, np.array(dead).T
+        lo, hi = times[np.maximum(i0 - 1, 0)], times[np.minimum(i1 + 1, len(times) - 1)]
+        k = np.searchsorted(b[:-1], lo, side="right")
+        runs = [run for run, met in zip(runs, ((a[k] < hi) & (b[k] > lo)).tolist()) if not met]
+    touches = [float(times[i0 + int(np.argmin(values[i0 : i1 + 1]))]) for i0, i1 in runs]
+    rabi = derive_constants(series.params).rabi
+    return analysis.DeathReport(tuple(dead), tuple(touches), 2.0 * math.pi / rabi, float(values[0]))
+
+
+def test_oracle_touch_beside_a_root_past_its_live_sample_stays():
+    # a hand-built, non-uniform row whose second sample reads live but signs zero: (t_n - t_d) s_d / s_d rounds the
+    # window's end one ulp past that sample, into the bracket of the next zero run, which is still a touch point
+    times = [0.0, 0.6999949517653684, 1.9276487201667345, 2.9276487201667347, 3.9276487201667347]
+    series = ConcurrenceSeries(times, np.array([0.5, 0.0, 0.5, 0.0, 0.5]), ATOM_PAIR, Source.ORACLE,
+                               InitialState.phi(0.3), RESONANT, np.array([0.5, -0.29969970324800926, 0.0, 0.0, 0.5]))
+    report = detect_death(series)
+    [(_, end)] = report.dead_intervals
+    assert end == math.nextafter(times[2], math.inf)
+    assert report.touch_points == (times[3],)
+
+
+def test_oracle_reports_equal_the_two_pass_bracket_rule():
+    # on a uniform grid each linear root stays inside its own run's bracketing samples, so the bracket search of the
+    # reference never drops a run that the one pass keeps: equal reports for all six pairs, both families, 2 to 401
+    # steps, at and by the phi threshold, near and at product states, as single scans and as oracle sweeps
+    rng = np.random.default_rng(29)
+    mixed = windows = 0
+    for draw in range(240):
+        delta, big_g = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 3.0)
+        params = ModelParams.from_detuning(delta, big_g)
+        threshold = death_threshold_alpha(params)
+        alpha = [rng.uniform(0.0, 0.5 * math.pi), threshold, threshold * (1.0 + rng.uniform(-1e-9, 1e-9)), 1e-13,
+                 0.0, 0.5 * math.pi, rng.uniform(0.02, 0.98) * threshold][draw % 7]
+        family = [StateFamily.PSI_ALPHA, StateFamily.PHI_ALPHA][draw % 2]
+        t_max = rng.uniform(0.1, 8.0) * 2.0 * math.pi / math.hypot(delta, big_g)
+        steps = int(rng.integers(2, 402))
+        init = InitialState(family, alpha)
+        for series in scan_pairs(init, params, ALL_PAIRS, t_max, steps).values():
+            report = detect_death(series)
+            assert report == _two_pass_classify(series), (draw, series.pair.name)
+            mixed += bool(report.dead_intervals and report.touch_points)
+            # each window lies within the samples bracketing its own zero run, one run per window, in time order; a
+            # root across a grid end's own cell, where the end sample is a zero above -FEW_ULPS, rounds (t_n - t_d)
+            # s_d / s_d and may land an ulp or two of t_max past that end
+            times, last, margin = series.times, steps - 1, 2.0 * math.ulp(t_max)
+            runs = analysis._zero_runs(series.values <= analysis.ZERO_TOL)
+            brackets = [(times[i0 - 1] if i0 else -margin, times[i1 + 1] if i1 < last else t_max + margin)
+                        for i0, i1 in runs]
+            owners = [next(k for k, (lo, hi) in enumerate(brackets) if lo <= start <= end <= hi)
+                      for start, end in report.dead_intervals]
+            assert owners == sorted(set(owners)), (draw, series.pair.name)
+            windows += len(owners)
+        if draw % 4 == 0:
+            angles = [alpha, threshold, rng.uniform(0.0, 0.5 * math.pi)]
+            swept = sweep_alpha(family, params, angles, t_max, steps, Source.ORACLE)
+            assert [report for _, report in swept] == [
+                _two_pass_classify(scan(InitialState(family, a), params, ATOM_PAIR, t_max, steps, Source.ORACLE))
+                for a in angles], draw
+    assert mixed > 20 and windows > 500
+
+
 # ------------------------------------------------------------- bisection
 
 def test_bisect_bracket_ends_and_signs():
@@ -789,6 +872,13 @@ def test_scan_pairs_rejects_mode_overflow_in_a_later_chunk(monkeypatch):
     scan_pairs(overflow_state(), RESONANT, [OWN_CAVITY], 6 * step, 7, cutoff=2)
     with pytest.raises(QubitEquivalenceError, match="mode a"):
         scan_pairs(overflow_state(), RESONANT, [OWN_CAVITY], 23 * step, 24, cutoff=2)
+
+
+@pytest.mark.parametrize("pairs", [[], ()])
+def test_scan_pairs_rejects_an_empty_pair_list(pairs):
+    # at the top, before numpy is asked to concatenate no rows
+    with pytest.raises(ValueError, match="^pair list must be nonempty$"):
+        scan_pairs(InitialState.phi(0.3), RESONANT, pairs, 5.0, 11)
 
 
 def test_scan_pairs_names_the_first_offending_pair_in_pair_order():

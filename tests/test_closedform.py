@@ -337,7 +337,10 @@ def test_zero_zones_hold_their_dead_windows_and_every_point_at_most_zero_tol(phi
 
 
 def _vectorised_touch_points(form, t0, t1, level, dead):
-    """``touch_points`` with the touch rule's tail as one numpy pass over all runs: the reference of its walk."""
+    """``touch_points`` with the touch rule's tail as one numpy pass over all runs: the reference of its walk.
+
+    It keeps the early return on abutting zones beside a dead window that ``touch_points`` leaves to its end filters.
+    """
     theta = form._zone_angle(t1, level)
     if theta is None or (dead and theta == 0.0):
         return []
@@ -363,7 +366,7 @@ def test_touch_walk_matches_the_vectorised_reference(phi):
     # equal values, so the lists agree exactly: at and within hairs of the phi threshold, near product states, past
     # pi/2, from t0 = 0 and t0 > 0, over up to 60 periods, at three levels, beside the report's own dead windows
     rng = np.random.default_rng(27)
-    touching = ends = 0
+    touching = ends = abutting = 0
     for draw in range(700):
         big_g = rng.uniform(0.1, 3.0)
         params = ModelParams.from_detuning(rng.uniform(-3.0, 3.0), big_g, 10.0 * big_g + 5.0)
@@ -380,7 +383,10 @@ def test_touch_walk_matches_the_vectorised_reference(phi):
             assert touches == _vectorised_touch_points(form, t0, t1, level, dead), (alpha, t0, t1, level)
             touching += bool(touches)
             ends += t1 in touches
-    assert touching > 300 and ends > 0  # the draws reach the walk, and its clipped ends
+            abutting += bool(dead) and form._zone_angle(t1, level) == 0.0
+    # the draws reach the walk, its clipped ends and, for phi (psi dies only as a product state, which no draw is),
+    # zones that abut beside a dead window, where touch_points leaves the reference's early return to its end filters
+    assert touching > 300 and ends > 0 and (abutting > 300 or not phi)
 
 
 @pytest.mark.parametrize("amplitudes, coherence", [(psi_amplitudes, (1, 2)), (phi_amplitudes, (0, 3))])
