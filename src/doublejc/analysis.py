@@ -89,7 +89,7 @@ class ConcurrenceSeries:
 
     @classmethod
     def _of_checked(cls, *fields) -> "ConcurrenceSeries":
-        """A series of arrays that already passed :func:`_checked` together, built without a second check."""
+        """A series of arrays that passed :func:`_checked` or :func:`_oracle_rows` together, not checked again."""
         series = object.__new__(cls)
         series.__dict__.update(zip(cls.__dataclass_fields__, fields))
         return series
@@ -112,6 +112,18 @@ def _checked(times, rows, signed=None):
         raise ValueError("signed values must be finite and match the values")
     for array in (times, values, signed):
         array.flags.writeable = False
+    return times, values, signed
+
+
+def _oracle_rows(inits, params: ModelParams, pairs, t_max: float, steps: int, cutoff: int):
+    """The scan grid and the oracle's values and signed rows on it, pairs x states x times, frozen: ``_grid`` checks
+    the grid and the clip bounds the values, so only the finiteness :func:`_checked` asks of signed rows is left."""
+    times = _grid(t_max, steps)
+    signed = _oracle_values(inits, _propagator(params, cutoff), pairs, times, cutoff)
+    values = np.clip(signed, 0.0, 1.0)
+    if not np.isfinite(signed).all():
+        _checked(times, values.reshape(-1, times.size), signed.reshape(-1, times.size))  # raises its error
+    times.flags.writeable = values.flags.writeable = signed.flags.writeable = False
     return times, values, signed
 
 
@@ -225,11 +237,9 @@ def scan_pairs(
     """Oracle concurrence series for several pairs from one shared propagation."""
     if not pairs:
         raise ValueError("pair list must be nonempty")
-    times = _grid(t_max, steps)
-    signed = _oracle_values([init], _propagator(params, cutoff), pairs, times, cutoff)[:, 0]
-    times, values, signed = _checked(times, np.clip(signed, 0.0, 1.0), signed)
+    times, values, signed = _oracle_rows([init], params, pairs, t_max, steps, cutoff)
     return {pair.name: ConcurrenceSeries._of_checked(times, row, pair, Source.ORACLE, init, params, signs)
-            for pair, row, signs in zip(pairs, values, signed)}
+            for pair, row, signs in zip(pairs, values[:, 0], signed[:, 0])}
 
 
 def scan(
@@ -306,8 +316,8 @@ def detect_death(series: ConcurrenceSeries) -> DeathReport:
     windows and, at ``ZERO_TOL``, the exact touch points (see ``closedform._StateForm.touch_points``).  On the oracle,
     each zero run of grid values <= ``ZERO_TOL`` is decided once, by its own samples of ``series.signed``: dead where
     one drops below -``closedform.FEW_ULPS``, from the linear root across the cell before its first such sample to the
-    one after its last (live side clamped at >= 0; at a grid end, the end); a product state, dead over the run, where
-    two or more lie within FEW_ULPS of zero; otherwise a touch point at its smallest value.
+    one after its last (live side clamped at >= 0, each root into its cell; at a grid end, the end); a product state,
+    dead over the run, where two or more lie within FEW_ULPS of zero; otherwise a touch point at its smallest value.
     """
     if series.times.size == 0:
         raise ValueError("empty series")
@@ -334,8 +344,9 @@ def _classify(times: np.ndarray, values: np.ndarray, signed: np.ndarray, constan
         if negative.size:
             first, last = i0 + int(negative[0]), i0 + int(negative[-1])
             cells = ((first, max(first - 1, 0)), (last, min(last + 1, end)))  # (dead, live) sample pairs
-            roots = (times[d] + (times[n] - times[d]) * signed[d] / (signed[d] - max(signed[n], 0.0)) for d, n in cells)
-            dead.append(tuple(map(float, roots)))
+            start, stop = (times[d] + (times[n] - times[d]) * signed[d] / (signed[d] - max(signed[n], 0.0))
+                           for d, n in cells)  # each steps from its dead sample to its live one, and can round past it
+            dead.append((float(max(start, times[cells[0][1]])), float(min(stop, times[cells[1][1]]))))  # into its cell
         elif i1 > i0 and np.all(np.abs(run) <= few_ulps):  # a product state
             dead.append((float(times[i0]), float(times[i1])))
         else:
@@ -408,9 +419,7 @@ def sweep_alpha(
     inits = [InitialState(family, alpha) for alpha in alphas]
     constants = derive_constants(params)
     if source is Source.ORACLE:
-        times = _grid(t_max, steps)
-        signed = _oracle_values(inits, _propagator(params, cutoff), [ATOM_PAIR], times, cutoff)[0]
-        times, rows, signed = _checked(times, np.clip(signed, 0.0, 1.0), signed)
+        times, (rows,), (signed,) = _oracle_rows(inits, params, [ATOM_PAIR], t_max, steps, cutoff)  # its one pair
         return [(alpha, _classify(times, row, signs, constants)) for alpha, row, signs in zip(alphas, rows, signed)]
     _check_grid(t_max, steps)
     t_max = float(t_max)  # linspace's ends are exactly 0.0 and t_max

@@ -150,6 +150,7 @@ class Propagator:
             energies, self.modes[rows, cols] = np.linalg.eigh(h[rows, cols] - shift * np.eye(size))
             self.energies[index] = energies + shift[..., 0]
         self.energies.flags.writeable = self.modes.flags.writeable = False  # shared through the analysis cache
+        self._max_energy = float(np.abs(self.energies).max())  # max|E|, which bounds every phase E t
 
     def evolve(self, state0: PureState, t: float) -> PureState:
         """State at time t from ``state0`` at time 0."""
@@ -163,14 +164,14 @@ class Propagator:
         """
         _check_time(times)
         times = np.asarray(times, dtype=float)
-        if not math.isfinite(float(np.abs(self.energies).max()) * float(np.max(times, initial=0.0))):
+        if not math.isfinite(self._max_energy * float(times.max(initial=0.0))):
             raise ValueError("propagation phase max|E| * max(t) is not finite")
         single = isinstance(states, PureState)
-        amplitudes = np.stack([state.amplitudes for state in ([states] if single else states)], axis=1)
+        amplitudes = states.amplitudes[:, None] if single else np.stack([state.amplitudes for state in states], axis=1)
         if amplitudes.shape[0] != self.energies.size:
             raise ValueError("state dimension does not match operator")
         coeffs = self.modes.conj().T @ amplitudes
-        occupied = np.flatnonzero(np.any(coeffs != 0, axis=1))
+        occupied = (coeffs != 0).any(axis=1).nonzero()[0]
         phases = np.exp(-1j * np.outer(self.energies[occupied], times))
         weighted = (phases[:, None, :] * coeffs[occupied, :, None]).reshape(occupied.size, -1)
         columns = self.modes[:, occupied] @ weighted
@@ -237,24 +238,24 @@ def _svd2(m: np.ndarray) -> np.ndarray:
     """Singular values, descending, of a stack of complex 2 x 2 matrices: ... x 2 x 2 x T to ... x 2 x T.
 
     The stack's axis T comes last, so every step runs along it.
-    Each matrix is scaled by a power of two at or above its largest modulus (exact, and
-    1 for a zero matrix), so its products neither overflow nor underflow; the power is at
-    least 2^-1021, since numpy's complex division by it forms its reciprocal.  A unitary
-    Givens rotation of its first column and two phases bring it to the real upper
-    triangle [[f, g], [0, h]], whose singular values follow as in LAPACK's dlas2: the
-    larger from two hypotenuses, the smaller as f h over the larger.
+    Each matrix is multiplied by the reciprocal of a power of two at or above its largest modulus (exact, and 1
+    for a zero matrix), so its products neither overflow nor underflow; the power is at least 2^-1021, which keeps
+    that reciprocal finite, and scaled entries reach the values only through moduli, so no sign of a zero does.
+    A unitary Givens rotation of its first column and two phases bring it to the real upper triangle [[f, g], [0, h]],
+    whose singular values follow as in LAPACK's dlas2: the larger from two hypotenuses, the smaller as f h over it.
     """
     modulus = np.abs(m)
-    scale = np.ldexp(1.0, np.maximum(np.frexp(modulus.max(axis=(-3, -2)))[1], -1021))[..., None, None, :]
-    (a, b), (c, d) = np.moveaxis(m / scale, (-3, -2), (0, 1))
-    (abs_a, abs_b), (abs_c, abs_d) = np.moveaxis(modulus / scale, (-3, -2), (0, 1))
+    exponent = np.maximum(np.frexp(modulus.max(axis=(-3, -2)))[1], -1021)[..., None, :]
+    inverse = np.ldexp(1.0, -exponent)[..., None, :]
+    (a, b, c, d), (abs_a, abs_b, abs_c, abs_d) = ([array[..., i // 2, i % 2, :] for i in range(4)]
+                                                  for array in (m * inverse, modulus * inverse))
     f = np.hypot(abs_a, abs_c)
     rotated = f > 0  # else the first column is zero and [[0, b], [0, d]] needs no rotation
     over = np.where(rotated, f, 1.0)
     g = np.where(rotated, np.abs(a.conj() * b + c.conj() * d) / over, abs_b)
     h = np.where(rotated, np.abs(a * d - b * c) / over, abs_d)
     large = 0.5 * (np.hypot(f + h, g) + np.hypot(f - h, g))  # 0 only for a zero matrix
-    return np.stack([large, f * h / np.maximum(large, np.finfo(float).tiny)], -2) * scale[..., 0, :]
+    return np.stack([large, f * h / np.maximum(large, np.finfo(float).tiny)], -2) * np.ldexp(1.0, exponent)
 
 
 @functools.lru_cache(maxsize=64)
@@ -294,8 +295,8 @@ def _block_concurrences(blocks: np.ndarray) -> np.ndarray:
         values = (np.abs(part) if size == 1 else _svd2(part) if size == 2 else
                   np.moveaxis(np.linalg.svd(np.moveaxis(part, -1, 0), compute_uv=False), 0, -1))
         x[slots] = values.reshape(-1, steps)
-    x = -np.sort(-x.reshape(pairs, k, steps), axis=1)
-    return x[:, 0] - x[:, 1] - x[:, 2] - x[:, 3]
+    x = np.sort(x.reshape(pairs, k, steps), axis=1)  # ascending: the largest four are the last
+    return x[:, -1] - x[:, -2] - x[:, -3] - x[:, -4]
 
 
 def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.ndarray:

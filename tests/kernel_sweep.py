@@ -5,7 +5,7 @@
 The oracle takes the Wootters lambda_i as the singular values of the blocks of
 tau's exact nonzero pattern (``doublejc.numerics._block_concurrences``), with a
 closed formula for 2 x 2 blocks (``_svd2``).  This script checks both against
-``np.linalg.svd``:
+``np.linalg.svd``, and the scaling inside ``_svd2`` against its older form:
 
 * COUNT random hard 2 x 2 blocks of each kind (rank one, equal singular values,
   zero rows and columns, complex-symmetric, random), each scaled by 10^e with
@@ -21,14 +21,19 @@ closed formula for 2 x 2 blocks (``_svd2``).  This script checks both against
   each batch propagated and reduced in one ``doublejc.analysis._oracle_values``
   call: every state's rows within ``SIGNED_TOL`` of the same call on that state
   alone (a batch shares one block pattern, so a block may be larger than the
-  state's own).
+  state's own);
+* COUNT random hard 2 x 2 blocks of each kind again, scaled by 10^e with e in
+  [-300, 300]: ``_svd2``, which multiplies each block by the reciprocal of its
+  power-of-two scale, equal bit for bit to ``divided_svd2``, which divides by
+  that scale.  Both scalings are exact, so a mismatch means that the platform
+  rounds one of them.
 
 The kernel's stacks keep the time axis last (g x 4 x k x T, and 2 x 2 x T for
 ``_svd2``), and so do the blocks here.
 
-The 2 x 2 formula rests on ``np.hypot`` and exact complex rounding, which a
-platform's numpy or libm could change: the test suite runs a small count, CI a
-large one.  Exits 1 on any mismatch.
+The 2 x 2 formula rests on ``np.hypot``, exact scaling and exact complex
+rounding, which a platform's numpy or libm could change: the test suite runs a
+small count, CI a large one.  Exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -58,8 +63,9 @@ def complex_normal(rng, *shape) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def hard_blocks(count: int, rng) -> dict:
-    """2 x 2 x count complex blocks of each hard kind (one block per last index), by name, scaled over 310 decades."""
+def hard_blocks(count: int, rng, decades: tuple = (-160, 150)) -> dict:
+    """2 x 2 x count complex blocks of each hard kind (one block per last index), by name, each scaled by 10^e with e
+    drawn from the inclusive range ``decades``."""
     unitary = np.linalg.qr(complex_normal(rng, count, 2, 2))[0]
     zeroed = complex_normal(rng, count, 2, 2)
     # zero one row, one column, both (one entry left) or everything, by the two mask bits
@@ -75,7 +81,7 @@ def hard_blocks(count: int, rng) -> dict:
         "complex-symmetric": symmetric,
         "random": complex_normal(rng, count, 2, 2),
     }
-    return {name: np.moveaxis(blocks * 10.0 ** rng.integers(-160, 151, (count, 1, 1)), 0, -1)
+    return {name: np.moveaxis(blocks * 10.0 ** rng.integers(decades[0], decades[1] + 1, (count, 1, 1)), 0, -1)
             for name, blocks in kinds.items()}
 
 
@@ -84,6 +90,29 @@ def block_mismatches(blocks: np.ndarray) -> list:
     got = _svd2(blocks)
     want = np.linalg.svd(np.moveaxis(blocks, -1, 0), compute_uv=False).T
     bad = np.abs(got - want).max(axis=0) > BLOCK_ULPS * np.finfo(float).eps * want[0]
+    return [(block.tolist(), g.tolist(), w.tolist())
+            for block, g, w in zip(np.moveaxis(blocks[..., bad], -1, 0), got[:, bad].T, want[:, bad].T)]
+
+
+def divided_svd2(m: np.ndarray) -> np.ndarray:
+    """``_svd2`` with each block divided by its power-of-two scale instead of multiplied by that power's reciprocal."""
+    modulus = np.abs(m)
+    scale = np.ldexp(1.0, np.maximum(np.frexp(modulus.max(axis=(-3, -2)))[1], -1021))[..., None, None, :]
+    (a, b), (c, d) = np.moveaxis(m / scale, (-3, -2), (0, 1))
+    (abs_a, abs_b), (abs_c, abs_d) = np.moveaxis(modulus / scale, (-3, -2), (0, 1))
+    f = np.hypot(abs_a, abs_c)
+    rotated = f > 0
+    over = np.where(rotated, f, 1.0)
+    g = np.where(rotated, np.abs(a.conj() * b + c.conj() * d) / over, abs_b)
+    h = np.where(rotated, np.abs(a * d - b * c) / over, abs_d)
+    large = 0.5 * (np.hypot(f + h, g) + np.hypot(f - h, g))
+    return np.stack([large, f * h / np.maximum(large, np.finfo(float).tiny)], -2) * scale[..., 0, :]
+
+
+def scaling_mismatches(blocks: np.ndarray) -> list:
+    """(block, ``_svd2``'s singular values, ``divided_svd2``'s) wherever their bits differ."""
+    got, want = _svd2(blocks), divided_svd2(blocks)
+    bad = (got.view(np.int64) != want.view(np.int64)).any(axis=0)
     return [(block.tolist(), g.tolist(), w.tolist())
             for block, g, w in zip(np.moveaxis(blocks[..., bad], -1, 0), got[:, bad].T, want[:, bad].T)]
 
@@ -150,11 +179,14 @@ def batch_mismatches(count: int, rng) -> list:
 
 
 def sweep(count: int, seed: int = 0) -> dict:
-    """Mismatches per set: ``count`` hard blocks of each kind, ``count`` sector-supported states, and batches."""
+    """Mismatches per set: ``count`` hard blocks of each kind, ``count`` sector-supported states, batches, and
+    ``count`` hard blocks of each kind over 600 decades, scaled by multiplication against division."""
     rng = np.random.default_rng(seed)
     found = {name: block_mismatches(blocks) for name, blocks in hard_blocks(count, rng).items()}
     found["sector-supported states"] = kernel_mismatches(count, rng)
     found["batched states"] = batch_mismatches(count, rng)
+    found["reciprocal against divided scaling"] = [bad for blocks in hard_blocks(count, rng, (-300, 300)).values()
+                                                   for bad in scaling_mismatches(blocks)]
     return found
 
 

@@ -357,8 +357,8 @@ def test_oracle_series_carries_the_signed_wootters_value():
 def _two_pass_classify(series):
     """The oracle report by the two-pass bracket rule ``detect_death`` replaced: the reference of its one pass.
 
-    Each zero run gives its signed window, and a run is then a touch point only if the grid cells bracketing it
-    meet no dead window, found by one binary search of the windows' ends.
+    Each zero run gives its signed window, each edge clamped into its own cell, and a run is then a touch point only
+    if the grid cells bracketing it meet no dead window, found by one binary search of the windows' ends.
     """
     times, values, signed, few_ulps = series.times, series.values, series.signed, closedform.FEW_ULPS
 
@@ -370,8 +370,9 @@ def _two_pass_classify(series):
             return (float(times[i0]), float(times[i1])) if product else None
         first, last = int(negative[0]), int(negative[-1])
         cells = ((first, max(first - 1, 0)), (last, min(last + 1, len(times) - 1)))
-        return tuple(float(times[d] + (times[n] - times[d]) * signed[d] / (signed[d] - max(signed[n], 0.0)))
-                     for d, n in cells)
+        roots = ((times[d] + (times[n] - times[d]) * signed[d] / (signed[d] - max(signed[n], 0.0)), times[d], times[n])
+                 for d, n in cells)
+        return tuple(float(min(max(root, min(ends)), max(ends))) for root, *ends in roots)
 
     runs = analysis._zero_runs(values <= analysis.ZERO_TOL)
     dead = [window for i0, i1 in runs if (window := signed_window(i0, i1))]
@@ -387,13 +388,14 @@ def _two_pass_classify(series):
 
 def test_oracle_touch_beside_a_root_past_its_live_sample_stays():
     # a hand-built, non-uniform row whose second sample reads live but signs zero: (t_n - t_d) s_d / s_d rounds the
-    # window's end one ulp past that sample, into the bracket of the next zero run, which is still a touch point
+    # window's end one ulp past that sample, into the bracket of the next zero run; the end is clamped back to the
+    # sample, and the next run is still a touch point
     times = [0.0, 0.6999949517653684, 1.9276487201667345, 2.9276487201667347, 3.9276487201667347]
     series = ConcurrenceSeries(times, np.array([0.5, 0.0, 0.5, 0.0, 0.5]), ATOM_PAIR, Source.ORACLE,
                                InitialState.phi(0.3), RESONANT, np.array([0.5, -0.29969970324800926, 0.0, 0.0, 0.5]))
     report = detect_death(series)
     [(_, end)] = report.dead_intervals
-    assert end == math.nextafter(times[2], math.inf)
+    assert end == times[2]
     assert report.touch_points == (times[3],)
 
 
@@ -418,12 +420,11 @@ def test_oracle_reports_equal_the_two_pass_bracket_rule():
             assert report == _two_pass_classify(series), (draw, series.pair.name)
             mixed += bool(report.dead_intervals and report.touch_points)
             # each window lies within the samples bracketing its own zero run, one run per window, in time order; a
-            # root across a grid end's own cell, where the end sample is a zero above -FEW_ULPS, rounds (t_n - t_d)
-            # s_d / s_d and may land an ulp or two of t_max past that end
-            times, last, margin = series.times, steps - 1, 2.0 * math.ulp(t_max)
+            # root clamped into its cell stays within [0, t_max] too, where (t_n - t_d) s_d / s_d once rounded it
+            # an ulp past a grid end whose sample is a zero above -FEW_ULPS
+            times, last = series.times, steps - 1
             runs = analysis._zero_runs(series.values <= analysis.ZERO_TOL)
-            brackets = [(times[i0 - 1] if i0 else -margin, times[i1 + 1] if i1 < last else t_max + margin)
-                        for i0, i1 in runs]
+            brackets = [(times[i0 - 1] if i0 else 0.0, times[i1 + 1] if i1 < last else t_max) for i0, i1 in runs]
             owners = [next(k for k, (lo, hi) in enumerate(brackets) if lo <= start <= end <= hi)
                       for start, end in report.dead_intervals]
             assert owners == sorted(set(owners)), (draw, series.pair.name)
@@ -872,6 +873,45 @@ def test_scan_pairs_rejects_mode_overflow_in_a_later_chunk(monkeypatch):
     scan_pairs(overflow_state(), RESONANT, [OWN_CAVITY], 6 * step, 7, cutoff=2)
     with pytest.raises(QubitEquivalenceError, match="mode a"):
         scan_pairs(overflow_state(), RESONANT, [OWN_CAVITY], 23 * step, 24, cutoff=2)
+
+
+@pytest.mark.parametrize("bad, message", [(math.nan, "concurrence values must lie in [0, 1]"),
+                                          (math.inf, "signed values must be finite and match the values"),
+                                          (-math.inf, "signed values must be finite and match the values")])
+def test_oracle_scans_refuse_a_non_finite_signed_row(monkeypatch, bad, message):
+    # only the signed rows' finiteness is checked again; a NaN clips to a NaN value, which the value check names
+    oracle_values = analysis._oracle_values
+
+    def corrupted(*args):
+        rows = oracle_values(*args)
+        rows[-1, -1, 3] = bad
+        return rows
+
+    init = InitialState.phi(0.3)
+    series = scan_pairs(init, RESONANT, ALL_PAIRS, 4.0, 11).values()
+    grid = next(iter(series)).times
+    assert all(each.times is grid for each in series)  # one shared grid
+    assert not any(array.flags.writeable for each in series for array in (each.times, each.values, each.signed))
+    monkeypatch.setattr(analysis, "_oracle_values", corrupted)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scan_pairs(init, RESONANT, ALL_PAIRS, 4.0, 11)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep_alpha(StateFamily.PHI_ALPHA, RESONANT, [0.1, 0.3], 4.0, 11, Source.ORACLE)
+
+
+def test_oracle_dead_edges_lie_within_the_grid():
+    # a root across a grid end's own cell, where the end sample is a zero above -FEW_ULPS, computes (t_n - t_d) s_d /
+    # s_d and rounded an ulp past that end, down to -5.6e-17; each root is now clamped into its cell
+    edges = 0
+    for alpha in (0.0, 1e-13, 0.3):
+        for delta in (0.0, 0.3, 1.0):
+            params = ModelParams.from_detuning(delta, 1.0)
+            for steps in (50, 201, 401):
+                for series in scan_pairs(InitialState.phi(alpha), params, ALL_PAIRS, 40.0, steps).values():
+                    for start, end in detect_death(series).dead_intervals:
+                        assert 0.0 <= start <= end <= 40.0, (alpha, delta, steps, series.pair.name, start, end)
+                        edges += 2
+    assert edges > 300
 
 
 @pytest.mark.parametrize("pairs", [[], ()])

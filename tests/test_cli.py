@@ -296,6 +296,14 @@ def test_death_near_product_phi_dies_twice_on_both_sources(capsys):
     assert len(oracle["dead_intervals"]) == len(closed["dead_intervals"]) == 2
 
 
+def test_death_oracle_product_window_starts_at_the_first_time(capsys):
+    # sample 0 is a zero above -FEW_ULPS, and the root across its cell rounded to -2.7755575615628914e-17
+    rc, out, _ = run_cli(capsys, "death", "--family", "phi", "--alpha", "0", "--delta", "0", "--G", "1",
+                         "--source", "oracle", "--steps", "201", "--tmax", "40")
+    assert rc == 0
+    assert json.loads(out)["dead_intervals"] == [[0.0, 40.0]]
+
+
 
 def test_death_below_the_zero_threshold_floor(capsys):
     # the floor README states: at alpha = 1e-13 every grid value is within ZERO_TOL of zero, so the phi oracle

@@ -458,6 +458,16 @@ def test_svd2_of_blocks_whose_largest_modulus_is_subnormal(scale):
     assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want[:1] + 2 * 2.0**-1074)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e150, 1e300, 1e-310, 1e-320, 4e-323])
+def test_svd2_equals_the_division_scaled_formula_bit_for_bit(scale):
+    # multiplying by the exact reciprocal of the power-of-two scale gives every scaled value that dividing by it
+    # gave; from 1e-310 down the largest modulus is subnormal, and the 2^-1021 floor keeps the reciprocal finite
+    blocks, zero = HARD_BLOCKS * scale, np.zeros((2, 2, 1), dtype=complex)
+    for stack in (np.moveaxis(blocks, 0, -1), np.moveaxis(blocks.reshape(2, 8, 2, 2), 1, -1), zero):
+        got, want = _svd2(stack), kernel_sweep.divided_svd2(stack)
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_svd2_is_within_four_ulps_of_the_exact_singular_values():
     # measured against 40-digit values, so the bound holds whatever LAPACK's own rounding
     for name, blocks in kernel_sweep.hard_blocks(40, np.random.default_rng(67)).items():
@@ -487,6 +497,19 @@ def test_block_kernel_is_the_dense_svd_for_dense_states():
     assert all(blocks.shape[1:] == (4, 4, 50) for blocks in stacks)  # time-last: g x 4 x k x T
     for blocks in stacks:
         assert np.array_equal(_block_concurrences(blocks), kernel_sweep.dense_signed(blocks))
+
+
+@pytest.mark.parametrize("name, traced", [("AB", 9), ("Aa", 6)])
+def test_block_kernel_is_the_dense_svd_past_four_traced_levels(name, traced):
+    # at cutoff 2 tau is k x k with k > 4: its four largest singular values sort to the end, and only the last four
+    # columns give lambda_1..4; a dense tau is one block, which goes to the batched SVD whole
+    rng = np.random.default_rng(83)
+    amplitudes = rng.normal(size=(36, 50)) + 1j * rng.normal(size=(36, 50))
+    if name == "Aa":  # its retained mode a holds at most one photon; B and b are traced
+        amplitudes[np.indices(basis_shape(2)).reshape(4, -1)[2] == 2] = 0.0
+    [blocks] = _pair_blocks(amplitudes / np.linalg.norm(amplitudes, axis=0), 2, [SubsystemPair(name)])
+    assert blocks.shape == (1, 4, traced, 50)
+    assert np.array_equal(_block_concurrences(blocks), kernel_sweep.dense_signed(blocks))
 
 
 def test_block_kernel_matches_the_dense_svd_on_hard_blocks_and_sector_supported_states():
