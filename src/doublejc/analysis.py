@@ -6,13 +6,12 @@ atom-atom expressions or from the numerical oracle (any subsystem pair).
 points and finite dead intervals: on the closed form both are analytic, from
 :mod:`closedform` whatever the grid, and on the oracle grid samples, dead by the
 sign of the Wootters value.  :func:`sweep_alpha` gives the same reports for many angles.
-:func:`validate` cross-checks the closed forms against the oracle at
-amplitude, density-matrix and concurrence level on a common time grid.
+:func:`validate` cross-checks the closed forms against the oracle at amplitude, density-matrix
+and concurrence level; it and every oracle scan and sweep read the one chunked pass of :mod:`numerics`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -24,18 +23,13 @@ from .model import (
     InitialState,
     ModelParams,
     StateFamily,
-    _basis_labels,
     basis_shape,
     derive_constants,
-    initial_state_vector,
 )
 from .numerics import (
     ATOM_PAIR,
-    Propagator,
     SubsystemPair,
-    _block_concurrences,
-    _pair_blocks,
-    build_hamiltonian,
+    _oracle_pass,
 )
 
 __all__ = [
@@ -52,9 +46,6 @@ __all__ = [
 
 #: zero threshold separating the zero runs of a series from numerical dust, on both sources
 ZERO_TOL = 1e-12
-
-#: columns (initial states x time points) the oracle propagates and reduces at once; bounds its working set
-GRID_CHUNK = 1024
 
 
 class Source(Enum):
@@ -119,7 +110,10 @@ def _oracle_rows(inits, params: ModelParams, pairs, t_max: float, steps: int, cu
     """The scan grid and the oracle's values and signed rows on it, pairs x states x times, frozen: ``_grid`` checks
     the grid and the clip bounds the values, so only the finiteness :func:`_checked` asks of signed rows is left."""
     times = _grid(t_max, steps)
-    signed = _oracle_values(inits, _propagator(params, cutoff), pairs, times, cutoff)
+    signed = np.empty((len(pairs), len(inits), times.size))
+    for states, part, columns, stacks, rows in _oracle_pass(inits, params, pairs, times, cutoff):
+        signed[:, states, part] = rows
+        del columns, stacks  # not held while the next chunk propagates
     values = np.clip(signed, 0.0, 1.0)
     if not np.isfinite(signed).all():
         _checked(times, values.reshape(-1, times.size), signed.reshape(-1, times.size))  # raises its error
@@ -192,38 +186,6 @@ def _grid(t_max: float, steps: int, what: str = "a scan") -> np.ndarray:
     if np.any(times[1:] <= times[:-1]):  # as for a subnormal t_max
         raise ValueError("times must be strictly increasing")
     return times
-
-
-@functools.lru_cache(maxsize=8)
-def _propagator(params: ModelParams, cutoff: int) -> Propagator:
-    """The oracle's propagator, diagonalised once per (params, cutoff) while among the 8 most recent."""
-    # module globals looked up at each miss, so rebinding them here (as a tracer or a test does) sees every one
-    h = build_hamiltonian(params, cutoff)  # its finiteness guard and couplings
-    # the frame rotating at nu keeps every pair's concurrence: delta times excited atoms, not the rounded omega + nu n
-    np.fill_diagonal(h, (params.omega - params.nu) * _basis_labels(cutoff)[:2].sum(axis=0))
-    return Propagator(h)
-
-
-def _oracle_chunks(inits, propagator: Propagator, times: np.ndarray, cutoff: int):
-    """Yield (states, part, dim x states x part amplitudes) of the exact propagation, in chunks of at most
-    GRID_CHUNK columns: ``states`` slices ``inits`` and ``part`` the grid, and a chunk's states share one propagation.
-    """
-    states0 = [initial_state_vector(init, cutoff) for init in inits]
-    for first in range(0, len(states0), GRID_CHUNK):
-        group = slice(first, first + GRID_CHUNK)
-        width = GRID_CHUNK // len(states0[group])
-        for start in range(0, times.size, width):
-            part = slice(start, start + width)
-            yield group, part, propagator.evolve_grid(states0[group], times[part])
-
-
-def _oracle_values(inits, propagator: Propagator, pairs, times: np.ndarray, cutoff: int) -> np.ndarray:
-    """Oracle signed Wootters rows, pairs x states x times; one kernel call per chunk and run of equal-k pairs."""
-    rows = np.empty((len(pairs), len(inits), times.size))
-    for states, part, columns in _oracle_chunks(inits, propagator, times, cutoff):
-        signed = map(_block_concurrences, _pair_blocks(columns.reshape(len(columns), -1), cutoff, pairs))
-        rows[:, states, part] = np.concatenate(list(signed)).reshape((len(pairs),) + columns.shape[1:])
-    return rows
 
 
 def scan_pairs(
@@ -375,14 +337,12 @@ def validate(
     times = _grid(t_max, steps, "validation")
 
     errors = np.empty(steps)
-    for _, part, columns in _oracle_chunks([init], _propagator(params, cutoff), times, cutoff):
-        columns, closed = columns[:, 0], form.amplitudes(times[part])
-        [blocks] = _pair_blocks(columns, cutoff, [ATOM_PAIR])
-        rho = np.einsum("gikt,gjkt->tij", blocks, blocks.conj())
+    for _, part, columns, [blocks], signed in _oracle_pass([init], params, [ATOM_PAIR], times, cutoff):
+        closed, rho = form.amplitudes(times[part]), np.einsum("gikt,gjkt->tij", blocks, blocks.conj())
         errors[part] = np.maximum.reduce([
-            np.abs(closed.columns(cutoff) - columns).max(axis=0),
+            np.abs(closed.columns(cutoff) - columns[:, 0]).max(axis=0),
             np.abs(closed.atom_density() - rho).max(axis=(1, 2)),
-            np.abs(form.concurrence(times[part]) - np.clip(_block_concurrences(blocks)[0], 0.0, 1.0)),
+            np.abs(form.concurrence(times[part]) - np.clip(signed[0, 0], 0.0, 1.0)),
         ])
 
     worst = int(np.argmax(errors))  # the first of equal maxima
@@ -407,8 +367,8 @@ def sweep_alpha(
     """Death reports across a grid of superposition angles.
 
     Returns (alpha, report) tuples in grid order, each ``detect_death(scan(...))`` at its angle, bit for bit.
-    The oracle propagates all angles together from one diagonalisation, GRID_CHUNK angle x time columns at a time,
-    and classifies each angle's row.  The closed path reads each angle's report from its closed form over
+    The oracle propagates all angles together from one diagonalisation, ``numerics.GRID_CHUNK`` angle x time columns
+    at a time, and classifies each angle's row.  The closed path reads each angle's report from its closed form over
     [0, t_max] and builds no grid, except to check that one past the proof below strictly increases: its cost grows
     with the angles, the dead windows and the touch points, and does not depend on ``steps``.
     """

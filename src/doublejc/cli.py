@@ -36,7 +36,7 @@ import numpy as np
 from . import _numtext
 from .analysis import Source, detect_death, scan, scan_pairs, sweep_alpha, validate
 from .model import ALPHA_MAX, InitialState, ModelParams, StateFamily, derive_constants
-from .numerics import ALL_PAIRS, QubitEquivalenceError, SubsystemPair
+from .numerics import ALL_PAIRS, ATOM_PAIR, QubitEquivalenceError, SubsystemPair
 
 __all__ = ["main"]
 
@@ -324,10 +324,13 @@ def _cmd_death(ns: argparse.Namespace) -> int:
     init = InitialState(StateFamily(ns.family), ns.alpha)
     if ns.pair == "all":
         raise ValueError("death detection works on a single pair")
-    source = Source(ns.source)
-    series = scan(init, params, SubsystemPair(ns.pair), tmax, ns.steps, source, ns.cutoff)
+    source, pair = Source(ns.source), SubsystemPair(ns.pair)
+    if pair == ATOM_PAIR:  # detect_death(scan(...)) bit for bit, and grid-free on the closed source
+        [(_, report)] = sweep_alpha(init.family, params, [init.alpha], tmax, ns.steps, source, ns.cutoff)
+    else:
+        report = detect_death(scan(init, params, pair, tmax, ns.steps, source, ns.cutoff))
     payload = {"family": init.family.value, "alpha": init.alpha, "pair": ns.pair, "source": source.value,
-               "tmax": tmax, "steps": ns.steps, **detect_death(series).to_dict()}
+               "tmax": tmax, "steps": ns.steps, **report.to_dict()}
     _write_output(ns.out, [_json(payload), "\n"])
     return EXIT_OK
 

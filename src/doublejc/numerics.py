@@ -4,9 +4,9 @@ Everything here works directly on the truncated product space: build the
 full Hamiltonian, propagate exactly through the eigendecomposition of each
 block of its exact nonzero pattern, trace down to any of the six subsystem
 pairs, and evaluate the concurrence of the resulting two-qubit state from the
-blocks of the exact nonzero pattern of its Wootters matrix.  No closed-form
-result enters any code path, so this module serves as an independent check
-on the analytic formulas.
+blocks of the exact nonzero pattern of its Wootters matrix; the analyses read
+all three from one chunked pass over a cached propagator.  No closed-form
+result enters any code path, so it independently checks the closed forms.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .model import (
     _basis_labels,
     _check_time,
     basis_shape,
+    initial_state_vector,
 )
 
 __all__ = [
@@ -41,12 +42,14 @@ __all__ = [
     "partial_trace_pair",
     "wootters_concurrence",
     "pair_concurrence",
-    "pair_concurrences",
 ]
 
 #: population allowed above Fock level 1 in a retained mode before the
 #: two-level (qubit) description of that mode breaks down
 QUBIT_EQUIV_TOL = 1e-10
+
+#: columns (initial states x time points) the oracle propagates and reduces at once; bounds its working set
+GRID_CHUNK = 1024
 
 
 class QubitEquivalenceError(RuntimeError):
@@ -299,13 +302,34 @@ def _block_concurrences(blocks: np.ndarray) -> np.ndarray:
     return x[:, -1] - x[:, -2] - x[:, -3] - x[:, -4]
 
 
-def pair_concurrences(columns: np.ndarray, cutoff: int, pair: SubsystemPair) -> np.ndarray:
-    """Concurrence of a subsystem pair at every time point, from one pass of the block kernel.
+@functools.lru_cache(maxsize=8)
+def _propagator(params: ModelParams, cutoff: int) -> Propagator:
+    """The oracle's propagator, diagonalised once per (params, cutoff) while among the 8 most recent."""
+    # module globals looked up at each miss, so rebinding them here (as a tracer or a test does) sees every one
+    h = build_hamiltonian(params, cutoff)  # its finiteness guard and couplings
+    # the frame rotating at nu keeps every pair's concurrence: delta times excited atoms, not the rounded omega + nu n
+    np.fill_diagonal(h, (params.omega - params.nu) * _basis_labels(cutoff)[:2].sum(axis=0))
+    return Propagator(h)
 
-    ``columns`` is the dim x T amplitude array that :meth:`Propagator.evolve_grid` returns.
+
+def _oracle_pass(inits, params: ModelParams, pairs, times: np.ndarray, cutoff: int):
+    """Yield (states, part, columns, stacks, signed) per chunk of at most GRID_CHUNK columns of the exact propagation.
+
+    ``states`` slices ``inits`` and ``part`` the grid, and a chunk's states share one propagation: ``columns`` holds
+    its dim x states x part amplitudes, ``stacks`` their :func:`_pair_blocks` in pair order and ``signed`` the pairs x
+    states x part signed Wootters rows, one kernel call per run of equal-k pairs.
     """
-    [blocks] = _pair_blocks(columns, cutoff, [pair])
-    return np.clip(_block_concurrences(blocks)[0], 0.0, 1.0)
+    propagator, states0 = _propagator(params, cutoff), [initial_state_vector(init, cutoff) for init in inits]
+    for first in range(0, len(states0), GRID_CHUNK):
+        group = slice(first, first + GRID_CHUNK)
+        width = GRID_CHUNK // len(states0[group])
+        for start in range(0, times.size, width):
+            part = slice(start, start + width)
+            columns = propagator.evolve_grid(states0[group], times[part])
+            stacks = _pair_blocks(columns.reshape(len(columns), -1), cutoff, pairs)
+            signed = np.concatenate([_block_concurrences(blocks) for blocks in stacks])
+            yield group, part, columns, stacks, signed.reshape((len(pairs),) + columns.shape[1:])
+            del columns, stacks, signed  # not held here while the next chunk propagates
 
 
 def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
@@ -327,4 +351,5 @@ def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
 
 def pair_concurrence(state: PureState, pair: SubsystemPair) -> float:
     """Concurrence between two subsystems of a pure total state."""
-    return float(pair_concurrences(state.amplitudes[:, None], state.cutoff, pair)[0])
+    [blocks] = _pair_blocks(state.amplitudes[:, None], state.cutoff, [pair])
+    return float(np.clip(_block_concurrences(blocks)[0, 0], 0.0, 1.0))

@@ -1,4 +1,4 @@
-"""Cross-check of the oracle's block Wootters kernel against a dense SVD of the same tau.
+"""Cross-check of the oracle's block Wootters kernel against a dense SVD of the same tau, and of its death verdicts.
 
     python tests/kernel_sweep.py COUNT [--seed N]
 
@@ -18,15 +18,25 @@ closed formula for 2 x 2 blocks (``_svd2``).  This script checks both against
   signed lambda_1 - lambda_2 - lambda_3 - lambda_4 of every pair the state
   allows, within ``SIGNED_TOL`` of the dense SVD of the same tau;
 * COUNT such states again, within the cutoff and drawn in batches of 2 to 6,
-  each batch propagated and reduced in one ``doublejc.analysis._oracle_values``
-  call: every state's rows within ``SIGNED_TOL`` of the same call on that state
-  alone (a batch shares one block pattern, so a block may be larger than the
-  state's own);
+  each batch propagated and reduced in one ``doublejc.numerics._oracle_pass``:
+  every state's rows within ``SIGNED_TOL`` of the same pass on that state alone
+  (a batch shares one block pattern, so a block may be larger than the state's
+  own);
 * COUNT random hard 2 x 2 blocks of each kind again, scaled by 10^e with e in
   [-300, 300]: ``_svd2``, which multiplies each block by the reciprocal of its
   power-of-two scale, equal bit for bit to ``divided_svd2``, which divides by
   that scale.  Both scalings are exact, so a mismatch means that the platform
-  rounds one of them.
+  rounds one of them;
+* COUNT / 20 random psi, phi and custom states at cutoffs 1 and 2, all six pairs
+  over 101 times of one ``_oracle_pass``: the smallest eigenvalue of the partial
+  transpose of rho = B B^dagger, from one batched ``eigvalsh``, negative exactly
+  where the signed Wootters row is positive.  A two-qubit state is separable
+  exactly when its partial transpose is positive (Peres, PRL 77, 1413, 1996;
+  Horodecki, Horodecki and Horodecki, Phys. Lett. A 223, 1, 1996), so this
+  death verdict shares no code with the kernel's.  Only points where both are
+  decided count: |signed| above ``DECIDED_SIGNED`` and |lambda_min| above
+  ``DECIDED_EIGENVALUE``; near a zero the partial-transpose eigenvalue can go
+  like the square of the concurrence, as it does for psi.
 
 The kernel's stacks keep the time axis last (g x 4 x k x T, and 2 x 2 x T for
 ``_svd2``), and so do the blocks here.
@@ -48,15 +58,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from doublejc import (  # noqa: E402
-    ALL_PAIRS, InitialState, ModelParams, Propagator, PureState, basis_shape, build_hamiltonian,
+    ALL_PAIRS, InitialState, ModelParams, Propagator, PureState, StateFamily, basis_shape, build_hamiltonian,
 )
-from doublejc.analysis import _oracle_values  # noqa: E402
-from doublejc.numerics import _block_concurrences, _pair_blocks, _svd2  # noqa: E402
+from doublejc.numerics import _block_concurrences, _oracle_pass, _pair_blocks, _svd2  # noqa: E402
 
 #: allowed distance of the block kernel's signed Wootters value from the dense SVD's
 SIGNED_TOL = 1e-15
 #: allowed distance of a 2 x 2 block's singular values from LAPACK's, in units of eps * ||B||_2
 BLOCK_ULPS = 8
+#: a point's death verdict counts only where |signed Wootters value| and |smallest partial-transpose eigenvalue|
+#: both exceed these
+DECIDED_SIGNED, DECIDED_EIGENVALUE = 1e-9, 1e-12
 
 
 def complex_normal(rng, *shape) -> np.ndarray:
@@ -158,6 +170,14 @@ def kernel_mismatches(count: int, rng) -> list:
     return bad
 
 
+def pass_rows(inits, params: ModelParams, pairs, times: np.ndarray, cutoff: int) -> np.ndarray:
+    """Signed rows, pairs x states x times, of one ``_oracle_pass``."""
+    rows = np.empty((len(pairs), len(inits), times.size))
+    for states, part, _, _, signed in _oracle_pass(inits, params, pairs, times, cutoff):
+        rows[:, states, part] = signed
+    return rows
+
+
 def batch_mismatches(count: int, rng) -> list:
     """(cutoff, pair, state in batch, batched row, lone row) wherever a batched state's row differs by more than
     SIGNED_TOL from its own, over about ``count`` states within the cutoff in batches of 2 to 6."""
@@ -168,25 +188,56 @@ def batch_mismatches(count: int, rng) -> list:
         inits = [InitialState.custom(state.amplitudes) for state, _ in drawn]
         pairs = [pair for pair in ALL_PAIRS if all(pair in allowed for _, allowed in drawn)]
         params = ModelParams.from_detuning(rng.uniform(-2, 2), rng.uniform(0.2, 3.0), rng.uniform(3.0, 20.0))
-        propagator, times = Propagator(build_hamiltonian(params, cutoff)), np.sort(rng.uniform(0, 20, 8))
-        batched = _oracle_values(inits, propagator, pairs, times, cutoff)
+        times = np.sort(rng.uniform(0, 20, 8))
+        batched = pass_rows(inits, params, pairs, times, cutoff)
         for j, init in enumerate(inits):
-            alone = _oracle_values([init], propagator, pairs, times, cutoff)[:, 0]
+            alone = pass_rows([init], params, pairs, times, cutoff)[:, 0]
             for pair, got, want in zip(pairs, batched[:, j], alone):
                 if np.abs(got - want).max() > SIGNED_TOL:
                     bad.append((cutoff, pair.name, j, got.tolist(), want.tolist()))
     return bad
 
 
+def partial_transpose_min(blocks: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue, g x T, of the partial transpose over the second qubit of each rho = B B^dagger of a
+    g x 4 x k x T stack, from one batched ``eigvalsh``."""
+    pairs, _, _, steps = blocks.shape
+    rho = np.einsum("gikt,gjkt->gtij", blocks, blocks.conj()).reshape(pairs, steps, 2, 2, 2, 2)
+    return np.linalg.eigvalsh(rho.transpose(0, 1, 2, 5, 4, 3).reshape(pairs, steps, 4, 4))[..., 0]
+
+
+def death_sign_disagreements(draws: int, rng) -> tuple:
+    """([(cutoff, pair, time, signed, lambda_min)] wherever both are decided and disagree on death, decided points,
+    decided dead points) over ``draws`` random psi, phi or custom states, all six pairs at 101 times."""
+    bad, decided, dead = [], 0, 0
+    for _ in range(draws):
+        cutoff, kind = int(rng.integers(1, 3)), rng.choice(["psi", "phi", "custom"])
+        if kind == "custom":  # one excitation at most per pair keeps every mode a qubit
+            init = InitialState.custom(sector_state(cutoff, rng, top=1)[0].amplitudes)
+        else:
+            init = InitialState(StateFamily(kind), rng.uniform(0, math.pi / 2))
+        params = ModelParams.from_detuning(rng.uniform(-2, 2), rng.uniform(0.2, 3.0), rng.uniform(3.0, 20.0))
+        times = np.linspace(0.0, rng.uniform(5, 40), 101)
+        for _, part, _, stacks, signed in _oracle_pass([init], params, ALL_PAIRS, times, cutoff):
+            least, signed = np.concatenate([partial_transpose_min(blocks) for blocks in stacks]), signed[:, 0]
+            sure = (np.abs(signed) > DECIDED_SIGNED) & (np.abs(least) > DECIDED_EIGENVALUE)
+            decided, dead = decided + int(sure.sum()), dead + int((sure & (signed < 0)).sum())
+            for p, t in zip(*np.nonzero(sure & ((least < 0) != (signed > 0)))):
+                bad.append((cutoff, ALL_PAIRS[p].name, float(times[part][t]), float(signed[p, t]), float(least[p, t])))
+    return bad, decided, dead
+
+
 def sweep(count: int, seed: int = 0) -> dict:
-    """Mismatches per set: ``count`` hard blocks of each kind, ``count`` sector-supported states, batches, and
-    ``count`` hard blocks of each kind over 600 decades, scaled by multiplication against division."""
+    """Mismatches per set: ``count`` hard blocks of each kind, ``count`` sector-supported states, batches,
+    ``count`` hard blocks of each kind over 600 decades, scaled by multiplication against division, and the
+    partial-transpose death verdicts of ``count`` / 20 states."""
     rng = np.random.default_rng(seed)
     found = {name: block_mismatches(blocks) for name, blocks in hard_blocks(count, rng).items()}
     found["sector-supported states"] = kernel_mismatches(count, rng)
     found["batched states"] = batch_mismatches(count, rng)
     found["reciprocal against divided scaling"] = [bad for blocks in hard_blocks(count, rng, (-300, 300)).values()
                                                    for bad in scaling_mismatches(blocks)]
+    found["partial-transpose sign"] = death_sign_disagreements(max(1, count // 20), rng)[0]
     return found
 
 

@@ -29,6 +29,7 @@ from doublejc import (
     derive_constants,
     detect_death,
     initial_state_vector,
+    numerics,
     partial_trace_pair,
     phi_f,
     scan,
@@ -866,7 +867,7 @@ def test_scan_pairs_rejects_mode_overflow():
 
 
 def test_scan_pairs_rejects_mode_overflow_in_a_later_chunk(monkeypatch):
-    monkeypatch.setattr(analysis, "GRID_CHUNK", 7)
+    monkeypatch.setattr(numerics, "GRID_CHUNK", 7)
     # |g 2> holds sin^2(t / sqrt 2) ~ t^2 / 2, which first passes QUBIT_EQUIV_TOL = 1e-10
     # between grid points 6 and 7, in the second chunk of a 24-point grid
     step = 2.2e-6
@@ -880,19 +881,19 @@ def test_scan_pairs_rejects_mode_overflow_in_a_later_chunk(monkeypatch):
                                           (-math.inf, "signed values must be finite and match the values")])
 def test_oracle_scans_refuse_a_non_finite_signed_row(monkeypatch, bad, message):
     # only the signed rows' finiteness is checked again; a NaN clips to a NaN value, which the value check names
-    oracle_values = analysis._oracle_values
+    oracle_pass = analysis._oracle_pass
 
     def corrupted(*args):
-        rows = oracle_values(*args)
-        rows[-1, -1, 3] = bad
-        return rows
+        for states, part, columns, stacks, signed in oracle_pass(*args):  # the 11-point grid is one chunk
+            signed[-1, -1, 3] = bad
+            yield states, part, columns, stacks, signed
 
     init = InitialState.phi(0.3)
     series = scan_pairs(init, RESONANT, ALL_PAIRS, 4.0, 11).values()
     grid = next(iter(series)).times
     assert all(each.times is grid for each in series)  # one shared grid
     assert not any(array.flags.writeable for each in series for array in (each.times, each.values, each.signed))
-    monkeypatch.setattr(analysis, "_oracle_values", corrupted)
+    monkeypatch.setattr(analysis, "_oracle_pass", corrupted)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         scan_pairs(init, RESONANT, ALL_PAIRS, 4.0, 11)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -956,29 +957,29 @@ def test_cached_propagators_give_the_uncached_results(monkeypatch):
 
     fresh = {}
     for params in (first, second):
-        analysis._propagator.cache_clear()
+        numerics._propagator.cache_clear()
         fresh[params] = run(params)
-    analysis._propagator.cache_clear()
+    numerics._propagator.cache_clear()
     for params in (first, second, first):
         rows, report = run(params)
         assert all(np.array_equal(got, want) for got, want in zip(rows, fresh[params][0]))
         assert report == fresh[params][1]
     # a repeat at the same parameters diagonalises nothing: the cache looks the builder up on the module
     builds = []
-    monkeypatch.setattr(analysis, "build_hamiltonian", lambda *args: builds.append(args) or build_hamiltonian(*args))
+    monkeypatch.setattr(numerics, "build_hamiltonian", lambda *args: builds.append(args) or build_hamiltonian(*args))
     run(first)
     sweep_alpha(StateFamily.PHI_ALPHA, second, [0.2, 0.6], 8.0, 41, Source.ORACLE)
     assert builds == []
     run(ModelParams.from_detuning(0.25, 1.0))
     assert builds == [(ModelParams.from_detuning(0.25, 1.0), 1)]
-    assert analysis._propagator.cache_info().maxsize == 8
+    assert numerics._propagator.cache_info().maxsize == 8
 
 
 def test_chunked_oracle_matches_unchunked(monkeypatch):
     init, params = InitialState.phi(0.3), ModelParams.from_detuning(0.5, 1.0)
     whole = scan_pairs(init, params, ALL_PAIRS, 10.0, 101)
     report = validate(init, params, 10.0, 101)
-    monkeypatch.setattr(analysis, "GRID_CHUNK", 7)
+    monkeypatch.setattr(numerics, "GRID_CHUNK", 7)
     chunked = scan_pairs(init, params, ALL_PAIRS, 10.0, 101)
     for pair in ALL_PAIRS:
         np.testing.assert_allclose(chunked[pair.name].values, whole[pair.name].values, rtol=0, atol=1e-15)
@@ -994,7 +995,7 @@ def test_chunked_oracle_sweep_matches_unchunked(monkeypatch, family, chunk):
     # points a chunk), while 7 and 40 take all of them, one and five time points a chunk
     params, alphas = ModelParams.from_detuning(0.5, 1.0), [0.0, 1e-13, 0.2, 0.5, math.pi / 4, 1.1, -0.3]
     whole = sweep_alpha(family, params, alphas, 10.0, 101, Source.ORACLE)
-    monkeypatch.setattr(analysis, "GRID_CHUNK", chunk)
+    monkeypatch.setattr(numerics, "GRID_CHUNK", chunk)
     assert sweep_alpha(family, params, alphas, 10.0, 101, Source.ORACLE) == whole
 
 

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -994,9 +995,25 @@ def test_qubit_equivalence_maps_to_exit_3(monkeypatch, capsys):
         raise QubitEquivalenceError("mode a holds population 1.0e-02 above one photon")
 
     monkeypatch.setattr(cli_module, "scan", explode)
-    rc, _, err = run_cli(capsys, "death")
+    # the atom pair reads its report from a sweep; every other pair scans
+    rc, _, err = run_cli(capsys, "death", "--pair", "Aa", "--source", "oracle")
     assert rc == 3
     assert "physical assumption" in err
+
+
+def test_long_closed_death_is_small_and_equals_the_short_one(capsys):
+    # 2,000,001 steps made a 16 MB grid and a closed row that no report read
+    argv = ["death", "--family", "phi", "--alpha", "0.3", "--delta", "0.5", "--G", "1"]
+    tracemalloc.start()
+    try:
+        rc, out, _ = run_cli(capsys, *argv, "--steps", "2000001")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and peak < 1e6
+    long, short = json.loads(out), json.loads(run_cli(capsys, *argv, "--steps", "2001")[1])
+    assert long.pop("steps") == 2_000_001 and short.pop("steps") == 2001
+    assert long == short and long["dead_intervals"]
 
 
 @pytest.mark.parametrize("command", ["scan", "death"])

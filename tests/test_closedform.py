@@ -23,7 +23,7 @@ from doublejc import (
     psi_reduced_density,
 )
 from doublejc import closedform
-from doublejc.analysis import _propagator
+from doublejc.numerics import _propagator
 from doublejc.model import ALPHA_MAX, basis_shape
 
 RESONANT = derive_constants(ModelParams.from_detuning(0.0, 1.0))

@@ -19,7 +19,6 @@ from doublejc import (
     derive_constants,
     initial_state_vector,
     pair_concurrence,
-    pair_concurrences,
     partial_trace_pair,
     phi_amplitudes,
     psi_amplitudes,
@@ -334,17 +333,17 @@ def test_pair_validation():
 
 # ------------------------------------------------------------- concurrence
 
-def test_pair_concurrences_input_validation():
+def test_pair_blocks_input_validation():
     with pytest.raises(ValueError, match="amplitude vector length does not match cutoff"):
-        pair_concurrences(np.eye(36, 3), 1, ATOM_PAIR)
+        _pair_blocks(np.eye(36, 3), 1, [ATOM_PAIR])
     with pytest.raises(ValueError, match="state vector must have unit norm"):
-        pair_concurrences(np.ones((16, 2)), 1, ATOM_PAIR)
+        _pair_blocks(np.ones((16, 2)), 1, [ATOM_PAIR])
     # one bad column among good ones is enough
     columns = np.eye(16, 3)
     columns[5, 2] = 1.0
     with pytest.raises(ValueError, match="state vector must have unit norm"):
-        pair_concurrences(columns, 1, ATOM_PAIR)
-    assert pair_concurrences(np.eye(16, 3), 1, ATOM_PAIR).tolist() == [0.0, 0.0, 0.0]
+        _pair_blocks(columns, 1, [ATOM_PAIR])
+    assert [pair_concurrence(PureState(column, 1), ATOM_PAIR) for column in np.eye(16, 3).T] == [0.0, 0.0, 0.0]
 
 
 def test_wootters_bell_states():
@@ -515,6 +514,14 @@ def test_block_kernel_is_the_dense_svd_past_four_traced_levels(name, traced):
 def test_block_kernel_matches_the_dense_svd_on_hard_blocks_and_sector_supported_states():
     found = kernel_sweep.sweep(500, seed=79)
     assert {name: bad[:3] for name, bad in found.items() if bad} == {}
+
+
+def test_partial_transpose_sign_is_the_wootters_death_verdict():
+    # a second death oracle that shares no code with the kernel: for two qubits rho is separable exactly when its
+    # partial transpose is positive, so lambda_min < 0 exactly where the signed Wootters value is > 0
+    bad, decided, dead = kernel_sweep.death_sign_disagreements(60, np.random.default_rng(89))
+    assert bad == []
+    assert decided > 20000 and dead > 1000  # not vacuous: many decided points, many of them dead
 
 
 def mp_phi_pair_concurrence(alpha, delta, big_g, nu, t, pair_name):

@@ -27,7 +27,7 @@ from doublejc import (
     derive_constants,
     detect_death,
     initial_state_vector,
-    pair_concurrences,
+    pair_concurrence,
     phi_concurrence,
     psi_concurrence,
     scan,
@@ -65,9 +65,9 @@ def mixed_state(g):
 def test_concurrence_lies_in_unit_interval(amps, g):
     norm = np.linalg.norm(amps)
     if norm > 1e-3:
-        columns = (amps / norm)[:, None]
+        state = PureState(amps / norm, 1)
         for pair in ALL_PAIRS:
-            assert 0.0 <= pair_concurrences(columns, 1, pair)[0] <= 1.0
+            assert 0.0 <= pair_concurrence(state, pair) <= 1.0
     assert 0.0 <= wootters_concurrence(mixed_state(g)) <= 1.0
 
 
@@ -81,10 +81,10 @@ def test_concurrence_invariant_under_local_unitaries(g, za, zb, amps):
     norm = np.linalg.norm(amps)
     if norm > 1e-3:
         # U_A x U_B on the two atoms of a pure total state, over (atom A, atom B, mode a, mode b)
-        columns = (amps / norm)[:, None]
-        moved = (local @ columns.reshape(4, 4)).reshape(16, 1)
-        before = pair_concurrences(columns, 1, ATOM_PAIR)[0]
-        assert abs(pair_concurrences(moved, 1, ATOM_PAIR)[0] - before) <= 1e-9
+        amplitudes = amps / norm
+        moved = (local @ amplitudes.reshape(4, 4)).ravel()
+        before = pair_concurrence(PureState(amplitudes, 1), ATOM_PAIR)
+        assert abs(pair_concurrence(PureState(moved, 1), ATOM_PAIR) - before) <= 1e-9
 
 
 @bounded
@@ -100,7 +100,8 @@ def test_closed_form_matches_batched_oracle(family, alpha, delta, big_g, t):
     init = InitialState(family, alpha)
     columns = Propagator(build_hamiltonian(params, 1)).evolve_grid(initial_state_vector(init, 1), [t])
     closed = psi_concurrence if family is StateFamily.PSI_ALPHA else phi_concurrence
-    assert abs(pair_concurrences(columns, 1, ATOM_PAIR)[0] - closed(alpha, derive_constants(params), t)) <= 1e-9
+    oracle = pair_concurrence(PureState(columns[:, 0], 1), ATOM_PAIR)
+    assert abs(oracle - closed(alpha, derive_constants(params), t)) <= 1e-9
 
 
 @bounded

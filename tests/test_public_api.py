@@ -26,7 +26,7 @@ def load_spans():
 
 
 def test_public_names_are_listed_once_and_resolve():
-    assert len(doublejc.__all__) == len(set(doublejc.__all__)) == 38
+    assert len(doublejc.__all__) == len(set(doublejc.__all__)) == 37
     for module in (doublejc.model, doublejc.closedform, doublejc.numerics, doublejc.analysis):
         for name in module.__all__:
             assert getattr(doublejc, name) is getattr(module, name)
