@@ -13,7 +13,7 @@ and concurrence level; it and every oracle scan and sweep read the one chunked p
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -80,7 +80,7 @@ class ConcurrenceSeries:
 
     @classmethod
     def _of_checked(cls, *fields) -> "ConcurrenceSeries":
-        """A series of arrays that passed :func:`_checked` or :func:`_oracle_rows` together, not checked again."""
+        """A series of frozen arrays from :func:`_checked`, :func:`_oracle_rows` or a closed :func:`scan`, unchecked."""
         series = object.__new__(cls)
         series.__dict__.update(zip(cls.__dataclass_fields__, fields))
         return series
@@ -107,8 +107,8 @@ def _checked(times, rows, signed=None):
 
 
 def _oracle_rows(inits, params: ModelParams, pairs, t_max: float, steps: int, cutoff: int):
-    """The scan grid and the oracle's values and signed rows on it, pairs x states x times, frozen: ``_grid`` checks
-    the grid and the clip bounds the values, so only the finiteness :func:`_checked` asks of signed rows is left."""
+    """The scan grid and the oracle's values and signed rows on it, pairs x states x times, frozen: ``_check_grid``
+    proves the grid and the clip bounds the values, so only the signed rows' finiteness is left to check."""
     times = _grid(t_max, steps)
     signed = np.empty((len(pairs), len(inits), times.size))
     for states, part, columns, stacks, rows in _oracle_pass(inits, params, pairs, times, cutoff):
@@ -144,12 +144,7 @@ class DeathReport:
         return float(sum(end - start for start, end in self.dead_intervals))
 
     def to_dict(self) -> dict:
-        return {
-            "dead_intervals": [list(iv) for iv in self.dead_intervals],
-            "touch_points": list(self.touch_points),
-            "period": self.period,
-            "initial_concurrence": self.initial_concurrence,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}  # its tuples as they are
 
 
 @dataclass(frozen=True)
@@ -163,29 +158,26 @@ class ValidationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "max_abs_error": self.max_abs_error,
-            "worst_time": self.worst_time,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        return {"pass" if f.name == "passed" else f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _check_grid(t_max: float, steps: int, what: str = "a scan") -> None:
-    """ValueError unless the uniform grid over [0, t_max] has at least two points and t_max is positive and finite."""
+def _check_grid(t_max: float, steps: int, what: str = "a scan") -> float:
+    """t_max as a float, or ValueError unless the uniform grid over [0, t_max] has at least two points, t_max is
+    positive and finite, and ``np.linspace(0.0, t_max, steps)`` strictly increases."""
     if steps < 2:
         raise ValueError(f"{what} needs at least two grid points")
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError("t_max must be positive and finite")
+    t_max = float(t_max)  # a double grid, whose ends are exactly 0.0 and t_max
+    # each point fl(i h) of linspace lies below 2^50 h and rounds by at most h / 8, so such a grid strictly increases
+    if not (steps <= 2**50 and t_max / (steps - 1) >= 2.0**-1022) and np.any(  # any other is built and checked,
+            np.diff(np.linspace(0.0, t_max, steps)) <= 0):  # as one over a subnormal t_max, which repeats 0
+        raise ValueError("times must be strictly increasing")
+    return t_max
 
 
 def _grid(t_max: float, steps: int, what: str = "a scan") -> np.ndarray:
-    _check_grid(t_max, steps, what)
-    times = np.linspace(0.0, t_max, steps)
-    if np.any(times[1:] <= times[:-1]):  # as for a subnormal t_max
-        raise ValueError("times must be strictly increasing")
-    return times
+    return np.linspace(0.0, _check_grid(t_max, steps, what), steps)
 
 
 def scan_pairs(
@@ -227,7 +219,9 @@ def scan(
         raise ValueError("closed-form scans cover only the atom-atom pair")
     times = _grid(t_max, steps)
     _check_phase(constants, t_max)
-    return ConcurrenceSeries(times, form.concurrence(times), pair, Source.CLOSED_FORM, init, params)
+    values = form.concurrence(times)  # a new array, clipped into [0, 1] and finite where the phase is
+    times.flags.writeable = values.flags.writeable = False
+    return ConcurrenceSeries._of_checked(times, values, pair, Source.CLOSED_FORM, init, params, values)
 
 
 def _check_phase(constants, t_max: float) -> None:
@@ -369,7 +363,7 @@ def sweep_alpha(
     Returns (alpha, report) tuples in grid order, each ``detect_death(scan(...))`` at its angle, bit for bit.
     The oracle propagates all angles together from one diagonalisation, ``numerics.GRID_CHUNK`` angle x time columns
     at a time, and classifies each angle's row.  The closed path reads each angle's report from its closed form over
-    [0, t_max] and builds no grid, except to check that one past the proof below strictly increases: its cost grows
+    [0, t_max] and builds no grid unless :func:`_check_grid` must build one to check it: its cost grows
     with the angles, the dead windows and the touch points, and does not depend on ``steps``.
     """
     alphas = [float(a) for a in alpha_grid]
@@ -381,11 +375,7 @@ def sweep_alpha(
     if source is Source.ORACLE:
         times, (rows,), (signed,) = _oracle_rows(inits, params, [ATOM_PAIR], t_max, steps, cutoff)  # its one pair
         return [(alpha, _classify(times, row, signs, constants)) for alpha, row, signs in zip(alphas, rows, signed)]
-    _check_grid(t_max, steps)
-    t_max = float(t_max)  # linspace's ends are exactly 0.0 and t_max
-    # each point fl(i h) of linspace lies below 2^50 h and rounds by at most h / 8, so such a grid strictly increases
-    if not (t_max / (steps - 1) >= 2.0**-1022 and steps <= 2**50):
-        _grid(t_max, steps)  # builds and checks it
+    t_max = _check_grid(t_max, steps)
     _check_phase(constants, t_max)
     # the initial value: at t = 0 the transfer weight is 0, and the row's first value is |sin 2a|, bit for bit
     return [(alpha, _closed_report(closedform.for_state(init, constants), 0.0, t_max, abs(math.sin(2.0 * alpha))))

@@ -38,6 +38,7 @@ from doublejc import (
     validate,
     wootters_concurrence,
 )
+from doublejc.cli import _json
 from doublejc.model import ALPHA_MAX
 
 RESONANT = ModelParams.from_detuning(0.0, 1.0)
@@ -331,6 +332,67 @@ def test_series_freezes_a_copy_of_the_callers_grid():
                                RESONANT)
     times[0] = 5.0  # the caller's array stays writable
     assert series.times.tolist() == [0.0, 0.5, 1.0] and not series.times.flags.writeable
+
+
+def test_closed_scan_is_the_checked_constructors_series_bit_for_bit():
+    # the closed scan freezes its grid and the closed form's clipped row unchecked: each array is the one the public
+    # constructor would build from them, bit for bit, and the signed row is the values themselves
+    rng = np.random.default_rng(101)
+    for _ in range(600):
+        family = StateFamily(rng.choice(["psi", "phi"]))
+        alpha = [0.0, -0.0, math.pi / 2, 1e-13, math.pi / 4, rng.uniform(0, math.pi / 2)][rng.integers(6)]
+        params = ModelParams.from_detuning(rng.uniform(-2, 2), rng.uniform(0.5, 2.0))
+        init, t_max, steps = InitialState(family, alpha), rng.uniform(0.1, 60.0), int(rng.integers(2, 402))
+        got = scan(init, params, ATOM_PAIR, t_max, steps, Source.CLOSED_FORM)
+        times = np.linspace(0.0, t_max, steps)
+        values = closedform.for_state(init, derive_constants(params)).concurrence(times)
+        want = ConcurrenceSeries(times, values, ATOM_PAIR, Source.CLOSED_FORM, init, params)
+        for name in ("times", "values", "signed"):
+            assert np.array_equal(getattr(got, name).view(np.uint64), getattr(want, name).view(np.uint64))
+            assert not getattr(got, name).flags.writeable
+        assert got.signed is got.values
+        assert (got.pair, got.source, got.init, got.params) == (ATOM_PAIR, Source.CLOSED_FORM, init, params)
+
+
+@pytest.mark.parametrize("source", [Source.CLOSED_FORM, Source.ORACLE])
+def test_a_grid_is_of_doubles_whatever_type_t_max_has(source):
+    # _check_grid proves a grid of doubles, so the grid is built from t_max as a float: a float32 t_max once gave
+    # the oracle a float32 grid
+    t_max = np.float32(2.7)
+    series = scan(InitialState.phi(0.3), RESONANT, ATOM_PAIR, t_max, 101, source)
+    assert series.times.dtype == np.float64
+    assert np.array_equal(series.times, np.linspace(0.0, float(t_max), 101))
+
+
+def test_report_dicts_are_the_explicit_dicts_they_replace():
+    # to_dict reads the dataclass fields: the keys, their order and the values of the dicts once written out by
+    # hand, with the report's own tuples in place of list copies, so the printed JSON is unchanged
+    [(_, report)] = sweep_alpha(StateFamily.PHI_ALPHA, RESONANT, [0.3], 4 * math.pi, 401, Source.ORACLE)
+    reports = [report, detect_death(phi_series(math.pi / 4, steps=101)), analysis.DeathReport((), (), 1.0, 0.0)]
+    for death in reports:
+        explicit = {
+            "dead_intervals": [list(iv) for iv in death.dead_intervals],
+            "touch_points": list(death.touch_points),
+            "period": death.period,
+            "initial_concurrence": death.initial_concurrence,
+        }
+        got = death.to_dict()
+        assert list(got) == list(explicit)
+        assert got["dead_intervals"] is death.dead_intervals and got["touch_points"] is death.touch_points
+        assert [got["period"], got["initial_concurrence"]] == [death.period, death.initial_concurrence]
+        assert _json(got) == _json(explicit)
+    assert reports[0].dead_intervals and reports[1].touch_points  # neither is vacuous
+    for passed in (True, False):
+        check = validate(InitialState.phi(0.3), RESONANT, 2.0, 21, 1e-9 if passed else 0.0)
+        explicit = {
+            "max_abs_error": check.max_abs_error,
+            "worst_time": check.worst_time,
+            "samples": check.samples,
+            "tolerance": check.tolerance,
+            "pass": check.passed,
+        }
+        assert list(check.to_dict().items()) == list(explicit.items()) and check.passed is passed
+        assert _json(check.to_dict()) == _json(explicit)
 
 
 def test_series_signed_row_is_checked_and_defaults_to_the_values():

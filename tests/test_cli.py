@@ -403,6 +403,16 @@ def test_a_grid_with_repeated_times_exits_2(capsys, argv):
     assert err == "doublejc: error: times must be strictly increasing\n"
 
 
+@pytest.mark.parametrize("argv", [["scan"], ["scan", "--source", "oracle"], ["death"], ["death", "--source", "oracle"],
+                                  ["validate"], ["sweep"], ["sweep", "--source", "oracle"]])
+def test_a_step_count_past_the_float_range_exits_2(capsys, argv):
+    # the closed sweep and death divided t_max by such a count before building a grid and raised OverflowError;
+    # now every command asks numpy for the grid, which refuses it before allocating
+    rc, out, err = run_cli(capsys, *argv, "--steps", "1" + "0" * 400)
+    assert (rc, out) == (2, "")
+    assert err == "doublejc: error: Maximum allowed size exceeded\n"
+
+
 def test_not_enough_memory_exits_2_with_one_line(capsys, monkeypatch):
     # the basis labels of cutoff 1e7 would take 11.4 PiB, beyond any address space, so the allocation fails at
     # once and nothing is paged in; exit 1 would read as a failed validation

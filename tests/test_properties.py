@@ -261,8 +261,9 @@ def test_every_closed_touch_is_a_zero_run_of_a_grid_on_the_peaks(data, family, d
 @bounded
 @given(steps=st.integers(2, 10**5), data=st.data())
 def test_linspace_strictly_increases_where_the_closed_sweep_does_not_check_it(steps, data):
-    # the closed sweep builds no grid where h = t_max / (steps - 1) >= 2^-1022 and steps <= 2^50: each point
-    # fl(i h) lies below 2^50 h and rounds by at most h / 8, and the ends are exactly 0 and t_max
+    # analysis._check_grid builds and checks no grid where h = t_max / (steps - 1) >= 2^-1022 and steps <= 2^50, and
+    # the closed sweep builds none: each point fl(i h) lies below 2^50 h and rounds by at most h / 8, and the ends are
+    # exactly 0 and t_max
     low = (steps - 1) * 2.0**-1022
     t_max = data.draw(st.one_of(st.just(low), st.floats(low, 1e6 * low), st.floats(low, 1e308)))
     times = np.linspace(0.0, t_max, steps)
