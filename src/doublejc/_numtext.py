@@ -1,8 +1,9 @@
 """Float arrays as exactly the text ``'%.17g' %`` and ``float.__repr__`` write, a chunk per numpy pass: each
 1e-6 < |x| < 1e17 scaled by a power of ten with Dekker's error-free product (Numer. Math. 18, 1971), so that
 x * 10**(16 - k) = V + frac is known exactly and rounds half-even; ``repr`` takes the shortest of 15, 16 and 17
-digits that reads back to x in one correctly rounded operation (Clinger, PLDI 1990).  Python's formatter writes
-the rest: other magnitudes, zeros, NaN and infinities (and for ``repr`` |x| >= 1e15)."""
+digits that reads back to x in one correctly rounded operation (Clinger, PLDI 1990); a zero is written as 1 with
+the leading digit 0.  Python's formatter writes the rest: other magnitudes, NaN and infinities (for ``repr`` also
+|x| >= 1e15)."""
 
 import functools
 
@@ -45,11 +46,11 @@ def _tables():
             words.view(np.uint64).ravel(), zeros, rows.reshape(2, -1, _WIDTH))
 
 
-def _rounded(v, err, floor, drop: int):
-    """(V + frac) / 10**drop rounded half-even, frac = err - floor compared as 2 * err, since it may be no double."""
-    q, rest = np.divmod(v, 10**drop) if drop else (v, 0)
-    edge = 10**drop - 2 * rest + 2 * floor
-    return q + ((2 * err > edge) | ((2 * err == edge) & ((q & 1) == 1)))
+def _rounded(q, rest, err2, floor2, unit: int):
+    """q + (rest + frac) / unit rounded half-even, frac = err - floor compared as 2 * err (``err2``) against 2 * floor
+    (``floor2``) and integers, since it may be no double."""
+    edge = unit - 2 * rest + floor2
+    return q + ((err2 > edge) | ((err2 == edge) & ((q & 1) == 1)))
 
 
 def _text(x, rows, ends, shortest: bool) -> bytes:
@@ -57,7 +58,7 @@ def _text(x, rows, ends, shortest: bool) -> bytes:
     from ``ends`` (NUL-padded uint8 rows) in turn; ``rows`` are the format's fixed columns with ``ends[0]`` after."""
     pow10, high, low, bounds, words, zeros = _tables()[:6]
     a = np.abs(x)
-    fast = (a > 1e-6) & (a < 1e17)
+    fast, zero = (a > 1e-6) & (a < 1e17), a == 0
     a = np.where(fast, a, 1.0)
     # floor(log10(a)), exactly: the double nearest 10**j for -6 < j < 0 lies above 10**j
     k = np.searchsorted(bounds, a, side="right") - 8
@@ -67,24 +68,28 @@ def _text(x, rows, ends, shortest: bool) -> bytes:
     err = al * low[j] - (((p - ah * high[j]) - al * high[j]) - ah * low[j])  # a * 10**j - p, exactly
     floor = np.floor(err)
     v = p.astype(np.int64) + floor.astype(np.int64)
-    r = _rounded(v, err, floor, 0)
+    err2, floor2 = 2 * err, 2 * floor
+    r = _rounded(v, 0, err2, floor2, 1)
     if shortest:
-        r15, r16 = _rounded(v, err, floor, 2), _rounded(v, err, floor, 1)
+        q15 = (q16 := v // 10) // 10
+        r15, r16 = _rounded(q15, v - 100 * q15, err2, floor2, 100), _rounded(q16, v - 10 * q16, err2, floor2, 10)
         # below 1e15 a read-back is one division of exact doubles; above 2**53, where r16 may be no double, half an
         # ulp of x exceeds 5 units of the 17th digit, so the nearest 16 digits always read back
         r = np.where((r16 > 2**53) | (r16 / pow10[j - 1] == a), r16 * 10, r)
         r = np.where(r15 / pow10[j - 2] == a, r15 * 100, r)
         fast &= a < 1e15
     fast &= r < 10**17  # no double in range rounds up to 10**(k + 1), but Python would write one that did
-    # word indices: the leading digit (offset to its words), four groups of four digits, then all-ones words
-    groups = np.full((x.size, rows.shape[1] // 8), 10010, dtype=np.int64)
-    head, tail = np.divmod(r, 10**8)
-    (top, groups[:, 2]), (groups[:, 3], groups[:, 4]) = np.divmod(head, 10**4), np.divmod(tail, 10**4)
-    groups[:, 0], groups[:, 1] = np.divmod(top + 10**8, 10**4)
-    z, g = zeros[groups[:, 1:5]].T, (groups[:, 1:5] == 0).T
-    used = 17 - (z[3] + g[3] * (z[2] + g[2] * (z[1] + g[1] * z[0])))
-    out = np.take(rows, ((x < 0) * 23 + k + 6) * 18 + used, axis=0, mode="clip")
-    out.view(np.uint64)[...] &= np.take(words, groups, mode="clip")
+    fast |= zero  # an exact zero is written as 1.0 is, with a leading digit 0
+    groups = []  # four groups of four digits, the last first, by quotient and multiply-subtract
+    for _ in range(4):
+        r, rest = r // 10**4, r
+        groups.insert(0, rest - 10**4 * r)
+    count = 0  # trailing zeros: a group's own, and those after it where all four of its digits are zeros
+    for z in (zeros[group] for group in groups):
+        count = z + (z == 4) * count
+    out = np.take(rows, (np.signbit(x) * 23 + k + 6) * 18 + (17 - count), axis=0, mode="clip")
+    for column, group in enumerate([r + 10000 - zero, *groups]):  # r is the leading digit, whose words follow 9999's
+        out.view(np.uint64)[:, column] &= words[group]
     for i in range(1, len(ends)):
         out[i::len(ends), _WIDTH:] = ends[i]
     texts = list(map(float.__repr__ if shortest else "%.17g".__mod__, x[~fast].tolist()))

@@ -329,6 +329,8 @@ def _cmd_death(ns: argparse.Namespace) -> int:
         [(_, report)] = sweep_alpha(init.family, params, [init.alpha], tmax, ns.steps, source, ns.cutoff)
     else:
         report = detect_death(scan(init, params, pair, tmax, ns.steps, source, ns.cutoff))
+    if not math.isfinite(report.period):  # 2 pi / rabi overflows once rabi is below about 3.5e-308
+        raise ValueError("the period 2*pi/rabi overflows, and JSON has no Infinity")
     payload = {"family": init.family.value, "alpha": init.alpha, "pair": ns.pair, "source": source.value,
                "tmax": tmax, "steps": ns.steps, **report.to_dict()}
     _write_output(ns.out, [_json(payload), "\n"])
@@ -360,6 +362,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
                  report.total_dead_length(), report.initial_concurrence) for alpha, report in results]
         header = "alpha,dead_intervals,first_death_start,first_death_end,total_dead_length,initial_concurrence\n"
         chunks = itertools.chain([header], _numtext.chunks(rows, [","] * header.count(",") + ["\n"], shortest=False))
+    elif not all(math.isfinite(report.period) for _, report in results):  # as in _cmd_death
+        raise ValueError("the period 2*pi/rabi overflows, and JSON has no Infinity")
     else:
         payload = {"family": ns.family, "source": source.value, "tmax": tmax, "steps": ns.steps,
                    "reports": [{"alpha": alpha, **report.to_dict()} for alpha, report in results]}

@@ -8,9 +8,10 @@ fast path's range) plus fixed hard sets, with ``doublejc._numtext.chunks`` as
 text for the same number.  The hard sets are exact half-way cases at 15, 16
 and 17 digits, powers of ten and of two with their neighbours, short decimals
 with their neighbours, the fast path's edges, subnormals, signed zeros, NaN
-and the infinities.  The fast path rests on ``np.searchsorted``, ``np.floor``
-and exact double rounding, so a platform's numpy or libm could change it: the
-test suite runs a small count, CI a large one.  Exits 1 on any mismatch.
+and the infinities, and runs of signed zeros across chunk boundaries.  The
+fast path rests on ``np.searchsorted``, ``np.floor`` and exact double
+rounding, so a platform's numpy or libm could change it: the test suite runs
+a small count, CI a large one.  Exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -56,7 +57,23 @@ def hard_sets(rng) -> dict:
         "edges": neighbours(edges, reach=4),
         "specials": np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                               np.nan, np.inf, -np.inf]),
+        "zero runs": zero_runs(rng),
     }
+
+
+def zero_runs(rng) -> np.ndarray:
+    """Runs of +0.0, of -0.0 and of both that start, end and straddle the writer's chunk boundaries, among values of
+    the fast path and values Python writes."""
+    chunk = _numtext.CHUNK
+    mixed = np.concatenate([rng.uniform(1, 10, 40) * 10.0 ** rng.integers(-6, 17, 40) * rng.choice([-1.0, 1.0], 40),
+                            [5e-324, -5e-324, np.nan, np.inf, -np.inf, 3e17, -3e17]])
+    values = rng.choice(mixed, 4 * chunk + 9)
+    runs = [(0, 300, [0.0]), (chunk - 40, chunk, [-0.0]), (chunk, chunk + 40, [0.0]),
+            (2 * chunk - 700, 2 * chunk + 700, [0.0, -0.0]), (3 * chunk - 1, 3 * chunk + 1, [-0.0]),
+            (3 * chunk + 5, 4 * chunk + 9, [0.0, -0.0])]  # the last one ends the values
+    for start, stop, signs in runs:
+        values[start:stop] = rng.choice(signs, stop - start)
+    return values
 
 
 def random_sets(count: int, rng) -> dict:

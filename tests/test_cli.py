@@ -413,6 +413,23 @@ def test_a_step_count_past_the_float_range_exits_2(capsys, argv):
     assert err == "doublejc: error: Maximum allowed size exceeded\n"
 
 
+@pytest.mark.parametrize("source", ["closed", "oracle"])
+def test_a_period_past_the_float_range_exits_2(capsys, source):
+    # 2 pi / rabi overflows once rabi is below about 3.5e-308; the JSON reports printed "period": Infinity
+    for argv in (["death"], ["sweep", "--alphas", "0.3"], ["sweep", "--alphas", "0.3", "--format", "json"]):
+        rc, out, err = run_cli(capsys, *argv, "--delta", "0", "--G", "1e-308", "--tmax", "1", "--steps", "11",
+                               "--source", source)
+        assert (rc, out) == (2, "")
+        assert err == "doublejc: error: the period 2*pi/rabi overflows, and JSON has no Infinity\n"
+    # the CSV sweep lists no period, and just above the limit the period is a finite double
+    rc, out, _ = run_cli(capsys, "sweep", "--alphas", "0.3", "--format", "csv", "--delta", "0", "--G", "1e-308",
+                         "--tmax", "1", "--steps", "11", "--source", source)
+    assert rc == 0 and out.startswith("alpha,")
+    rc, out, _ = run_cli(capsys, "death", "--delta", "0", "--G", "3.6e-308", "--tmax", "1", "--steps", "11",
+                         "--source", source)
+    assert rc == 0 and math.isfinite(json.loads(out)["period"])
+
+
 def test_not_enough_memory_exits_2_with_one_line(capsys, monkeypatch):
     # the basis labels of cutoff 1e7 would take 11.4 PiB, beyond any address space, so the allocation fails at
     # once and nothing is paged in; exit 1 would read as a failed validation

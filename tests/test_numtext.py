@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numtext_sweep
-from doublejc import _numtext
+from doublejc import ATOM_PAIR, InitialState, ModelParams, Source, StateFamily, _numtext, scan
 from doublejc.cli import _json, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -73,6 +73,26 @@ def test_tables_across_chunk_boundaries(numbers, cols):
     assert csv_rows(table) == reference_csv(table)
     column = edge_mix(numbers, rng)
     assert _json({"times": column}) == json.dumps({"times": column.tolist()}, indent=2)
+
+
+def test_dying_phi_scan_writes_its_zeros_as_python_does(tmp_path, capsys):
+    # phi at alpha = 0.3 dies for most of each period: the closed scan holds thousands of exact zeros, which the
+    # writer takes from its tables while it writes the numbers around them
+    argv = ["scan", "--family", "phi", "--alpha", "0.3", "--delta", "0", "--G", "1", "--tmax", "12", "--steps", "10001"]
+    init, params = InitialState(StateFamily.PHI_ALPHA, 0.3), ModelParams.from_detuning(0.0, 1.0)
+    series = scan(init, params, ATOM_PAIR, 12.0, 10001, Source.CLOSED_FORM)
+    assert (series.values == 0).sum() > 5000
+    table = np.column_stack([series.times, series.values])
+    assert main(argv + ["--out", str(tmp_path / "scan.csv")]) == 0
+    # compared as lines, whose first difference pytest finds at once
+    lines = (tmp_path / "scan.csv").read_text().splitlines(keepends=True)
+    assert lines[2:] == reference_csv(table).splitlines(keepends=True)
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "scan.json")]) == 0
+    text = (tmp_path / "scan.json").read_text()
+    document = json.loads(text)
+    assert document["concurrence"]["AB"] == series.values.tolist() and document["times"] == series.times.tolist()
+    assert text.splitlines(keepends=True) == (json.dumps(document, indent=2) + "\n").splitlines(keepends=True)
+    capsys.readouterr()
 
 
 def test_empty_and_single_json_arrays():
