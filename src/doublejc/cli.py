@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import sys
 
@@ -130,18 +131,28 @@ _KEY_COMMANDS = {flag[2:]: commands.split() for flag, _, commands in _OPTIONS}
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The full parser; ``commands`` maps each subcommand to its parser, which reads -1e-3 and -inf as values."""
     parser = argparse.ArgumentParser(
         prog="doublejc",
         description="Entanglement dynamics of two independent Jaynes-Cummings pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (doc, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=doc, allow_abbrev=False)  # a flag it lacks may not match another by prefix
+    # allow_abbrev: a flag a subcommand lacks may not match another by prefix
+    parser.commands = {name: sub.add_parser(name, help=doc, allow_abbrev=False) for name, (doc, _) in _COMMANDS.items()}
+    for name, p in parser.commands.items():
+        p._negative_number_matcher = re.compile(r"-\.?\d|-(inf(inity)?|nan)\Z", re.IGNORECASE)  # private argparse
         p.add_argument("--config", help="key = value config file; flags override it")
         for flag, kwargs, commands in _OPTIONS:
             if name in commands.split():
                 p.add_argument(flag, **kwargs)
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, in one pass of the subcommand's own parser where argv[0] names one."""
+    sub = _build_parser().commands.get(argv[0]) if argv else None
+    ns, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if sub else (None, True)
+    return _build_parser().parse_args(argv) if rest else ns  # leftovers get the full parser's usage and error
 
 
 def _config_args(path: str, command: str) -> list:
@@ -384,13 +395,12 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(argv)
         if ns.config:
             # the subcommand comes first (the top level takes no options); config
             # lines go ahead of the flags, so the flags win
-            ns = parser.parse_args([ns.command, *_config_args(ns.config, ns.command), *argv[1:]])
+            ns = _parse([ns.command, *_config_args(ns.config, ns.command), *argv[1:]])
         return _COMMANDS[ns.command][1](ns)
     except SystemExit as exc:
         return int(exc.code or 0)

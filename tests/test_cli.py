@@ -498,8 +498,8 @@ def test_sweep_bad_alphas(capsys):
 
 
 @pytest.mark.parametrize("grid", [["--alpha-count", "0"], ["--alpha-min", "0.5", "--alpha-max", "0.4"],
-                                  ["--alpha-max", "inf"], ["--alpha-min=-inf"], ["--alpha-min", "nan"],
-                                  ["--alpha-max", "nan"],
+                                  ["--alpha-max", "inf"], ["--alpha-min=-inf"], ["--alpha-min", "-inf"],
+                                  ["--alpha-min", "nan"], ["--alpha-max", "nan"],
                                   # a span that overflows: "overflow encountered in subtract", then in multiply
                                   ["--alpha-min=-1e308", "--alpha-max", "1e308", "--alpha-count", "3"],
                                   # a span of exactly the largest float: linspace overflows at 4 points, not at 3
@@ -660,8 +660,7 @@ FLAGS = {
 
 @pytest.mark.parametrize("command", sorted(FLAGS))
 def test_subcommand_takes_only_the_flags_it_reads(command):
-    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
-    taken = {flag for action in subparsers.choices[command]._actions for flag in action.option_strings}
+    taken = {flag for action in _build_parser().commands[command]._actions for flag in action.option_strings}
     assert taken == {"-h", "--help", "--config", *FLAGS[command].split()}
 
 
@@ -682,6 +681,68 @@ def test_flag_a_subcommand_does_not_read_exits_2(capsys, argv):
     assert rc == 2
     assert out == ""
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+#: config files the argv below name as @name
+CONFIGS = {"good": "family = phi\nalpha = 0.3\nsteps = 11\ndelta = -0.5\n", "neg": "delta = -1e-3\nsteps = 11\n",
+           "badkey": "fam = phi\n", "badvalue": "steps = x\n", "noequals": "steps 11\n"}
+
+PARSED = [["constants"], ["constants", "--format", "json", "--delta=-0.2", "--G", "2"], ["scan"],
+          ["scan", "--family", "phi", "--alpha", "0.3", "--delta", "0.5", "--G", "1", "--steps", "1001", "--format",
+           "csv", "--out", "x.csv", "--source", "closed"], ["scan", "--steps", "3", "--steps", "4"],
+          ["death", "--delta", "-0.5", "--G", "1", "--pair", "Aa"], ["death", "--delta", "-1e-3", "--alpha", "-.5"],
+          ["validate", "--tolerance", "1e-3", "--cutoff", "2"], ["sweep", "--alphas", "-1e-3,0.2", "--alpha-min", "-inf"],
+          ["sweep", "--alpha-count", "3", "--alpha-max=1.2"], ["scan", "--config", "@good"],
+          ["scan", "--steps", "5", "--config", "@good", "--format", "json"], ["death", "--config=@neg", "--G", "2"],
+          ["sweep", "--config", "@good", "--alphas", "0.3"]]
+REFUSED = [[], ["-h"], ["--help"], ["bogus"], ["scna"], ["--steps", "3", "scan"], ["--", "scan"], ["scan", "-h"],
+           ["sweep", "--help"], ["death", "-h", "--delta", "-1"], ["scan", "--bogus", "1"], ["scan", "-x", "1"],
+           ["constants", "--steps", "11"], ["scan", "--steps", "11", "extra"], ["scan", "--steps", "11", "--"],
+           ["scan", "--", "--steps", "11"], ["scan", "--steps"], ["scan", "--steps", "x"], ["scan", "--ste", "11"],
+           ["scan", "--he"], ["death", "--delta", "-x"], ["death", "--delta", "-h"], ["death", "--steps", "11", "-1"],
+           ["death", "--delta", "-1x"], ["sweep", "--alphas", "a,b"], ["scan", "--config"],
+           ["scan", "--config", "@badkey"], ["scan", "--config", "@badvalue", "--steps", "3"],
+           ["scan", "--config", "@noequals"], ["scan", "--config", "@missing"], ["scan", "--config", "@good", "--bogus"]]
+
+
+@pytest.mark.parametrize("argv, parses", [(argv, True) for argv in PARSED] + [(argv, False) for argv in REFUSED])
+def test_one_pass_parse_equals_the_full_parser(tmp_path, capsys, monkeypatch, argv, parses):
+    # main parses with the subcommand's own parser; the full parser, then the config re-parse with it, is the
+    # reference, and each must reach the same Namespace, or write the same usage and errors with the same exit code
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.replace("@", f"{tmp_path}{os.sep}") for arg in argv]
+    seen = []
+    for name, (doc, _) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (doc, lambda ns: seen.append(ns) or 0))
+    fast = run_cli(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse", lambda args: _build_parser().parse_args(args))
+        full = run_cli(capsys, *argv)
+    assert fast == full
+    assert len(seen) == (2 if parses else 0)
+    if parses:
+        assert seen[0] == seen[1] and fast[0] == 0 and fast[1:] == ("", "")
+    else:
+        assert fast[0] != 0 or (fast[1].startswith("usage: doublejc") and fast[2] == "")  # --help exits 0
+
+
+@pytest.mark.parametrize("flag, value, tail", [("--delta", "-1e-3", ["--G", "1", "--steps", "11"]),
+                                               ("--alphas", "-1e-3,0.2", ["--steps", "11"]),
+                                               ("--delta", "-INF", [])])
+def test_a_negative_number_after_its_flag_reads_as_its_equals_form(capsys, flag, value, tail):
+    # argparse's own pattern took -1e-3 and -inf for flags: "expected one argument", where --delta=-1e-3 runs
+    command = "sweep" if flag == "--alphas" else "death"
+    separate, joined = run_cli(capsys, command, flag, value, *tail), run_cli(capsys, command, f"{flag}={value}", *tail)
+    assert separate == joined
+    assert separate[0] == (2 if value == "-INF" else 0)
+
+
+@pytest.mark.parametrize("value", ["-x", "-h", "--bogus"])
+def test_an_option_after_a_flag_still_leaves_it_without_its_value(capsys, value):
+    rc, out, err = run_cli(capsys, "death", "--delta", value)
+    assert rc == 2 and out == ""
+    assert err.endswith("doublejc death: error: argument --delta: expected one argument\n")
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
