@@ -300,7 +300,7 @@ def _classify(times: np.ndarray, values: np.ndarray, signed: np.ndarray, constan
         if negative.size:
             first, last = i0 + int(negative[0]), i0 + int(negative[-1])
             cells = ((first, max(first - 1, 0)), (last, min(last + 1, end)))  # (dead, live) sample pairs
-            start, stop = (times[d] + (times[n] - times[d]) * signed[d] / (signed[d] - max(signed[n], 0.0))
+            start, stop = (times[d] + (times[n] - times[d]) * (signed[d] / (signed[d] - max(signed[n], 0.0)))
                            for d, n in cells)  # each steps from its dead sample to its live one, and can round past it
             dead.append((float(max(start, times[cells[0][1]])), float(min(stop, times[cells[1][1]]))))  # into its cell
         elif i1 > i0 and np.all(np.abs(run) <= few_ulps):  # a product state

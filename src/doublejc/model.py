@@ -244,8 +244,8 @@ class DensityMatrix:
         rho = np.asarray(self.entries, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
-            raise ValueError("density matrix must be Hermitian")
+        if not (np.isfinite(rho).all() and np.abs(rho - rho.conj().T).max() <= HERMITICITY_TOL):  # no inf is subtracted
+            raise ValueError("density matrix must be Hermitian with finite entries")
         if abs(rho.trace() - 1.0) > TRACE_TOL:
             raise ValueError("density matrix must have unit trace")
         if np.linalg.eigvalsh(rho).min() < PSD_TOL:

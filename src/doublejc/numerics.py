@@ -1,12 +1,13 @@
 """Brute-force numerical oracle for the double Jaynes-Cummings system.
 
-Everything here works directly on the truncated product space: build the
-full Hamiltonian, propagate exactly through the eigendecomposition of each
-block of its exact nonzero pattern, trace down to any of the six subsystem
-pairs, and evaluate the concurrence of the resulting two-qubit state from the
-blocks of the exact nonzero pattern of its Wootters matrix; the analyses read
-all three from one chunked pass over a cached propagator.  No closed-form
-result enters any code path, so it independently checks the closed forms.
+Everything here works directly on the truncated product space: build the full
+Hamiltonian as one atom-cavity pair's taken twice (in the lab frame, or for
+the oracle rotating at nu), propagate exactly through the eigendecomposition
+of each block of its exact nonzero pattern, trace down to any of the six
+subsystem pairs, and evaluate the concurrence of the resulting two-qubit state
+from the blocks of the exact nonzero pattern of its Wootters matrix; the
+analyses read all three from one chunked pass over a cached propagator.  No
+closed-form result enters any code path, so it checks them independently.
 """
 
 from __future__ import annotations
@@ -83,29 +84,27 @@ ALL_PAIRS = tuple(SubsystemPair(n) for n in ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 ATOM_PAIR = ALL_PAIRS[0]
 
 
+def _two_pairs(atom: float, mode: float, g: float, cutoff: int) -> np.ndarray:
+    """H_pair (x) 1 + 1 (x) H_pair of two identical pairs that never interact, in the package's (A, B, a, b) order.
+
+    H_pair = atom |e><e| + mode n + g(a^dag sm + a sp) over |atom, n>, ground first; its largest diagonal entry,
+    2 atom + 2 cutoff mode, must be finite in the frame it builds: (omega, nu) in the lab, (delta, 0) rotating at nu."""
+    if not math.isfinite(2 * atom + 2 * cutoff * mode):
+        raise ValueError("Hamiltonian diagonal 2*atom + 2*cutoff*mode is not finite")
+    n = np.arange(basis_shape(cutoff)[-1])  # photon numbers 0..cutoff of a mode
+    pair = np.diag(np.add.outer([0.0, atom], mode * n).ravel()).reshape(2, n.size, 2, n.size)  # axes (A, a, A', a')
+    pair[0, n[1:], 1, n[:-1]] = pair[1, n[:-1], 0, n[1:]] = g * np.sqrt(n[1:])  # g sqrt(n+1) joins |e,n> and |g,n+1>
+    eye = np.eye(2 * n.size).reshape(pair.shape)
+    both = np.multiply.outer(pair, eye) + np.multiply.outer(eye, pair)  # axes (A, a, A', a', B, b, B', b')
+    return both.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(4 * n.size**2, -1).astype(complex)
+
+
 def build_hamiltonian(params: ModelParams, cutoff: int) -> np.ndarray:
-    """Full Hamiltonian of the two independent atom-cavity pairs.
+    """Full lab-frame Hamiltonian of the two independent atom-cavity pairs: :func:`_two_pairs` at (omega, nu).
 
-    H = omega(|e><e|_A + |e><e|_B) + nu(n_a + n_b)
-        + g(a^dag sm_A + a sp_A) + g(b^dag sm_B + b sp_B)
-
-    with the atomic ground state at zero energy.  The rotating-wave coupling
-    conserves the total excitation number, also on the truncated space.
-    """
-    if not math.isfinite(2 * params.omega + 2 * cutoff * params.nu):
-        raise ValueError("Hamiltonian diagonal 2*omega + 2*cutoff*nu is not finite")
-    shape = basis_shape(cutoff)
-    # flattened-index step of one level along each axis
-    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
-    atom_a, atom_b, n_a, n_b = _basis_labels(cutoff)
-    h = np.diag(params.omega * (atom_a + atom_b) + params.nu * (n_a + n_b)).astype(complex)
-    index = np.arange(h.shape[0])
-    # g sqrt(n+1) couples |e,n> to |g,n+1> within each pair: the flattened
-    # index drops by the atom's stride and rises by its mode's
-    for atom, n, shift in ((atom_a, n_a, strides[0] - strides[2]), (atom_b, n_b, strides[1] - strides[3])):
-        e_n = index[(atom == 1) & (n < cutoff)]
-        h[e_n, e_n - shift] = h[e_n - shift, e_n] = params.g * np.sqrt(n[e_n] + 1)
-    return h
+    H = omega(|e><e|_A + |e><e|_B) + nu(n_a + n_b) + g(a^dag sm_A + a sp_A) + g(b^dag sm_B + b sp_B), with the atomic
+    ground state at zero energy; the rotating-wave coupling conserves the total excitation number, truncated too."""
+    return _two_pairs(params.omega, params.nu, params.g, cutoff)
 
 
 def total_excitation(cutoff: int) -> np.ndarray:
@@ -143,8 +142,8 @@ class Propagator:
         h = np.asarray(h, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("operator must be a square matrix")
-        if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
-            raise ValueError("operator must be Hermitian")
+        if not (np.isfinite(h).all() and np.abs(h - h.conj().T).max() <= HERMITICITY_TOL):  # no inf is subtracted
+            raise ValueError("operator must be Hermitian with finite entries")
         self.energies, self.modes = np.empty(len(h)), np.zeros_like(h)
         for index in _blocks((h != 0) | (h.T != 0)):
             size = index.shape[1]
@@ -304,12 +303,11 @@ def _block_concurrences(blocks: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _propagator(params: ModelParams, cutoff: int) -> Propagator:
-    """The oracle's propagator, diagonalised once per (params, cutoff) while among the 8 most recent."""
-    # module globals looked up at each miss, so rebinding them here (as a tracer or a test does) sees every one
-    h = build_hamiltonian(params, cutoff)  # its finiteness guard and couplings
-    # the frame rotating at nu keeps every pair's concurrence: delta times excited atoms, not the rounded omega + nu n
-    np.fill_diagonal(h, (params.omega - params.nu) * _basis_labels(cutoff)[:2].sum(axis=0))
-    return Propagator(h)
+    """The oracle's propagator, diagonalised once per (params, cutoff) while among the 8 most recent.
+
+    Its frame rotates at nu, which changes no pair's concurrence: delta = omega - nu on each excited atom, not the
+    rounded lab entries omega + nu n, and no energy of the scale of nu."""
+    return Propagator(_two_pairs(params.omega - params.nu, 0.0, params.g, cutoff))
 
 
 def _oracle_pass(inits, params: ModelParams, pairs, times: np.ndarray, cutoff: int):

@@ -433,8 +433,8 @@ def _two_pass_classify(series):
             return (float(times[i0]), float(times[i1])) if product else None
         first, last = int(negative[0]), int(negative[-1])
         cells = ((first, max(first - 1, 0)), (last, min(last + 1, len(times) - 1)))
-        roots = ((times[d] + (times[n] - times[d]) * signed[d] / (signed[d] - max(signed[n], 0.0)), times[d], times[n])
-                 for d, n in cells)
+        roots = ((times[d] + (times[n] - times[d]) * (signed[d] / (signed[d] - max(signed[n], 0.0))),
+                  times[d], times[n]) for d, n in cells)
         return tuple(float(min(max(root, min(ends)), max(ends))) for root, *ends in roots)
 
     runs = analysis._zero_runs(values <= analysis.ZERO_TOL)
@@ -1026,14 +1026,15 @@ def test_cached_propagators_give_the_uncached_results(monkeypatch):
         rows, report = run(params)
         assert all(np.array_equal(got, want) for got, want in zip(rows, fresh[params][0]))
         assert report == fresh[params][1]
-    # a repeat at the same parameters diagonalises nothing: the cache looks the builder up on the module
-    builds = []
-    monkeypatch.setattr(numerics, "build_hamiltonian", lambda *args: builds.append(args) or build_hamiltonian(*args))
+    # a repeat at the same parameters diagonalises nothing: the cache looks the pair builder up on the module, and
+    # a miss builds once, in the frame rotating at nu (delta = 0.25 on each excited atom, no mode energy)
+    builds, two_pairs = [], numerics._two_pairs
+    monkeypatch.setattr(numerics, "_two_pairs", lambda *args: builds.append(args) or two_pairs(*args))
     run(first)
     sweep_alpha(StateFamily.PHI_ALPHA, second, [0.2, 0.6], 8.0, 41, Source.ORACLE)
     assert builds == []
     run(ModelParams.from_detuning(0.25, 1.0))
-    assert builds == [(ModelParams.from_detuning(0.25, 1.0), 1)]
+    assert builds == [(0.25, 0.0, 0.5, 1)]
     assert numerics._propagator.cache_info().maxsize == 8
 
 

@@ -297,12 +297,15 @@ def test_death_near_product_phi_dies_twice_on_both_sources(capsys):
     assert len(oracle["dead_intervals"]) == len(closed["dead_intervals"]) == 2
 
 
-def test_death_oracle_product_window_starts_at_the_first_time(capsys):
-    # sample 0 is a zero above -FEW_ULPS, and the root across its cell rounded to -2.7755575615628914e-17
+@pytest.mark.parametrize("steps, tmax", [("201", "40"), ("101", "10")])
+def test_death_oracle_product_window_starts_at_the_first_time(capsys, steps, tmax):
+    # sample 0 is a zero above -FEW_ULPS: the root across its cell rounded to -2.7755575615628914e-17 (201 steps),
+    # and t_d + (t_n - t_d) s_d / (s_d - s_n), formed left to right, to 1.3877787807814457e-17 (101 steps); the
+    # fraction s_d / (s_d - 0) is exactly 1, so the root is the live sample's time
     rc, out, _ = run_cli(capsys, "death", "--family", "phi", "--alpha", "0", "--delta", "0", "--G", "1",
-                         "--source", "oracle", "--steps", "201", "--tmax", "40")
+                         "--source", "oracle", "--steps", steps, "--tmax", tmax)
     assert rc == 0
-    assert json.loads(out)["dead_intervals"] == [[0.0, 40.0]]
+    assert json.loads(out)["dead_intervals"] == [[0.0, float(tmax)]]
 
 
 
@@ -431,8 +434,8 @@ def test_a_period_past_the_float_range_exits_2(capsys, source):
 
 
 def test_not_enough_memory_exits_2_with_one_line(capsys, monkeypatch):
-    # the basis labels of cutoff 1e7 would take 11.4 PiB, beyond any address space, so the allocation fails at
-    # once and nothing is paged in; exit 1 would read as a failed validation
+    # one atom-cavity pair's Hamiltonian at cutoff 1e7 would take 728 TiB, beyond the address space, so the
+    # allocation fails at once and nothing is paged in; exit 1 would read as a failed validation
     rc, out, err = run_cli(capsys, "scan", "--source", "oracle", "--cutoff", "10000000", "--steps", "3")
     assert (rc, out) == (2, "")
     assert err.startswith("doublejc: error: not enough memory: Unable to allocate ")
@@ -576,23 +579,17 @@ def test_angle_whose_double_overflows_exits_2(capsys, argv):
 
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["validate", "--steps", "5"], "Hamiltonian diagonal 2*omega + 2*cutoff*nu is not finite"),
-        (["death", "--source", "oracle", "--steps", "5"], "Hamiltonian diagonal 2*omega + 2*cutoff*nu is not finite"),
-        (["scan", "--source", "oracle", "--steps", "5"], "Hamiltonian diagonal 2*omega + 2*cutoff*nu is not finite"),
-        (["sweep", "--source", "oracle", "--steps", "5"], "Hamiltonian diagonal 2*omega + 2*cutoff*nu is not finite"),
-    ],
-)
-def test_overflowing_oracle_exits_2_without_warnings(capsys, argv, message):
-    # these used to print numpy RuntimeWarnings and exit 2 with "state vector must have unit norm"
+@pytest.mark.parametrize("argv", [["validate"], ["death", "--source", "oracle"], ["scan", "--source", "oracle"],
+                                  ["sweep", "--source", "oracle"]])
+def test_overflowing_oracle_exits_2_without_warnings(capsys, argv):
+    # delta = omega - nu is 1.7e308, so the rotating frame's diagonal 2 delta overflows; without the guard the
+    # propagator printed a RuntimeWarning and exited 2 with "Eigenvalues did not converge"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc, out, err = run_cli(capsys, *argv, "--G", "1", *([] if "--nu" in argv else ["--nu", "1e308"]))
+        rc, out, err = run_cli(capsys, *argv, "--omega", "1.7e308", "--nu", "1", "--g", "1", "--steps", "5")
     assert rc == 2
     assert out == ""
-    assert err == f"doublejc: error: {message}\n"
+    assert err == "doublejc: error: Hamiltonian diagonal 2*atom + 2*cutoff*mode is not finite\n"
     assert [str(w.message) for w in caught] == []
 
 
@@ -612,18 +609,36 @@ def reject_constant(name):
     raise ValueError(f"non-finite number {name} in the output")
 
 
-@pytest.mark.parametrize("argv", [["death", "--source", "oracle", "--tmax", "1e10"],
-                                  ["validate", "--tmax", "1e10", "--steps", "5"]])
+def numbers(payload):
+    """Every number in a JSON payload, in document order."""
+    if isinstance(payload, dict):
+        return [x for value in payload.values() for x in numbers(value)]
+    if isinstance(payload, list):
+        return [x for value in payload for x in numbers(value)]
+    return [payload] if isinstance(payload, float) else []
+
+
+@pytest.mark.parametrize("argv", [["death", "--source", "oracle", "--tmax", "1e10", "--nu", "1e300"],
+                                  ["validate", "--tmax", "1e10", "--steps", "5", "--nu", "1e300"],
+                                  ["validate", "--steps", "5", "--nu", "1e308"],
+                                  ["death", "--source", "oracle", "--steps", "5", "--nu", "1e308"],
+                                  ["scan", "--source", "oracle", "--steps", "5", "--nu", "1e308", "--format", "json"],
+                                  ["sweep", "--source", "oracle", "--steps", "5", "--nu", "1e308"]])
 def test_oracle_at_a_huge_nu_runs_in_the_rotating_frame(capsys, argv):
-    # in the lab frame the phases nu t overflowed, and both exited 2 with "propagation phase max|E| * max(t) is not
-    # finite"; the oracle's frame rotates at nu, so its energies stay at the scale of delta and G
+    # in the lab frame the phases nu t overflowed at nu = 1e300, and at nu = 1e308 the diagonal 2 omega + 2 nu did:
+    # all exited 2, with "propagation phase max|E| * max(t) is not finite" or "Hamiltonian diagonal 2*omega +
+    # 2*cutoff*nu is not finite"; the oracle's frame rotates at nu, so its energies stay at the scale of delta and G
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc, out, err = run_cli(capsys, *argv, "--G", "1", "--nu", "1e300")
+        rc, out, err = run_cli(capsys, *argv, "--G", "1")
     assert (rc, err) == (0, "")
     assert [str(w.message) for w in caught] == []
     payload = json.loads(out, parse_constant=reject_constant)
     assert payload.get("pass", True) is True
+    if "1e308" in argv and "oracle" in argv:  # the closed form's numbers, to rounding
+        closed = json.loads(run_cli(capsys, *["closed" if a == "oracle" else a for a in argv], "--G", "1")[1])
+        assert numbers(payload) == pytest.approx(numbers(closed), abs=1e-12)
+
 
 def test_default_tmax_at_a_huge_coupling_names_the_phase(capsys):
     # the default end time 4 pi/(2g) overflowed 2g to inf and exited with "tmax must be positive and finite"

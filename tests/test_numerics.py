@@ -8,6 +8,7 @@ import pytest
 from doublejc import (
     ALL_PAIRS,
     ATOM_PAIR,
+    DensityMatrix,
     InitialState,
     ModelParams,
     Propagator,
@@ -27,6 +28,7 @@ from doublejc import (
     total_excitation,
     wootters_concurrence,
 )
+from doublejc import numerics
 from doublejc.numerics import _block_concurrences, _pair_blocks, _svd2
 
 MODES = SubsystemPair.from_name("ab")
@@ -114,6 +116,24 @@ def test_hamiltonian_conserves_excitation(cutoff):
         assert np.abs(h - h.conj().T).max() <= 1e-12
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+@pytest.mark.parametrize("delta, nu", [(0.0, 10.0), (0.37, 7.0), (-1.3, 5.0), (-0.25, 1e12)])
+def test_oracle_hamiltonian_is_the_lab_one_in_the_frame_rotating_at_nu(monkeypatch, delta, nu, cutoff):
+    # the oracle diagonalises H - nu N_exc, with its diagonal formed from delta = omega - nu: exactly delta per
+    # excited atom, where the lab entries omega + nu n minus nu N_exc round at the scale of nu
+    params, held = ModelParams.from_detuning(delta, 0.8, nu), []
+    monkeypatch.setattr(numerics, "Propagator", held.append)
+    numerics._propagator.cache_clear()
+    numerics._propagator(params, cutoff)
+    numerics._propagator.cache_clear()  # no held None for later tests
+    [h] = held
+    lab = build_hamiltonian(params, cutoff) - params.nu * total_excitation(cutoff)
+    assert np.abs(h - lab).max() <= 8 * np.finfo(float).eps * (2 * params.omega + 2 * cutoff * params.nu)
+    assert np.array_equal(h - np.diag(np.diag(h)), lab - np.diag(np.diag(lab)))  # the couplings g sqrt(n+1)
+    excited = np.indices(basis_shape(cutoff))[:2].sum(axis=0).ravel()
+    assert np.array_equal(np.diag(h), (params.omega - params.nu) * excited)
+
+
 def test_decoupled_limit_static_populations():
     # couplings must stay positive, so probe the g -> 0 limit instead of g = 0
     params = ModelParams(1.3, 0.9, 1e-9)
@@ -135,6 +155,18 @@ def test_propagator_rejects_non_hermitian_operator():
     h[0, 5] += 1e-3
     with pytest.raises(ValueError, match="operator must be Hermitian"):
         Propagator(h)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("container", [Propagator, DensityMatrix])
+def test_non_finite_entries_are_refused_without_warnings(container, where, bad):
+    # the Hermiticity checks read |M - M^dagger| > tol, which a NaN passes: a NaN energy or coherence was held, and
+    # an inf warned in the subtraction (any warning fails the suite)
+    entries = np.eye(4, dtype=complex) / 4
+    entries[where] = entries[where[::-1]] = bad
+    with pytest.raises(ValueError, match="must be Hermitian with finite entries$"):
+        container(entries)
 
 
 def test_evolve_grid_rejects_a_state_of_another_cutoff():
